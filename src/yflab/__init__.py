@@ -17,7 +17,7 @@ from .boundary import (
     suffix_of_infinite,
 )
 from .harmonic import BetaPolynomial, d_beta, d_beta_eval, f, g, g_all, pi, pi_k, pi_split, q
-from .magic import MagicTable, build_table, column_sum, magic_entry, symbolic_entry, table_total
+from .magic import MagicTable, build_table, magic_entry, symbolic_entry
 from .pathcount import d_from_empty, d_paths_dp, d_paths_formula, descent_counts, plancherel
 from .words import (
     EPSILON,

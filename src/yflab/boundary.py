@@ -98,15 +98,17 @@ def h_infinite(x: YFWord, w: TailOnesWord) -> CommonSuffix:
     return CommonSuffix(length, rank)
 
 
-def _g_ratio_products(w: TailOnesWord, top: int) -> list[Fraction]:
-    """product over j of (g(w,j) - i)/g(w,j), for i = 0..top."""
+def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> list[Fraction]:
+    """beta^i * product over j of (g(w,j) - i)/g(w,j), for i = 0..top."""
     gs = g_all(w.core)
     out = []
+    power = Fraction(1)
     for i in range(top + 1):
-        prod = Fraction(1)
+        weight = power
         for G in gs:
-            prod *= Fraction(G - i, G)
-        out.append(prod)
+            weight *= Fraction(G - i, G)
+        out.append(weight)
+        power *= beta
     return out
 
 
@@ -114,13 +116,8 @@ def _g_ratio_products(w: TailOnesWord, top: int) -> list[Fraction]:
 def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
     word = YFWord(x)
     h = h_infinite(word, w).length
-    ratios = _g_ratio_products(w, sum(x))
-    total = Fraction(0)
-    power = Fraction(1)
-    for i in range(sum(x) + 1):
-        total += power * f(word, i, h) * ratios[i]
-        power *= beta
-    return total
+    weights = mass_weights(w, beta, sum(x))
+    return sum((f(word, i, h) * weight for i, weight in enumerate(weights)), Fraction(0))
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:

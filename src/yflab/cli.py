@@ -65,8 +65,11 @@ def _emit(text: str, args) -> None:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
-    with open(path, "w", newline="") as handle:
-        handle.write(text)
+    try:
+        with open(path, "w", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _csv_rows(rows: list[list[str]]) -> str:

@@ -20,13 +20,14 @@ import io
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
-from .boundary import TailOnesWord, d1_prime, d_beta_prime, h_infinite, mu
-from .harmonic import BetaPolynomial, d_beta, format_rational, g_all, pi, pi_split, q
-from .magic import build_table, column_bound, column_sum_closed_form, level_product
+from .boundary import TailOnesWord, d1_prime, d_beta_prime, h_infinite, mass_weights, mu
+from .harmonic import BetaPolynomial, d_beta, format_rational, pi, pi_split, q
+from .magic import MagicTable, build_table, column_bound, column_sum_closed_form, level_product
 from .pathcount import d_from_empty
 from .words import YFWord, enumerate_level, prefix, suffix
 
@@ -176,15 +177,7 @@ def _iter_leaves(node: _Node, n: int, w: TailOnesWord, exact: bool) -> Iterable[
 
 def walk_level_masses(w: TailOnesWord, beta: Fraction, n: int) -> dict[YFWord, Fraction]:
     """All masses of one rank via the left-extension walk (exact)."""
-    gs = g_all(w.core)
-    weights = []
-    power = Fraction(1)
-    for i in range(n + 1):
-        p = power
-        for G in gs:
-            p *= Fraction(G - i, G)
-        weights.append(p)
-        power *= beta
+    weights = mass_weights(w, beta, n)
     out: dict[YFWord, Fraction] = {}
     for leaf in _iter_leaves(_root_node(), n, w, True):
         m = node_mass(leaf, weights)
@@ -259,19 +252,10 @@ def _accumulate(w: TailOnesWord, n: int, start: _Node,
 
     Returns (totals, suffix_tails, pi_tails) aligned with the argument lists.
     """
-    gs = g_all(w.core)
     zero = Fraction(0) if exact else 0.0
-    weight_sets = []
-    for beta in betas:
-        weights = []
-        power = Fraction(1)
-        for i in range(n + 1):
-            p = power
-            for G in gs:
-                p *= Fraction(G - i, G)
-            weights.append(p if exact else float(p))
-            power *= beta
-        weight_sets.append(weights)
+    weight_sets = [mass_weights(w, beta, n) for beta in betas]
+    if not exact:
+        weight_sets = [[float(p) for p in weights] for weights in weight_sets]
     totals = [zero for _ in betas]
     suffix_tails = [[zero for _ in ls] for ls in suffix_by_beta]
     pi_tails = [[zero for _ in ivs] for ivs in pi_by_beta]
@@ -323,6 +307,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     Returns a map (mode, beta, parameter, n) -> tail mass.  In exact mode the
     per-rank total is asserted to be exactly 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     betas: list[Fraction] = []
     for beta, _ in tuple(suffix_params) + tuple(pi_params):
         if not 0 < beta <= 1:
@@ -581,19 +567,22 @@ def _check_meexy(ctx, rec):
             rec.check(pi(v) == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
 
 
+def _divide_out_one_minus_beta(x: YFWord) -> Optional[BetaPolynomial]:
+    """d_beta(x) / (1 - beta)^length(x), or None when a division leaves a remainder."""
+    poly = d_beta(x)
+    for _ in range(len(x)):
+        poly, remainder = poly.div_one_minus_beta()
+        if remainder != 0:
+            return None
+    return poly
+
+
 def _check_delitsa(ctx, rec):
     """The beta polynomial divides by (1 - beta) exactly length(x) times, no more."""
     for x in _all_words(ctx.max_rank):
-        poly = d_beta(x)
-        ok = True
-        for _ in range(len(x)):
-            poly, remainder = poly.div_one_minus_beta()
-            if remainder != 0:
-                ok = False
-                break
-        if ok:
-            ok = poly(Fraction(1)) != 0
-        rec.check(ok, lambda x=x: f"x={x.text}")
+        quotient = _divide_out_one_minus_beta(x)
+        rec.check(quotient is not None and quotient(Fraction(1)) != 0,
+                  lambda x=x: f"x={x.text}")
 
 
 def _binom_partial(ctx, x: YFWord, i: int) -> Fraction:
@@ -616,17 +605,9 @@ def _check_binomische2(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        poly = d_beta(x)
-        ok = True
-        for _ in range(len(x)):
-            poly, remainder = poly.div_one_minus_beta()
-            if remainder != 0:
-                ok = False
-                break
-        if ok:
-            expected = BetaPolynomial(tuple(_binom_partial(ctx, x, i)
-                                            for i in range(sum(x) - len(x) + 1)))
-            ok = poly == expected
+        quotient = _divide_out_one_minus_beta(x)
+        ok = quotient is not None and quotient == BetaPolynomial(
+            tuple(_binom_partial(ctx, x, i) for i in range(sum(x) - len(x) + 1)))
         rec.check(ok, lambda x=x: f"x={x.text}")
 
 
@@ -673,16 +654,9 @@ def _check_dostalo(ctx, rec):
             rec.check(total == level_product(n, y), lambda n=n, y=y: f"n={n} y={y}")
 
 
-def _tables(ctx):
-    for w in ctx.ws:
-        for beta in ctx.betas:
-            for n in range(ctx.max_rank + 1):
-                yield build_table(w, beta, n)
-
-
 def _check_sum(ctx, rec):
     """Every table column sums to its closed single-level form."""
-    for table in _tables(ctx):
+    for table in ctx.tables:
         for y in range(table.n + 1):
             total = sum((row[y] for row in table.entries), Fraction(0))
             closed = column_sum_closed_form(table.beta, table.n, y)
@@ -693,7 +667,7 @@ def _check_sum(ctx, rec):
 
 def _check_stolb(ctx, rec):
     """Every column sum respects the product bound."""
-    for table in _tables(ctx):
+    for table in ctx.tables:
         for y in range(table.n + 1):
             total = sum((row[y] for row in table.entries), Fraction(0))
             rec.check(total <= column_bound(table.beta, table.n, y),
@@ -707,7 +681,7 @@ def _check_lehamed(ctx, rec):
         for n in range(ctx.max_rank + 1):
             bound_total = sum((column_bound(beta, n, y) for y in range(n + 1)), Fraction(0))
             rec.check(bound_total <= 1 + 1 / beta, lambda b=beta, n=n: f"beta={b} n={n}")
-    for table in _tables(ctx):
+    for table in ctx.tables:
         total = sum((sum(row, Fraction(0)) for row in table.entries), Fraction(0))
         rec.check(total <= 1 + 1 / table.beta,
                   lambda t=table: f"core={t.w.core.text or 'eps'} beta={t.beta} n={t.n}")
@@ -715,7 +689,7 @@ def _check_lehamed(ctx, rec):
 
 def _check_zabe(ctx, rec):
     """Row sums dominate the measure: mu_{w,beta}(v) <= sum of row v."""
-    for table in _tables(ctx):
+    for table in ctx.tables:
         for i, v in enumerate(table.level.words):
             mass = mu(table.w, table.beta, v)
             rec.check(mass <= sum(table.entries[i], Fraction(0)),
@@ -756,6 +730,12 @@ class _SuiteContext:
     betas: tuple[Fraction, ...]
     ws: tuple[TailOnesWord, ...]
     f: Callable
+
+    @cached_property
+    def tables(self) -> tuple[MagicTable, ...]:
+        """One table per (w, beta, n), built on first use and held for this suite run."""
+        return tuple(build_table(w, beta, n) for w in self.ws for beta in self.betas
+                     for n in range(self.max_rank + 1))
 
 
 def identity_suite(max_rank: int,

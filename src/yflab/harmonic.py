@@ -83,9 +83,10 @@ def g_all(x) -> tuple[int, ...]:
     """All values g(x, 1), ..., g(x, twos(x)).
 
     With beta_i the lengths of the maximal 1-runs between 2s counted from
-    the right, g(x, j) = beta_0 + ... + beta_{j-1} + 2j - 1.  Equivalently
-    (asserted at runtime): the rank of the suffix of x up to and including
-    the j-th 2 from the right, minus 1.
+    the right, g(x, j) = beta_0 + ... + beta_{j-1} + 2j - 1.  Equivalently,
+    and as computed here: the rank of the suffix of x up to and including
+    the j-th 2 from the right, minus 1 (checked against the runs formula by
+    tests/test_harmonic.py::test_g_all_matches_runs_formula).
     """
     digits = _digits_of(x)
     out = []
@@ -94,15 +95,6 @@ def g_all(x) -> tuple[int, ...]:
         total += digits[k]
         if digits[k] == 2:
             out.append(total - 1)
-    runs = []
-    c = 0
-    for k in range(len(digits) - 1, -1, -1):
-        if digits[k] == 1:
-            c += 1
-        else:
-            runs.append(c)
-            c = 0
-    assert out == [sum(runs[:j]) + 2 * j - 1 for j in range(1, len(runs) + 1)]
     return tuple(out)
 
 

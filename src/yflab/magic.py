@@ -129,16 +129,6 @@ def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:
     return MagicTable(w, Fraction(beta), n, level, rows)
 
 
-def column_sum(table: MagicTable, y: int) -> Fraction:
-    """Sum of column y of a table; asserts the closed single-level form."""
-    return table.column_sum(y)
-
-
-def table_total(table: MagicTable) -> Fraction:
-    """Sum of all entries of a table; asserts the 1 + 1/beta bound."""
-    return table.total()
-
-
 def column_sum_closed_form(beta: Fraction, n: int, y: int) -> Fraction:
     """Sum over rank-(n-y) words x' of q(x') d(empty, x'+1^y) beta^y (1-beta^2)^length(x')."""
     total = Fraction(0)

@@ -1,7 +1,8 @@
 """Counting saturated descending paths between lattice words.
 
-Two independent routes are provided: a dynamic-programming oracle walking
-the graph level by level, and the closed formula
+Two independent routes are provided.  The first is a frontier DP walking the
+graph down from y one rank at a time; d_paths_dp and descent_counts share it.
+The second is the closed formula
 
     d(x, y) = sum over i = 0..rank(x) of
               f(x, i, h(x, y)) * product over j of (g(y, j) - i)
@@ -14,37 +15,40 @@ integers (n! overflows 64 bits at n = 21).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import factorial
+from typing import Iterator
 
 from .harmonic import f, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
-def d_paths_dp(x: YFWord, y: YFWord) -> int:
-    """Number of saturated descending paths from y to x, by frontier DP."""
-    if sum(y) < sum(x):
-        return 0
+def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
+    """The maps {z: d(z, y)} over rank(y), rank(y) - 1, ..., 0, computed lazily."""
     frontier = {YFWord(y): 1}
-    for _ in range(sum(y) - sum(x)):
-        nxt: dict[YFWord, int] = {}
-        for w, c in frontier.items():
-            for z in down_neighbors(w):
-                nxt[z] = nxt.get(z, 0) + c
-        frontier = nxt
-    return frontier.get(YFWord(x), 0)
-
-
-def descent_counts(y: YFWord) -> dict[YFWord, int]:
-    """d(x, y) for every x below y, as one map; a single DP sweep from y."""
-    out: dict[YFWord, int] = {}
-    frontier = {YFWord(y): 1}
-    out.update(frontier)
+    yield frontier
     for _ in range(sum(y)):
         nxt: dict[YFWord, int] = {}
         for w, c in frontier.items():
             for z in down_neighbors(w):
                 nxt[z] = nxt.get(z, 0) + c
         frontier = nxt
+        yield frontier
+
+
+def d_paths_dp(x: YFWord, y: YFWord) -> int:
+    """Number of saturated descending paths from y to x, by frontier DP."""
+    steps = sum(y) - sum(x)
+    if steps < 0:
+        return 0
+    # islice stops the DP at rank(x); the frontiers further down are never built
+    return next(islice(_frontiers(y), steps, None)).get(YFWord(x), 0)
+
+
+def descent_counts(y: YFWord) -> dict[YFWord, int]:
+    """d(x, y) for every x below y, as one map; a single DP sweep from y."""
+    out: dict[YFWord, int] = {}
+    for frontier in _frontiers(y):
         out.update(frontier)
     return out
 

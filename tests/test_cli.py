@@ -110,11 +110,19 @@ def test_verify_exit_code_on_failure(capsys, monkeypatch):
     assert "FAIL" in out
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "f", "13", "0", "0")[0] == 2
     assert run(capsys, "q", "103")[0] == 2
     assert run(capsys, "measure", "--w", "2", "--beta", "3/2", "--n", "3")[0] == 2
     assert run(capsys, "dcount", "21", "2")[0] == 2  # rank order violation
+    code, _, err = run(capsys, "level", "3", "--output", str(tmp_path / "missing" / "x.txt"))
+    assert code == 2
+    assert err.startswith("yflab: error: ")
+    for jobs in ("0", "-1"):
+        code, _, err = run(capsys, "sweep", "--mode", "suffix", "--w", "22", "--beta", "1/2",
+                           "--l", "2", "--n", "3", "--jobs", jobs)
+        assert code == 2
+        assert err.startswith("yflab: error: ")
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

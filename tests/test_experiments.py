@@ -2,6 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from yflab import experiments
 from yflab.boundary import TailOnesWord, level_distribution, mu
 from yflab.experiments import (
     concentration_sweep,
@@ -171,6 +172,20 @@ def test_identity_suite_green_at_rank_6():
 def test_identity_suite_rank_cap():
     with pytest.raises(ValueError):
         identity_suite(13)
+
+
+def test_identity_suite_builds_each_table_once(monkeypatch):
+    calls = []
+    original = experiments.build_table
+
+    def counting(w, beta, n):
+        calls.append((w, beta, n))
+        return original(w, beta, n)
+
+    monkeypatch.setattr(experiments, "build_table", counting)
+    assert identity_suite(3).all_passed
+    assert len(calls) == 4 * 4 * 4  # cores x betas x ranks 0..3
+    assert len(set(calls)) == len(calls)
 
 
 def test_corrupted_f_is_caught_with_a_witness():

@@ -1,7 +1,7 @@
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from yflab.harmonic import (
     BetaPolynomial,
@@ -17,7 +17,7 @@ from yflab.harmonic import (
     pi_split,
     q,
 )
-from yflab.words import EPSILON, enumerate_level, parse
+from yflab.words import EPSILON, YFWord, enumerate_level, parse
 
 from reference_values import F_TABLE_21221, F_TABLES
 
@@ -74,6 +74,14 @@ def test_g_values():
         g(x, 4)
     with pytest.raises(ValueError):
         g(x, 0)
+
+
+@settings(derandomize=True)
+@given(st.lists(st.sampled_from([1, 2]), max_size=30).map(YFWord))
+def test_g_all_matches_runs_formula(x):
+    # runs[k]: length of the maximal run of 1s just right of the (k+1)-th 2 from the right
+    runs = [len(run) for run in reversed(x.text.split("2"))][:x.count(2)]
+    assert g_all(x) == tuple(sum(runs[:j]) + 2 * j - 1 for j in range(1, len(runs) + 1))
 
 
 def test_g_accepts_tail_ones_words():
