@@ -257,6 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact values may exceed 4300 digits
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

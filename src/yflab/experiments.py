@@ -11,6 +11,11 @@ common suffix with w grows (the current word is a full suffix of w and the
 prepended digit matches) is the vector recomputed from scratch; at most one
 word per level is affected.  The walk is validated against the direct
 formulas in the test suite.
+
+One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
+handed to the workers.  A sweep sums masses into one flat list of bins, and
+a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
+workers for all its ranks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from __future__ import annotations
 import csv
 import io
 import multiprocessing
+import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -129,13 +136,14 @@ class _Node:
         return self.prefix_ranks[-1] if self.prefix_ranks else 0
 
 
-def _root_node(exact: bool = True) -> _Node:
-    one = Fraction(1) if exact else 1.0
+def _root_node(one: Union[Fraction, float]) -> _Node:
+    """The empty word; one (Fraction(1) or 1.0) sets the number type of every fvec."""
     return _Node((), (), (one,), 0, 0, 1, Fraction(1))
 
 
-def _child(node: _Node, alpha: int, w: TailOnesWord, exact: bool = True) -> _Node:
+def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     """The walk state for alpha + word, built from the state for word."""
+    num = type(node.fvec[0])
     digits = (alpha,) + node.digits
     pranks = (alpha,) + tuple(p + alpha for p in node.prefix_ranks)
     r = node.rank
@@ -143,16 +151,13 @@ def _child(node: _Node, alpha: int, w: TailOnesWord, exact: bool = True) -> _Nod
     if grows:
         h = node.h + 1
         word = YFWord(digits)
-        fvec = tuple(harmonic.f(word, i, h) for i in range(r + alpha + 1))
-        if not exact:
-            fvec = tuple(float(v) for v in fvec)
+        fvec = tuple(num(harmonic.f(word, i, h)) for i in range(r + alpha + 1))
     else:
         h = node.h
         vals = [node.fvec[i] / (r + alpha - i) for i in range(r + 1)]
         if alpha == 2:
-            vals.append(Fraction(0) if exact else 0.0)  # f(2x, rank(x)+1, z) = 0
-        top = _f_top(digits, h, pranks)
-        vals.append(top if exact else float(top))
+            vals.append(num(0))  # f(2x, rank(x)+1, z) = 0
+        vals.append(num(_f_top(digits, h, pranks)))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
@@ -162,27 +167,25 @@ def _child(node: _Node, alpha: int, w: TailOnesWord, exact: bool = True) -> _Nod
     return _Node(digits, pranks, fvec, h, h_rank, node.d_eps * G, pi_val)
 
 
-def _iter_leaves(node: _Node, n: int, w: TailOnesWord, exact: bool) -> Iterable[_Node]:
+def _iter_nodes(node: _Node, stop: int, n: int, w: TailOnesWord) -> Iterable[_Node]:
+    """Nodes below node at the first rank >= stop (<= n); their subtrees partition
+    the rank-n words below node, and stop = n yields those words."""
     stack = [node]
     while stack:
         cur = stack.pop()
-        r = cur.rank
-        if r == n:
+        if cur.rank >= stop:
             yield cur
             continue
-        if r + 2 <= n:
-            stack.append(_child(cur, 2, w, exact))
-        stack.append(_child(cur, 1, w, exact))
+        if cur.rank + 2 <= n:
+            stack.append(_child(cur, 2, w))
+        stack.append(_child(cur, 1, w))
 
 
 def walk_level_masses(w: TailOnesWord, beta: Fraction, n: int) -> dict[YFWord, Fraction]:
     """All masses of one rank via the left-extension walk (exact)."""
     weights = mass_weights(w, beta, n)
-    out: dict[YFWord, Fraction] = {}
-    for leaf in _iter_leaves(_root_node(), n, w, True):
-        m = node_mass(leaf, weights)
-        out[YFWord(leaf.digits)] = m
-    return out
+    return {YFWord(leaf.digits): node_mass(leaf, weights)
+            for leaf in _iter_nodes(_root_node(Fraction(1)), n, n, w)}
 
 
 def node_mass(leaf: _Node, weights: Sequence) -> Fraction:
@@ -243,55 +246,22 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(w: TailOnesWord, n: int, start: _Node,
-                betas: Sequence[Fraction],
-                suffix_by_beta: Sequence[Sequence[int]],
-                pi_by_beta: Sequence[Sequence[tuple[Fraction, Fraction]]],
-                exact: bool):
-    """Tail sums over one subtree, grouped per beta.
-
-    Returns (totals, suffix_tails, pi_tails) aligned with the argument lists.
+def _accumulate(w: TailOnesWord, n: int, start: _Node, betas: Sequence[Fraction],
+                bins: Sequence[tuple[int, str, object]]) -> list:
+    """Sums of the masses at betas[b] of the rank-n words below start, one per bin
+    (b, kind, param): every word for "total", common-suffix rank < param for
+    "suffix", pi outside the open interval param = (lo, hi) for "pi".
     """
-    zero = Fraction(0) if exact else 0.0
-    weight_sets = [mass_weights(w, beta, n) for beta in betas]
-    if not exact:
-        weight_sets = [[float(p) for p in weights] for weights in weight_sets]
-    totals = [zero for _ in betas]
-    suffix_tails = [[zero for _ in ls] for ls in suffix_by_beta]
-    pi_tails = [[zero for _ in ivs] for ivs in pi_by_beta]
-    for leaf in _iter_leaves(start, n, w, exact):
-        piv = leaf.pi_val
-        for b, weights in enumerate(weight_sets):
-            m = node_mass(leaf, weights)
-            totals[b] += m
-            for k, l in enumerate(suffix_by_beta[b]):
-                if leaf.h_rank < l:
-                    suffix_tails[b][k] += m
-            for k, (lo, hi) in enumerate(pi_by_beta[b]):
-                if not lo < piv < hi:
-                    pi_tails[b][k] += m
-    return totals, suffix_tails, pi_tails
-
-
-def _subtree_roots(n: int, w: TailOnesWord, split_rank: int, exact: bool) -> list[_Node]:
-    """Nodes at the first rank >= split_rank; their subtrees partition the level."""
-    roots: list[_Node] = []
-
-    def rec(node: _Node):
-        if node.rank >= split_rank or node.rank == n:
-            roots.append(node)
-            return
-        rec(_child(node, 1, w, exact))
-        if node.rank + 2 <= n:
-            rec(_child(node, 2, w, exact))
-
-    rec(_root_node(exact))
-    return roots
-
-
-def _worker(args):
-    w, n, node, betas, suffix_by_beta, pi_by_beta, exact = args
-    return _accumulate(w, n, node, betas, suffix_by_beta, pi_by_beta, exact)
+    num = type(start.fvec[0])
+    weight_sets = [[num(p) for p in mass_weights(w, beta, n)] for beta in betas]
+    sums = [num(0)] * len(bins)
+    for leaf in _iter_nodes(start, n, n, w):
+        masses = [node_mass(leaf, weights) for weights in weight_sets]
+        for k, (b, kind, param) in enumerate(bins):
+            if (kind == "total" or (kind == "suffix" and leaf.h_rank < param)
+                    or (kind == "pi" and not param[0] < leaf.pi_val < param[1])):
+                sums[k] += masses[b]
+    return sums
 
 
 _SPLIT_RANK = 8
@@ -305,10 +275,12 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     """Tail masses for many (mode, beta, parameter) pairs in one walk per rank.
 
     Returns a map (mode, beta, parameter, n) -> tail mass.  In exact mode the
-    per-rank total is asserted to be exactly 1.
+    per-rank total is asserted to be exactly 1.  jobs is clamped to the CPU count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if any(n < 0 for n in n_list):
+        raise ValueError(f"ranks must be nonnegative, got {list(n_list)}")
     betas: list[Fraction] = []
     for beta, _ in tuple(suffix_params) + tuple(pi_params):
         if not 0 < beta <= 1:
@@ -316,38 +288,32 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
         if beta not in betas:
             betas.append(beta)
     piw = pi(w)
-    suffix_by_beta = [[l for (b, l) in suffix_params if b == beta] for beta in betas]
-    pi_by_beta = [[(piw * (beta - e), piw * (beta + e)) for (b, e) in pi_params if b == beta]
-                  for beta in betas]
+    # One total bin per beta first, then one bin per requested tail.
+    bins = [(b, "total", None) for b in range(len(betas))]
+    keys = []
+    for beta, l in suffix_params:
+        bins.append((betas.index(beta), "suffix", l))
+        keys.append(("suffix", beta, l))
+    for beta, e in pi_params:
+        bins.append((betas.index(beta), "pi", (piw * (beta - e), piw * (beta + e))))
+        keys.append(("pi", beta, e))
+    root = _root_node(Fraction(1) if exact else 1.0)
+    workers = min(jobs, os.cpu_count() or 1)
+    pooled = [n for n in n_list if n >= _SPLIT_RANK + 2] if workers > 1 else []
     results: dict[tuple[Mode, Fraction, Param, int], Union[Fraction, float]] = {}
-    for n in n_list:
-        if jobs > 1 and n >= _SPLIT_RANK + 2:
-            roots = _subtree_roots(n, w, _SPLIT_RANK, exact)
-            tasks = [(w, n, r, betas, suffix_by_beta, pi_by_beta, exact) for r in roots]
-            with multiprocessing.get_context("fork").Pool(jobs) as pool:
-                parts = pool.map(_worker, tasks)
-        else:
-            parts = [_accumulate(w, n, _root_node(exact), betas,
-                                 suffix_by_beta, pi_by_beta, exact)]
-        zero = Fraction(0) if exact else 0.0
-        totals = [zero for _ in betas]
-        suffix_tails = [[zero for _ in ls] for ls in suffix_by_beta]
-        pi_tails = [[zero for _ in ivs] for ivs in pi_by_beta]
-        for tot, st, pt in parts:
-            for b in range(len(betas)):
-                totals[b] += tot[b]
-                for k in range(len(st[b])):
-                    suffix_tails[b][k] += st[b][k]
-                for k in range(len(pt[b])):
-                    pi_tails[b][k] += pt[b][k]
-        if exact:
-            assert all(t == 1 for t in totals), f"level {n} masses sum to {totals}"
-        for b, beta in enumerate(betas):
-            for k, l in enumerate(suffix_by_beta[b]):
-                results[("suffix", beta, l, n)] = suffix_tails[b][k]
-            pis = [e for (bb, e) in pi_params if bb == beta]
-            for k, e in enumerate(pis):
-                results[("pi", beta, e, n)] = pi_tails[b][k]
+    with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
+        for n in n_list:
+            if n in pooled:
+                roots = _iter_nodes(root, _SPLIT_RANK, n, w)
+                parts = pool.starmap(_accumulate, [(w, n, node, betas, bins) for node in roots])
+            else:
+                parts = [_accumulate(w, n, root, betas, bins)]
+            sums = [sum(column) for column in zip(*parts)]
+            totals = sums[:len(betas)]
+            if exact:
+                assert all(t == 1 for t in totals), f"level {n} masses sum to {totals}"
+            for key, tail in zip(keys, sums[len(betas):]):
+                results[key + (n,)] = tail
     return results
 
 

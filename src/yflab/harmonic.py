@@ -114,24 +114,25 @@ def q(x: YFWord) -> Fraction:
     return Fraction(1, den)
 
 
-def pi(x) -> Fraction:
-    """Product of (g-1)/g over the g-values of x exceeding 1; empty product 1."""
+def _g_ratio_product(x, k: int) -> Fraction:
+    """Product of (g-k)/g over the g-values of x exceeding k; empty product 1."""
     out = Fraction(1)
     for G in g_all(x):
-        if G > 1:
-            out *= Fraction(G - 1, G)
+        if G > k:
+            out *= Fraction(G - k, G)
     return out
+
+
+def pi(x) -> Fraction:
+    """Product of (g-1)/g over the g-values of x exceeding 1; empty product 1."""
+    return _g_ratio_product(x, 1)
 
 
 def pi_k(x, k: int) -> Fraction:
     """Product of (g-k)/g over the g-values of x exceeding k."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    out = Fraction(1)
-    for G in g_all(x):
-        if G > k:
-            out *= Fraction(G - k, G)
-    return out
+    return _g_ratio_product(x, k)
 
 
 def pi_split(v: YFWord, y: int) -> Optional[tuple[Fraction, Fraction]]:
@@ -189,14 +190,6 @@ class BetaPolynomial:
         if qc:
             qc.pop()  # top coefficient of (1-beta)*quotient is -quotient[-1]
         return BetaPolynomial(tuple(qc)), r
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BetaPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"BetaPolynomial({[str(c) for c in self.coeffs]})"

@@ -4,6 +4,9 @@ import pytest
 
 from yflab.cli import main
 from yflab.experiments import IdentityResult, SuiteReport
+from yflab.harmonic import f, format_rational
+from yflab.pathcount import d_paths_formula
+from yflab.words import YFWord
 
 
 def run(capsys, *argv):
@@ -87,6 +90,32 @@ def test_sweep(capsys):
     assert Fr(tail) + Fr(head) == 1
 
 
+def test_sweep_float_is_marked_non_authoritative(capsys):
+    args = ["sweep", "--mode", "pi", "--w", "212", "--beta", "1/2", "--eps", "1/4",
+            "--n", "4..6", "--float"]
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.splitlines()[0].endswith("  [float, non-authoritative]")
+    code, out, _ = run(capsys, *args, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 3
+    assert all(row.endswith(",float-nonauthoritative") for row in rows)
+
+
+def test_huge_exact_values_print(capsys):
+    x = YFWord((2,) * 1500)
+    code, out, _ = run(capsys, "f", x.text, "4", "1400")
+    assert code == 0
+    # main lifted the int-to-str digit limit, so the expected text can be built here.
+    assert out == format_rational(f(x, 4, 1400)) + "\n"
+    assert len(out) > 4300
+    code, out, _ = run(capsys, "dcount", "2", x.text, "--method", "formula")
+    assert code == 0
+    assert out == f"{d_paths_formula(YFWord((2,)), x)}\n"
+    assert len(out) > 4300
+
+
 def test_sweep_requires_exactly_one_parameter(capsys):
     code, _, err = run(capsys, "sweep", "--mode", "suffix", "--w", "22",
                        "--beta", "1/2", "--n", "4")
@@ -118,9 +147,9 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "level", "3", "--output", str(tmp_path / "missing" / "x.txt"))
     assert code == 2
     assert err.startswith("yflab: error: ")
-    for jobs in ("0", "-1"):
+    for bad in (["--n", "3", "--jobs", "0"], ["--n", "3", "--jobs", "-1"], ["--n=-1"]):
         code, _, err = run(capsys, "sweep", "--mode", "suffix", "--w", "22", "--beta", "1/2",
-                           "--l", "2", "--n", "3", "--jobs", jobs)
+                           "--l", "2", *bad)
         assert code == 2
         assert err.startswith("yflab: error: ")
     with pytest.raises(SystemExit) as exc:

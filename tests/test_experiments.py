@@ -1,3 +1,6 @@
+import multiprocessing
+import multiprocessing.pool
+import os
 from fractions import Fraction as Fr
 
 import pytest
@@ -112,6 +115,8 @@ def test_sweep_rejects_bad_input():
         concentration_sweep("nope", CORES[0], Fr(1, 2), 1, [4])
     with pytest.raises(ValueError):
         concentration_sweep("pi", CORES[0], Fr(1, 2), Fr(0), [4])
+    with pytest.raises(ValueError):
+        concentration_sweep("suffix", CORES[0], Fr(1, 2), 1, [-1])
 
 
 def test_sweep_many_agrees_with_single_sweeps():
@@ -133,6 +138,44 @@ def test_parallel_sweep_matches_serial():
     serial = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=1)
     parallel = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=2)
     assert serial.rows == parallel.rows
+
+
+def test_parallel_sweep_opens_one_pool_per_call(monkeypatch):
+    started = []
+    original = multiprocessing.pool.Pool.__init__
+
+    def counting(self, *args, **kwargs):
+        started.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1), Fr(1, 4))])
+    parallel = sweep_many(CORES[2], [10, 11], jobs=2, **params)
+    assert len(started) == 1
+    assert parallel == sweep_many(CORES[2], [10, 11], jobs=1, **params)
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    def no_pool(method=None):
+        raise AssertionError("no pool may start on one CPU")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1, 2), Fr(1, 4))])
+    assert sweep_many(CORES[2], [10], jobs=2, **params) == sweep_many(CORES[2], [10], **params)
+
+
+def test_parallel_float_sweep_tracks_exact_values(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool even on one CPU
+    params = dict(suffix_params=[(Fr(1, 2), 1), (Fr(1, 2), 2)],
+                  pi_params=[(Fr(1, 2), Fr(1, 4)), (Fr(3, 4), Fr(1, 4))])
+    exact = sweep_many(CORES[3], [11], **params)
+    approx = sweep_many(CORES[3], [11], jobs=2, exact=False, **params)
+    assert approx.keys() == exact.keys()
+    for key, tail in exact.items():
+        assert isinstance(approx[key], float)
+        assert abs(float(tail) - approx[key]) < 1e-9
 
 
 def test_float_mode_tracks_exact_values():

@@ -121,6 +121,10 @@ def test_beta_polynomial_trims_and_evaluates():
     assert p.degree == 1
     assert p(Fr(1, 2)) == 2
     assert BetaPolynomial(()).degree == -1
+    untrimmed = BetaPolynomial((Fr(1), Fr(2), Fr(0)))
+    assert p == untrimmed and hash(p) == hash(untrimmed)
+    assert p != BetaPolynomial((Fr(1), Fr(3)))
+    assert len({p, untrimmed, BetaPolynomial((1, 2))}) == 1
 
 
 @given(st.lists(st.fractions(max_denominator=20), max_size=8))
