@@ -98,26 +98,32 @@ def h_infinite(x: YFWord, w: TailOnesWord) -> CommonSuffix:
     return CommonSuffix(length, rank)
 
 
-def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> list[Fraction]:
-    """beta^i * product over j of (g(w,j) - i)/g(w,j), for i = 0..top."""
+def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], int]:
+    """Integer weights over one shared denominator, for i = 0..top.
+
+    For beta = p/q returns (W, D) with W[i] = p^i q^(top-i) prod_j (g(w,j) - i)
+    and D = q^top prod_j g(w,j), so W[i] / D = beta^i prod_j (g(w,j) - i)/g(w,j).
+    """
+    p, q = beta.numerator, beta.denominator
     gs = g_all(w.core)
+    den = q ** top
+    for G in gs:
+        den *= G
     out = []
-    power = Fraction(1)
     for i in range(top + 1):
-        weight = power
+        weight = p ** i * q ** (top - i)
         for G in gs:
-            weight *= Fraction(G - i, G)
+            weight *= G - i
         out.append(weight)
-        power *= beta
-    return out
+    return out, den
 
 
 @lru_cache(maxsize=None)
 def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
     word = YFWord(x)
     h = h_infinite(word, w).length
-    weights = mass_weights(w, beta, sum(x))
-    return sum((f(word, i, h) * weight for i, weight in enumerate(weights)), Fraction(0))
+    weights, den = mass_weights(w, beta, sum(x))
+    return sum((f(word, i, h) * weight for i, weight in enumerate(weights)), Fraction(0)) / den
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:

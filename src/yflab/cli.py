@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="rank list: N, A..B or A..B..STEP")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--float", action="store_true",
-                   help="floating point, non-authoritative; for large ranks only")
+                   help="print the exact tails rounded to floats, labeled "
+                        "non-authoritative; no faster than exact")
 
     p = add("verify", _cmd_verify, "run the exhaustive identity suite")
     p.add_argument("--max-rank", type=int, required=True)

@@ -12,6 +12,16 @@ prepended digit matches) is the vector recomputed from scratch; at most one
 word per level is affected.  The walk is validated against the direct
 formulas in the test suite.
 
+The walk runs in plain ints.  A node stores F_i = rank! * f(v, i, h), an
+integer at every rank a sweep visits: prepending alpha to a rank-r word maps
+F_i to F_i * (r+1)...(r+alpha) / (r+alpha-i), and the unwind returns rank!
+times the top entry; every such division is asserted exact.  For beta = p/q
+the masses use the integer weights of boundary.mass_weights over their
+shared denominator D = q^n prod_j g(w, j), so node_mass is the int
+n! * D * mu(v), a sweep sums ints, asserts each rank's total to be n! * D,
+and builds one Fraction per (beta, bin, rank).  exact=False rounds those
+exact tails to float; it is labeled non-authoritative and is no faster.
+
 One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
 handed to the workers.  A sweep sums masses into one flat list of bins, and
 a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
@@ -28,7 +38,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
@@ -78,93 +88,104 @@ def r_sets(w: TailOnesWord, beta: Fraction, n: int,
 # Fast level walk
 # ---------------------------------------------------------------------------
 
-def _f_top(digits: Sequence[int], z: int, prefix_ranks: Sequence[int]) -> Fraction:
-    """f(x, rank(x), z) by unwinding the recursion along the right end of x.
+def _f_top(digits: Sequence[int], z: int, prefix_ranks: Sequence[int], fac: int) -> int:
+    """fac * f(x, rank(x), z) by unwinding the recursion along the right end of x.
 
-    prefix_ranks[k] must be the rank of the first k+1 digits of x.  The
-    current word is always x[:j] + 1^t, so its base value needs only the
-    prefix ranks of x.
+    fac must be a multiple of rank(x)!.  prefix_ranks[k] must be the rank of
+    the first k+1 digits of x.  The current word is always x[:j] + 1^t, so its
+    base value is +-1/den with den a product of distinct integers in
+    1..rank(x); each base term is therefore the exact integer +-fac // den.
+    The (1 - rank) divisors of the 2-steps are collected in mden, by which
+    acc is multiplied as they arrive, and divided out once at the end.
     """
     j, t = len(digits), 0
     rank = prefix_ranks[-1] if digits else 0
-    mult = Fraction(1)
-    acc = Fraction(0)
+    mden = 1
+    acc = 0
 
-    def base() -> Fraction:
+    def base() -> int:
         den = 1
         for k in range(j):
             den *= prefix_ranks[k]
         r0 = prefix_ranks[j - 1] if j else 0
         for s in range(1, t + 1):
             den *= r0 + s
-        return Fraction(-1 if (j + t) % 2 else 1, den)
+        return -(fac // den) if (j + t) % 2 else fac // den
 
-    while True:
-        if z == 0:
-            return acc + mult * base()
+    while z:
         if t > 0:
-            acc += mult * base()
+            acc += base()
             t -= 1
             z -= 1
             rank -= 1
         elif digits[j - 1] == 1:
-            acc += mult * base()
+            acc += base()
             j -= 1
             z -= 1
             rank -= 1
         else:
-            mult /= 1 - rank  # rank >= 2 here, never 1
+            mden *= 1 - rank  # rank >= 2 here, never 1
+            acc *= 1 - rank
             j -= 1
             t += 2
             z += 1
+    value, remainder = divmod(acc + base(), mden)
+    assert remainder == 0, f"unwind of {digits}: {fac} * f is not an integer"
+    return value
 
 
 @dataclass(frozen=True)
 class _Node:
-    """Walk state for one word: the word, its f-vector at z = h, and carried scalars."""
+    """Walk state for one word: the word, its scaled f-vector at z = h, and carried scalars."""
 
     digits: tuple[int, ...]
     prefix_ranks: tuple[int, ...]
-    fvec: tuple          # fvec[i] = f(digits, i, h) for i = 0..rank
-    h: int               # common suffix length with w
-    h_rank: int          # common suffix rank with w
-    d_eps: int           # d(empty, digits)
-    pi_val: Fraction
+    fvec: tuple[int, ...]  # fvec[i] = rank! * f(digits, i, h) for i = 0..rank
+    h: int                 # common suffix length with w
+    h_rank: int            # common suffix rank with w
+    d_eps: int             # d(empty, digits) = product of the g-values
+    pi_num: int            # pi(digits) * d_eps = product of (g - 1) over g-values > 1
 
     @property
     def rank(self) -> int:
         return self.prefix_ranks[-1] if self.prefix_ranks else 0
 
 
-def _root_node(one: Union[Fraction, float]) -> _Node:
-    """The empty word; one (Fraction(1) or 1.0) sets the number type of every fvec."""
-    return _Node((), (), (one,), 0, 0, 1, Fraction(1))
+_ROOT = _Node((), (), (1,), 0, 0, 1, 1)  # the empty word
 
 
 def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     """The walk state for alpha + word, built from the state for word."""
-    num = type(node.fvec[0])
     digits = (alpha,) + node.digits
     pranks = (alpha,) + tuple(p + alpha for p in node.prefix_ranks)
     r = node.rank
+    top = r + alpha
+    fac = factorial(top)
     grows = node.h == len(node.digits) and w.digit_from_right(len(node.digits)) == alpha
     if grows:
         h = node.h + 1
         word = YFWord(digits)
-        fvec = tuple(num(harmonic.f(word, i, h)) for i in range(r + alpha + 1))
+        scaled = [harmonic.f(word, i, h) * fac for i in range(top + 1)]
+        assert all(v.denominator == 1 for v in scaled), f"{fac} * f({word.text}) is not integral"
+        fvec = tuple(v.numerator for v in scaled)
     else:
         h = node.h
-        vals = [node.fvec[i] / (r + alpha - i) for i in range(r + 1)]
+        up = r + 1 if alpha == 1 else (r + 1) * (r + 2)  # top! / r!
+        vals = []
+        for i, Fi in enumerate(node.fvec):
+            value, remainder = divmod(Fi * up, top - i)
+            assert remainder == 0, f"prepend {alpha} to {node.digits}: inexact at i={i}"
+            vals.append(value)
         if alpha == 2:
-            vals.append(num(0))  # f(2x, rank(x)+1, z) = 0
-        vals.append(num(_f_top(digits, h, pranks)))
+            vals.append(0)  # f(2x, rank(x)+1, z) = 0
+        vals.append(_f_top(digits, h, pranks, fac))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
-        return _Node(digits, pranks, fvec, h, h_rank, node.d_eps, node.pi_val)
+        return _Node(digits, pranks, fvec, h, h_rank, node.d_eps, node.pi_num)
     G = r + 1  # the g-value contributed by the new leftmost 2
-    pi_val = node.pi_val * Fraction(G - 1, G) if G > 1 else node.pi_val
-    return _Node(digits, pranks, fvec, h, h_rank, node.d_eps * G, pi_val)
+    pi_num = node.pi_num * (G - 1) if G > 1 else node.pi_num
+    return _Node(digits, pranks, fvec, h, h_rank, node.d_eps * G, pi_num)
 
 
 def _iter_nodes(node: _Node, stop: int, n: int, w: TailOnesWord) -> Iterable[_Node]:
@@ -183,19 +204,21 @@ def _iter_nodes(node: _Node, stop: int, n: int, w: TailOnesWord) -> Iterable[_No
 
 def walk_level_masses(w: TailOnesWord, beta: Fraction, n: int) -> dict[YFWord, Fraction]:
     """All masses of one rank via the left-extension walk (exact)."""
-    weights = mass_weights(w, beta, n)
-    return {YFWord(leaf.digits): node_mass(leaf, weights)
-            for leaf in _iter_nodes(_root_node(Fraction(1)), n, n, w)}
+    weights, den = mass_weights(w, beta, n)
+    scale = factorial(n) * den
+    return {YFWord(leaf.digits): Fraction(node_mass(leaf, weights), scale)
+            for leaf in _iter_nodes(_ROOT, n, n, w)}
 
 
-def node_mass(leaf: _Node, weights: Sequence) -> Fraction:
-    """mu(v) = d(empty, v) * sum of fvec[i] * weights[i], weights[i] = beta^i * g-ratio(i)."""
-    total = None
+def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
+    """n! * D * mu(v) for a rank-n leaf v, as the int d(empty, v) * sum of fvec[i] * weights[i].
+
+    weights and their shared denominator D come from mass_weights(w, beta, n).
+    """
+    total = 0
     for Fi, Wi in zip(leaf.fvec, weights):
         if Fi:
-            total = Fi * Wi if total is None else total + Fi * Wi
-    if total is None:
-        total = weights[0] * 0
+            total += Fi * Wi
     return leaf.d_eps * total
 
 
@@ -246,21 +269,27 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(w: TailOnesWord, n: int, start: _Node, betas: Sequence[Fraction],
-                bins: Sequence[tuple[int, str, object]]) -> list:
-    """Sums of the masses at betas[b] of the rank-n words below start, one per bin
-    (b, kind, param): every word for "total", common-suffix rank < param for
-    "suffix", pi outside the open interval param = (lo, hi) for "pi".
+def _accumulate(w: TailOnesWord, n: int, start: _Node, weight_sets: Sequence[Sequence[int]],
+                bins: Sequence[tuple[int, str, object]]) -> list[int]:
+    """Sums of node_mass with weight_sets[b] over the rank-n words below start, one
+    per bin (b, kind, param): every word for "total", common-suffix rank < param
+    for "suffix", pi outside the open interval (lo_num/lo_den, hi_num/hi_den) for
+    "pi" with param = (lo_num, lo_den, hi_num, hi_den).
     """
-    num = type(start.fvec[0])
-    weight_sets = [[num(p) for p in mass_weights(w, beta, n)] for beta in betas]
-    sums = [num(0)] * len(bins)
+    sums = [0] * len(bins)
     for leaf in _iter_nodes(start, n, n, w):
         masses = [node_mass(leaf, weights) for weights in weight_sets]
         for k, (b, kind, param) in enumerate(bins):
-            if (kind == "total" or (kind == "suffix" and leaf.h_rank < param)
-                    or (kind == "pi" and not param[0] < leaf.pi_val < param[1])):
-                sums[k] += masses[b]
+            if kind == "suffix":
+                if leaf.h_rank >= param:
+                    continue
+            elif kind == "pi":
+                # pi(leaf) = pi_num / d_eps; both denominators are positive
+                lo_num, lo_den, hi_num, hi_den = param
+                if (lo_num * leaf.d_eps < leaf.pi_num * lo_den
+                        and leaf.pi_num * hi_den < hi_num * leaf.d_eps):
+                    continue
+            sums[k] += masses[b]
     return sums
 
 
@@ -274,8 +303,11 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                ) -> dict[tuple[Mode, Fraction, Param, int], Union[Fraction, float]]:
     """Tail masses for many (mode, beta, parameter) pairs in one walk per rank.
 
-    Returns a map (mode, beta, parameter, n) -> tail mass.  In exact mode the
-    per-rank total is asserted to be exactly 1.  jobs is clamped to the CPU count.
+    Returns a map (mode, beta, parameter, n) -> tail mass.  The walk sums
+    integers over n! * D_b (D_b the shared weight denominator of beta b); each
+    rank's total is asserted to equal n! * D_b exactly, and each tail becomes one
+    Fraction.  exact=False rounds those exact tails to float.  jobs is clamped
+    to the CPU count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -295,25 +327,28 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
         bins.append((betas.index(beta), "suffix", l))
         keys.append(("suffix", beta, l))
     for beta, e in pi_params:
-        bins.append((betas.index(beta), "pi", (piw * (beta - e), piw * (beta + e))))
+        lo, hi = piw * (beta - e), piw * (beta + e)
+        bins.append((betas.index(beta), "pi",
+                     (lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
         keys.append(("pi", beta, e))
-    root = _root_node(Fraction(1) if exact else 1.0)
     workers = min(jobs, os.cpu_count() or 1)
     pooled = [n for n in n_list if n >= _SPLIT_RANK + 2] if workers > 1 else []
     results: dict[tuple[Mode, Fraction, Param, int], Union[Fraction, float]] = {}
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
+            weights = [mass_weights(w, beta, n) for beta in betas]
+            vectors = [vector for vector, _ in weights]
             if n in pooled:
-                roots = _iter_nodes(root, _SPLIT_RANK, n, w)
-                parts = pool.starmap(_accumulate, [(w, n, node, betas, bins) for node in roots])
+                roots = _iter_nodes(_ROOT, _SPLIT_RANK, n, w)
+                parts = pool.starmap(_accumulate, [(w, n, node, vectors, bins) for node in roots])
             else:
-                parts = [_accumulate(w, n, root, betas, bins)]
+                parts = [_accumulate(w, n, _ROOT, vectors, bins)]
             sums = [sum(column) for column in zip(*parts)]
-            totals = sums[:len(betas)]
-            if exact:
-                assert all(t == 1 for t in totals), f"level {n} masses sum to {totals}"
-            for key, tail in zip(keys, sums[len(betas):]):
-                results[key + (n,)] = tail
+            scales = [factorial(n) * den for _, den in weights]
+            assert sums[:len(betas)] == scales, f"level {n} masses do not sum to 1"
+            for key, (b, _, _), total in zip(keys, bins[len(betas):], sums[len(betas):]):
+                tail = Fraction(total, scales[b])
+                results[key + (n,)] = tail if exact else float(tail)
     return results
 
 

@@ -22,7 +22,10 @@ last digit of x:
 
 where x+d denotes appending digit d.  The recursion terminates because the
 2-rule hands off to a word ending in 11 whose 1-rules strictly shrink the
-word.  Values are memoized on the exact triple.
+word.  Each rule makes at most one call other than a z = 0 base value, so
+the recursion is a chain, and f follows it in a loop rather than by Python
+recursion, whatever the length of x.  Values are memoized on the exact
+triple.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import Optional, Union
 
 from .words import YFWord, split_by_rank, suffix_ranks
@@ -41,33 +45,50 @@ def _digits_of(x) -> tuple[int, ...]:
     return tuple(getattr(x, "core", x))
 
 
+def _scaled_base(x: tuple[int, ...], y: int, fac: int) -> int:
+    """fac * f(x, y, 0), for fac a multiple of rank(x)!.
+
+    The denominator of f(x, y, 0) is a product of distinct integers in 1..y
+    times a product of distinct integers in 1..rank(x)-y, so it divides
+    y! (rank(x)-y)!, hence fac, and the quotient is exact.
+    """
+    total = 0
+    s = len(x)
+    while total < y:
+        s -= 1
+        total += x[s]
+    if total != y:
+        return 0
+    den = 1
+    run = 0
+    for k in range(s, len(x)):
+        run += x[k]
+        den *= -run
+    run = 0
+    for k in range(s - 1, -1, -1):
+        run += x[k]
+        den *= run
+    return fac // den
+
+
 @lru_cache(maxsize=None)
 def _f(x: tuple[int, ...], y: int, z: int) -> Fraction:
-    if z == 0:
-        total = 0
-        s = len(x)
-        while total < y:
-            s -= 1
-            total += x[s]
-        if total != y:
-            return Fraction(0)
-        den = 1
-        run = 0
-        for k in range(s, len(x)):
-            run += x[k]
-            den *= -run
-        run = 0
-        for k in range(s - 1, -1, -1):
-            run += x[k]
-            den *= run
-        return Fraction(1, den)
-    if x[-1] == 1:
-        if y == 0:
-            return _f(x, 0, 0)
-        return _f(x, y, 0) + _f(x[:-1], y - 1, z - 1)
-    if y == 1:
-        return Fraction(0)
-    return _f(x[:-1] + (1, 1), y, z + 1) / (1 - y)
+    # Follow the recursion chain, summing base values scaled by rank(x)! and
+    # collecting the (1 - y) divisors of the 2-steps in mden, by which acc is
+    # multiplied as they come.
+    fac = factorial(sum(x))
+    acc, mden = 0, 1
+    while z and not (x[-1] == 1 and y == 0):
+        if x[-1] == 1:
+            acc += _scaled_base(x, y, fac)
+            x, y, z = x[:-1], y - 1, z - 1
+        elif y == 1:
+            return Fraction(acc, fac * mden)
+        else:
+            mden *= 1 - y
+            acc *= 1 - y
+            x, z = x[:-1] + (1, 1), z + 1
+    return Fraction(acc + _scaled_base(x, y, fac), fac * mden)
 
 
 def f(x: YFWord, y: int, z: int) -> Fraction:

@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 
@@ -114,6 +115,15 @@ def test_huge_exact_values_print(capsys):
     assert code == 0
     assert out == f"{d_paths_formula(YFWord((2,)), x)}\n"
     assert len(out) > 4300
+
+
+def test_long_f_chain_prints_without_recursion_error(capsys):
+    # 1^1200: the f recursion would be 1,100 calls deep; f unwinds it in a loop.
+    code, out, err = run(capsys, "f", "1" * 1200, "1100", "1150")
+    assert code == 0 and err == ""
+    closed = sum((Fr((-1) ** (1100 - k), factorial(1100 - k) * factorial(100))
+                  for k in range(1101)), Fr(0))
+    assert out == format_rational(closed) + "\n"
 
 
 def test_sweep_requires_exactly_one_parameter(capsys):

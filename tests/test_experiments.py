@@ -2,11 +2,13 @@ import multiprocessing
 import multiprocessing.pool
 import os
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yflab import experiments
-from yflab.boundary import TailOnesWord, level_distribution, mu
+from yflab.boundary import TailOnesWord, level_distribution, mass_weights, mu
 from yflab.experiments import (
     concentration_sweep,
     identity_suite,
@@ -16,7 +18,7 @@ from yflab.experiments import (
     walk_level_masses,
 )
 from yflab.harmonic import f, pi
-from yflab.words import enumerate_level, fibonacci, ones_word, parse
+from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 ALL_ONES = TailOnesWord.parse("eps")
@@ -74,7 +76,9 @@ def test_right_end_unwind_matches_f_at_full_rank():
                 total += d
                 pranks.append(total)
             for z in range(x.length + 1):
-                assert _f_top(tuple(x), z, pranks) == f(x, x.rank, z)
+                scaled = _f_top(tuple(x), z, pranks, factorial(n))
+                assert type(scaled) is int
+                assert scaled == factorial(n) * f(x, x.rank, z)
 
 
 def test_walk_matches_direct_measure():
@@ -82,6 +86,34 @@ def test_walk_matches_direct_measure():
         for beta in (Fr(1, 2), Fr(1)):
             for n in range(9):
                 assert walk_level_masses(w, beta, n) == level_distribution(w, beta, n).masses
+
+
+@st.composite
+def words_of_rank(draw, lo: int, hi: int) -> YFWord:
+    remaining = draw(st.integers(lo, hi))
+    digits = []
+    while remaining:
+        digit = 1 if remaining == 1 else draw(st.sampled_from([1, 2]))
+        digits.append(digit)
+        remaining -= digit
+    return YFWord(tuple(digits))
+
+
+@settings(derandomize=True, deadline=None)
+@given(words_of_rank(14, 20))
+def test_walk_masses_match_direct_measure_at_high_rank(v):
+    # Walk the path of v alone (prepending its digits right to left), then compare
+    # the integer mass over n! * D with the direct kernel mu for each core and beta.
+    for core in ("eps", "22", "212"):
+        w = TailOnesWord.parse(core)
+        node = experiments._ROOT
+        for digit in reversed(v):
+            node = experiments._child(node, digit, w)
+        assert node.digits == tuple(v)
+        for beta in (Fr(1, 2), Fr(3, 7), Fr(1)):
+            weights, den = mass_weights(w, beta, v.rank)
+            walked = Fr(experiments.node_mass(node, weights), factorial(v.rank) * den)
+            assert walked == mu(w, beta, v), (v.text, core, beta)
 
 
 def test_sweep_matches_brute_force():

@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,6 +55,33 @@ def test_f_rejects_out_of_range():
         f(x, 0, 3)
     with pytest.raises(ValueError):
         f(x, -1, 0)
+
+
+def test_scaled_f_is_integral_to_rank_12():
+    # rank(x)! * f(x, y, z) is an integer: the left-extension sweep walk stores
+    # these integers and asserts every division exact at the ranks it visits.
+    triples = 0
+    for x in all_words(12):
+        fac = factorial(x.rank)
+        for y in range(x.rank + 1):
+            for z in range(x.length + 1):
+                assert (fac * f(x, y, z)).denominator == 1, (x.text, y, z)
+                triples += 1
+    assert triples == 61825
+
+
+def test_f_of_all_ones_matches_closed_form():
+    # f(1^m, y, z) = sum over k = 0..min(z, y) of (-1)^(y-k) / ((y-k)! (m-y)!),
+    # including chains far longer than the interpreter's recursion limit.
+    def closed(m, y, z):
+        return sum((Fr((-1) ** (y - k), factorial(y - k) * factorial(m - y))
+                    for k in range(min(z, y) + 1)), Fr(0))
+
+    for m in range(16):
+        for y in range(m + 1):
+            for z in range(m + 1):
+                assert f(YFWord((1,) * m), y, z) == closed(m, y, z)
+    assert f(YFWord((1,) * 1200), 1100, 1150) == closed(1200, 1100, 1150)
 
 
 def test_row_sums_vanish_to_rank_12():
