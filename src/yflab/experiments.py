@@ -5,22 +5,23 @@ generated by prepending a digit, and the whole vector f(v, i, h(v, w)) for
 i = 0..rank(v) transforms under prepending by a single exact division per
 entry, because f(x, y, z) = f(ax, y, z) * (rank(ax) - y) whenever y and z
 stay inside the shorter word's ranges.  Prepending a 2 additionally sets
-the entry at rank(x)+1 to zero.  The two entries at the top of the new
-vector are filled by a right-end unwind of the recursion.  Only when the
-common suffix with w grows (the current word is a full suffix of w and the
-prepended digit matches) is the vector recomputed from scratch; at most one
-word per level is affected.  The walk is validated against the direct
-formulas in the test suite.
+the entry at rank(x)+1 to zero.  The entry at the top of the new vector is
+filled by harmonic._scaled_f, the integer unwind of the recursion along the
+right end of the word that f itself uses.  Only when the common suffix
+with w grows (the current word is a full suffix of w and the prepended
+digit matches) is the vector recomputed from scratch; at most one word per
+level is affected.  The walk is validated against the direct formulas in
+the test suite.
 
 The walk runs in plain ints.  A node stores F_i = rank! * f(v, i, h), an
-integer at every rank a sweep visits: prepending alpha to a rank-r word maps
-F_i to F_i * (r+1)...(r+alpha) / (r+alpha-i), and the unwind returns rank!
-times the top entry; every such division is asserted exact.  For beta = p/q
-the masses use the integer weights of boundary.mass_weights over their
-shared denominator D = q^n prod_j g(w, j), so node_mass is the int
-n! * D * mu(v), a sweep sums ints, asserts each rank's total to be n! * D,
-and builds one Fraction per (beta, bin, rank).  exact=False rounds those
-exact tails to float; it is labeled non-authoritative and is no faster.
+integer (see harmonic._scaled_f): prepending alpha to a rank-r word maps
+F_i to F_i * (r+1)...(r+alpha) / (r+alpha-i), and every such division is
+asserted exact.  For beta = p/q the masses use the integer weights of
+boundary.mass_weights over their shared denominator D = q^n prod_j g(w, j),
+so node_mass is the int n! * D * mu(v), a sweep sums ints, asserts each
+rank's total to be n! * D, and builds one Fraction per (beta, bin, rank).
+concentration_sweep(exact=False) rounds those exact tails to float; it is
+labeled non-authoritative and is no faster.
 
 One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
 handed to the workers.  A sweep sums masses into one flat list of bins, and
@@ -88,86 +89,32 @@ def r_sets(w: TailOnesWord, beta: Fraction, n: int,
 # Fast level walk
 # ---------------------------------------------------------------------------
 
-def _f_top(digits: Sequence[int], z: int, prefix_ranks: Sequence[int], fac: int) -> int:
-    """fac * f(x, rank(x), z) by unwinding the recursion along the right end of x.
-
-    fac must be a multiple of rank(x)!.  prefix_ranks[k] must be the rank of
-    the first k+1 digits of x.  The current word is always x[:j] + 1^t, so its
-    base value is +-1/den with den a product of distinct integers in
-    1..rank(x); each base term is therefore the exact integer +-fac // den.
-    The (1 - rank) divisors of the 2-steps are collected in mden, by which
-    acc is multiplied as they arrive, and divided out once at the end.
-    """
-    j, t = len(digits), 0
-    rank = prefix_ranks[-1] if digits else 0
-    mden = 1
-    acc = 0
-
-    def base() -> int:
-        den = 1
-        for k in range(j):
-            den *= prefix_ranks[k]
-        r0 = prefix_ranks[j - 1] if j else 0
-        for s in range(1, t + 1):
-            den *= r0 + s
-        return -(fac // den) if (j + t) % 2 else fac // den
-
-    while z:
-        if t > 0:
-            acc += base()
-            t -= 1
-            z -= 1
-            rank -= 1
-        elif digits[j - 1] == 1:
-            acc += base()
-            j -= 1
-            z -= 1
-            rank -= 1
-        else:
-            mden *= 1 - rank  # rank >= 2 here, never 1
-            acc *= 1 - rank
-            j -= 1
-            t += 2
-            z += 1
-    value, remainder = divmod(acc + base(), mden)
-    assert remainder == 0, f"unwind of {digits}: {fac} * f is not an integer"
-    return value
-
-
 @dataclass(frozen=True)
 class _Node:
     """Walk state for one word: the word, its scaled f-vector at z = h, and carried scalars."""
 
     digits: tuple[int, ...]
-    prefix_ranks: tuple[int, ...]
+    rank: int
     fvec: tuple[int, ...]  # fvec[i] = rank! * f(digits, i, h) for i = 0..rank
     h: int                 # common suffix length with w
     h_rank: int            # common suffix rank with w
     d_eps: int             # d(empty, digits) = product of the g-values
     pi_num: int            # pi(digits) * d_eps = product of (g - 1) over g-values > 1
 
-    @property
-    def rank(self) -> int:
-        return self.prefix_ranks[-1] if self.prefix_ranks else 0
 
-
-_ROOT = _Node((), (), (1,), 0, 0, 1, 1)  # the empty word
+_ROOT = _Node((), 0, (1,), 0, 0, 1, 1)  # the empty word
 
 
 def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     """The walk state for alpha + word, built from the state for word."""
     digits = (alpha,) + node.digits
-    pranks = (alpha,) + tuple(p + alpha for p in node.prefix_ranks)
     r = node.rank
     top = r + alpha
     fac = factorial(top)
     grows = node.h == len(node.digits) and w.digit_from_right(len(node.digits)) == alpha
     if grows:
         h = node.h + 1
-        word = YFWord(digits)
-        scaled = [harmonic.f(word, i, h) * fac for i in range(top + 1)]
-        assert all(v.denominator == 1 for v in scaled), f"{fac} * f({word.text}) is not integral"
-        fvec = tuple(v.numerator for v in scaled)
+        fvec = tuple(harmonic._scaled_f(digits, i, h, fac) for i in range(top + 1))
     else:
         h = node.h
         up = r + 1 if alpha == 1 else (r + 1) * (r + 2)  # top! / r!
@@ -178,14 +125,14 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
             vals.append(value)
         if alpha == 2:
             vals.append(0)  # f(2x, rank(x)+1, z) = 0
-        vals.append(_f_top(digits, h, pranks, fac))
+        vals.append(harmonic._scaled_f(digits, top, h, fac))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
-        return _Node(digits, pranks, fvec, h, h_rank, node.d_eps, node.pi_num)
+        return _Node(digits, top, fvec, h, h_rank, node.d_eps, node.pi_num)
     G = r + 1  # the g-value contributed by the new leftmost 2
     pi_num = node.pi_num * (G - 1) if G > 1 else node.pi_num
-    return _Node(digits, pranks, fvec, h, h_rank, node.d_eps * G, pi_num)
+    return _Node(digits, top, fvec, h, h_rank, node.d_eps * G, pi_num)
 
 
 def _iter_nodes(node: _Node, stop: int, n: int, w: TailOnesWord) -> Iterable[_Node]:
@@ -299,15 +246,13 @@ _SPLIT_RANK = 8
 def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                suffix_params: Sequence[tuple[Fraction, int]] = (),
                pi_params: Sequence[tuple[Fraction, Fraction]] = (),
-               jobs: int = 1, exact: bool = True,
-               ) -> dict[tuple[Mode, Fraction, Param, int], Union[Fraction, float]]:
+               jobs: int = 1) -> dict[tuple[Mode, Fraction, Param, int], Fraction]:
     """Tail masses for many (mode, beta, parameter) pairs in one walk per rank.
 
     Returns a map (mode, beta, parameter, n) -> tail mass.  The walk sums
     integers over n! * D_b (D_b the shared weight denominator of beta b); each
     rank's total is asserted to equal n! * D_b exactly, and each tail becomes one
-    Fraction.  exact=False rounds those exact tails to float.  jobs is clamped
-    to the CPU count.
+    Fraction.  jobs is clamped to the CPU count.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -333,7 +278,7 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
         keys.append(("pi", beta, e))
     workers = min(jobs, os.cpu_count() or 1)
     pooled = [n for n in n_list if n >= _SPLIT_RANK + 2] if workers > 1 else []
-    results: dict[tuple[Mode, Fraction, Param, int], Union[Fraction, float]] = {}
+    results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]
@@ -347,15 +292,17 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
             scales = [factorial(n) * den for _, den in weights]
             assert sums[:len(betas)] == scales, f"level {n} masses do not sum to 1"
             for key, (b, _, _), total in zip(keys, bins[len(betas):], sums[len(betas):]):
-                tail = Fraction(total, scales[b])
-                results[key + (n,)] = tail if exact else float(tail)
+                results[key + (n,)] = Fraction(total, scales[b])
     return results
 
 
 def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: Param,
                         n_list: Sequence[int], jobs: int = 1,
                         exact: bool = True) -> ConcentrationReport:
-    """Exact tail mass outside the concentration set, for each rank in n_list."""
+    """Exact tail mass outside the concentration set, for each rank in n_list.
+
+    exact=False rounds the exact tails to float (non-authoritative output).
+    """
     if mode not in ("suffix", "pi"):
         raise ValueError(f"unknown mode {mode!r}")
     n_list = list(n_list)
@@ -364,16 +311,16 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
     if mode == "suffix":
         if int(parameter) < 0:
             raise ValueError("l must be nonnegative")
-        tails = sweep_many(w, n_list, suffix_params=[(beta, int(parameter))],
-                           jobs=jobs, exact=exact)
+        tails = sweep_many(w, n_list, suffix_params=[(beta, int(parameter))], jobs=jobs)
         key = ("suffix", beta, int(parameter))
     else:
         eps = Fraction(parameter)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        tails = sweep_many(w, n_list, pi_params=[(beta, eps)], jobs=jobs, exact=exact)
+        tails = sweep_many(w, n_list, pi_params=[(beta, eps)], jobs=jobs)
         key = ("pi", beta, eps)
-    rows = tuple(SweepRow(n, tails[key + (n,)], 1 - tails[key + (n,)]) for n in n_list)
+    cast = Fraction if exact else float
+    rows = tuple(SweepRow(n, cast(tails[key + (n,)]), cast(1 - tails[key + (n,)])) for n in n_list)
     return ConcentrationReport(mode, w, Fraction(beta), key[2], rows, exact)
 
 

@@ -24,7 +24,9 @@ where x+d denotes appending digit d.  The recursion terminates because the
 2-rule hands off to a word ending in 11 whose 1-rules strictly shrink the
 word.  Each rule makes at most one call other than a z = 0 base value, so
 the recursion is a chain, and f follows it in a loop rather than by Python
-recursion, whatever the length of x.  Values are memoized on the exact
+recursion, whatever the length of x.  The loop runs in integers scaled by
+rank(x)! (``_scaled_f``, which the sweep walk of ``experiments`` also uses)
+and builds one Fraction per value.  Values are memoized on the exact
 triple.
 """
 
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .words import YFWord, split_by_rank, suffix_ranks
 
@@ -45,50 +47,69 @@ def _digits_of(x) -> tuple[int, ...]:
     return tuple(getattr(x, "core", x))
 
 
-def _scaled_base(x: tuple[int, ...], y: int, fac: int) -> int:
-    """fac * f(x, y, 0), for fac a multiple of rank(x)!.
+def _scaled_f(x: Sequence[int], y: int, z: int, fac: int) -> int:
+    """fac * f(x, y, z) as an exact int, for fac a multiple of rank(x)!.
 
-    The denominator of f(x, y, 0) is a product of distinct integers in 1..y
-    times a product of distinct integers in 1..rank(x)-y, so it divides
-    y! (rank(x)-y)!, hence fac, and the quotient is exact.
+    f(x, y, z) vanishes unless x splits as head + tail with rank(tail) == y.
+    The recursion chain then rewrites only the right end of the tail, so the
+    current word is head + x[s:j] + 1^t with rank(tail) == y throughout, each
+    base value is +-1 / (H * P) with H the product of the head's suffix ranks
+    and P that of the tail's prefix ranks, and each step changes P by one
+    factor.  The (1 - y) divisors of the 2-steps are collected in mden, by
+    which acc is multiplied as they come, and divided out once at the end.
+    The quotient is exact: f(x, y, z) = f(tail, y, z) / H, y! f(tail, y, z) is
+    an integer by induction on y (each 2-step's sum is a multiple of y - 1),
+    and so is rank(x)! / (H y!).
     """
-    total = 0
-    s = len(x)
+    s, total = len(x), 0
     while total < y:
         s -= 1
         total += x[s]
     if total != y:
         return 0
-    den = 1
-    run = 0
-    for k in range(s, len(x)):
-        run += x[k]
-        den *= -run
-    run = 0
+    head, run = 1, 0
     for k in range(s - 1, -1, -1):
         run += x[k]
-        den *= run
-    return fac // den
+        head *= run
+    scale = fac // head
+    prod, run = 1, 0
+    for k in range(s, len(x)):
+        run += x[k]
+        prod *= run
+    sign = -1 if (len(x) - s) % 2 else 1  # each tail digit negates its running sum
+    j, t = len(x), 0
+    acc, mden = 0, 1
+    while z and y:
+        if t or x[j - 1] == 1:
+            # f(u+1, y, z) = f(u+1, y, 0) + f(u, y-1, z-1); rank(u+1) = y is P's last factor
+            acc += sign * (scale // prod)
+            prod //= y
+            if t:
+                t -= 1
+            else:
+                j -= 1
+            y -= 1
+            z -= 1
+        else:
+            # f(u+2, y, z) = f(u+11, y, z+1) / (1 - y) with y >= 2; P gains the factor y - 1
+            acc *= 1 - y
+            mden *= 1 - y
+            prod *= y - 1
+            j -= 1
+            t += 2
+            z += 1
+        sign = -sign
+    # at y == 0 the tail is empty and f(head, 0, z) = f(head, 0, 0): a trailing 2
+    # becomes 11 with divisor 1 - 0 and the same head product
+    value, remainder = divmod(acc + sign * (scale // prod), mden)
+    assert remainder == 0, f"scaled f of {x} is not an integer"
+    return value
 
 
 @lru_cache(maxsize=None)
 def _f(x: tuple[int, ...], y: int, z: int) -> Fraction:
-    # Follow the recursion chain, summing base values scaled by rank(x)! and
-    # collecting the (1 - y) divisors of the 2-steps in mden, by which acc is
-    # multiplied as they come.
     fac = factorial(sum(x))
-    acc, mden = 0, 1
-    while z and not (x[-1] == 1 and y == 0):
-        if x[-1] == 1:
-            acc += _scaled_base(x, y, fac)
-            x, y, z = x[:-1], y - 1, z - 1
-        elif y == 1:
-            return Fraction(acc, fac * mden)
-        else:
-            mden *= 1 - y
-            acc *= 1 - y
-            x, z = x[:-1] + (1, 1), z + 1
-    return Fraction(acc + _scaled_base(x, y, fac), fac * mden)
+    return Fraction(_scaled_f(x, y, z, fac), fac)
 
 
 def f(x: YFWord, y: int, z: int) -> Fraction:

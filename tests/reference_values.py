@@ -6,10 +6,41 @@ text, as rows z = 0..length(x) of columns y = 0..rank(x).  MAGIC5 holds the
 factored cells of the rank-5 table: word -> list over y = 0..5 of either
 None (no suffix of that rank) or (coeff, tail_text, beta_exp,
 one_minus_beta2_exp), with coeff = d(empty, word) * q(head) in lowest
-terms.
+terms.  f_by_recursion transcribes the definition of f literally, as an
+oracle independent of the library's integer unwind.
 """
 
 from fractions import Fraction as Fr
+from functools import lru_cache
+
+
+@lru_cache(maxsize=None)
+def f_by_recursion(x: tuple, y: int, z: int) -> Fr:
+    """f(x, y, z) by the base formula and the recursion on the last digit."""
+    if z == 0:
+        # nonzero iff x = head + tail with rank(tail) == y
+        s, total = len(x), 0
+        while total < y:
+            s -= 1
+            total += x[s]
+        if total != y:
+            return Fr(0)
+        value, run = Fr(1), 0
+        for d in x[s:]:
+            run += d
+            value /= -run
+        run = 0
+        for d in reversed(x[:s]):
+            run += d
+            value /= run
+        return value
+    if x[-1] == 1:
+        if y == 0:
+            return f_by_recursion(x, 0, 0)
+        return f_by_recursion(x, y, 0) + f_by_recursion(x[:-1], y - 1, z - 1)
+    if y == 1:
+        return Fr(0)
+    return f_by_recursion(x[:-1] + (1, 1), y, z + 1) / (1 - y)
 
 F_TABLE_21221 = [Fr(1, 720), Fr(-1, 280), Fr(0), Fr(1, 180), Fr(0),
                  Fr(-1, 120), Fr(1, 180), Fr(0), Fr(-1, 1680)]

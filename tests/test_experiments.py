@@ -7,7 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflab import experiments
+from yflab import experiments, harmonic
 from yflab.boundary import TailOnesWord, level_distribution, mass_weights, mu
 from yflab.experiments import (
     concentration_sweep,
@@ -19,6 +19,8 @@ from yflab.experiments import (
 )
 from yflab.harmonic import f, pi
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse
+
+from reference_values import f_by_recursion
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 ALL_ONES = TailOnesWord.parse("eps")
@@ -67,18 +69,13 @@ def test_r_sets_validation():
 
 
 def test_right_end_unwind_matches_f_at_full_rank():
-    from yflab.experiments import _f_top
+    # the walk's top entry: the integer unwind against the literal recursion
     for n in range(9):
         for x in enumerate_level(n):
-            pranks = []
-            total = 0
-            for d in x:
-                total += d
-                pranks.append(total)
             for z in range(x.length + 1):
-                scaled = _f_top(tuple(x), z, pranks, factorial(n))
+                scaled = harmonic._scaled_f(tuple(x), n, z, factorial(n))
                 assert type(scaled) is int
-                assert scaled == factorial(n) * f(x, x.rank, z)
+                assert scaled == factorial(n) * f_by_recursion(tuple(x), n, z)
 
 
 def test_walk_matches_direct_measure():
@@ -200,14 +197,12 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
 
 def test_parallel_float_sweep_tracks_exact_values(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # run the pool even on one CPU
-    params = dict(suffix_params=[(Fr(1, 2), 1), (Fr(1, 2), 2)],
-                  pi_params=[(Fr(1, 2), Fr(1, 4)), (Fr(3, 4), Fr(1, 4))])
-    exact = sweep_many(CORES[3], [11], **params)
-    approx = sweep_many(CORES[3], [11], jobs=2, exact=False, **params)
-    assert approx.keys() == exact.keys()
-    for key, tail in exact.items():
-        assert isinstance(approx[key], float)
-        assert abs(float(tail) - approx[key]) < 1e-9
+    for mode, beta, param in [("suffix", Fr(1, 2), 1), ("suffix", Fr(1, 2), 2),
+                              ("pi", Fr(1, 2), Fr(1, 4)), ("pi", Fr(3, 4), Fr(1, 4))]:
+        exact = concentration_sweep(mode, CORES[3], beta, param, [11])
+        approx = concentration_sweep(mode, CORES[3], beta, param, [11], jobs=2, exact=False)
+        assert isinstance(approx.rows[0].tail, float)
+        assert abs(float(exact.rows[0].tail) - approx.rows[0].tail) < 1e-9
 
 
 def test_float_mode_tracks_exact_values():

@@ -20,7 +20,7 @@ from yflab.harmonic import (
 )
 from yflab.words import EPSILON, YFWord, enumerate_level, parse
 
-from reference_values import F_TABLE_21221, F_TABLES
+from reference_values import F_TABLE_21221, F_TABLES, f_by_recursion
 
 def all_words(max_rank):
     for n in range(max_rank + 1):
@@ -57,9 +57,17 @@ def test_f_rejects_out_of_range():
         f(x, -1, 0)
 
 
+def test_f_matches_recursive_definition_to_rank_10():
+    # the integer unwind of f against a literal transcription of its recursion
+    for x in all_words(10):
+        for y in range(x.rank + 1):
+            for z in range(x.length + 1):
+                assert f(x, y, z) == f_by_recursion(tuple(x), y, z), (x.text, y, z)
+
+
 def test_scaled_f_is_integral_to_rank_12():
-    # rank(x)! * f(x, y, z) is an integer: the left-extension sweep walk stores
-    # these integers and asserts every division exact at the ranks it visits.
+    # rank(x)! * f(x, y, z) is an integer (see harmonic._scaled_f): f and the
+    # sweep walk compute these integers and assert every division exact.
     triples = 0
     for x in all_words(12):
         fac = factorial(x.rank)
