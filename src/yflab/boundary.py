@@ -14,6 +14,12 @@ where
         beta^i * f(x, i, h(x, w)) * product over j of (g(w,j) - i) / g(w,j).
 
 Masses over one rank always sum to exactly 1.
+
+The kernel is summed in plain ints: rank(x)! * f(x, i, h) is the integer
+unwind harmonic._scaled_f, and for beta = p/q the beta and g factors are
+the integer weights W_i over the shared denominator D of mass_weights.  So
+d'_beta(x, w) = (sum over i of rank(x)! f(x, i, h) W_i) / (rank(x)! D) costs
+one Fraction per (x, w, beta), and it does not go through f or its memo.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 from typing import NamedTuple
 
-from .harmonic import f, g_all
+from .harmonic import _scaled_f, g_all
 from .pathcount import d_from_empty, d_paths_dp
 from .words import EPSILON, YFWord, enumerate_level
 
@@ -120,10 +127,17 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
 
 @lru_cache(maxsize=None)
 def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
-    word = YFWord(x)
-    h = h_infinite(word, w).length
-    weights, den = mass_weights(w, beta, sum(x))
-    return sum((f(word, i, h) * weight for i, weight in enumerate(weights)), Fraction(0)) / den
+    """d'_beta(x, w) as one Fraction: sum_i rank! f(x, i, h) W_i over rank! * D.
+
+    rank! f comes from harmonic._scaled_f and (W, D) from mass_weights, so the
+    sum runs in plain ints; the memo is keyed on the digit tuple.
+    """
+    rank = sum(x)
+    fac = factorial(rank)
+    h = h_infinite(x, w).length
+    weights, den = mass_weights(w, beta, rank)
+    total = sum(_scaled_f(x, i, h, fac) * weight for i, weight in enumerate(weights))
+    return Fraction(total, fac * den)
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:

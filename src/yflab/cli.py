@@ -169,8 +169,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("pi mode takes --eps")
     parameter = args.l if mode == "suffix" else parse_rational(args.eps)
     report = concentration_sweep(mode, TailOnesWord.parse(args.w), _beta(args.beta),
-                                 parameter, _n_range(args.n), jobs=args.jobs,
-                                 exact=not args.float)
+                                 parameter, _n_range(args.n), jobs=args.jobs)
     _emit(report.to_csv() if args.format == "csv" else report.to_text(), args)
     return 0
 
@@ -247,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps")
     p.add_argument("--n", required=True, help="rank list: N, A..B or A..B..STEP")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--float", action="store_true",
-                   help="print the exact tails rounded to floats, labeled "
-                        "non-authoritative; no faster than exact")
 
     p = add("verify", _cmd_verify, "run the exhaustive identity suite")
     p.add_argument("--max-rank", type=int, required=True)

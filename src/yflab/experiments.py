@@ -20,8 +20,6 @@ asserted exact.  For beta = p/q the masses use the integer weights of
 boundary.mass_weights over their shared denominator D = q^n prod_j g(w, j),
 so node_mass is the int n! * D * mu(v), a sweep sums ints, asserts each
 rank's total to be n! * D, and builds one Fraction per (beta, bin, rank).
-concentration_sweep(exact=False) rounds those exact tails to float; it is
-labeled non-authoritative and is no faster.
 
 One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
 handed to the workers.  A sweep sums masses into one flat list of bins, and
@@ -176,8 +174,8 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
 @dataclass(frozen=True)
 class SweepRow:
     n: int
-    tail: Union[Fraction, float]
-    head: Union[Fraction, float]
+    tail: Fraction
+    head: Fraction
 
 
 @dataclass(frozen=True)
@@ -189,30 +187,23 @@ class ConcentrationReport:
     beta: Fraction
     parameter: Param          # l for suffix mode, eps for pi mode
     rows: tuple[SweepRow, ...]
-    exact: bool = True
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["mode", "core", "beta", "param", "n", "tail", "head", "arithmetic"])
         core = self.w.core.text if len(self.w.core) else "eps"
-        kind = "exact" if self.exact else "float-nonauthoritative"
         for row in self.rows:
-            if self.exact:
-                tail, head = format_rational(row.tail), format_rational(row.head)
-            else:
-                tail, head = repr(row.tail), repr(row.head)
-            writer.writerow([self.mode, core, format_rational(self.beta),
-                             str(self.parameter), str(row.n), tail, head, kind])
+            writer.writerow([self.mode, core, format_rational(self.beta), str(self.parameter),
+                             str(row.n), format_rational(row.tail), format_rational(row.head),
+                             "exact"])
         return buf.getvalue()
 
     def to_text(self) -> str:
         lines = [f"mode={self.mode} core={self.w.core.text or 'eps'} "
-                 f"beta={format_rational(self.beta)} param={self.parameter}"
-                 + ("" if self.exact else "  [float, non-authoritative]")]
+                 f"beta={format_rational(self.beta)} param={self.parameter}"]
         for row in self.rows:
-            tail = format_rational(row.tail) if self.exact else repr(row.tail)
-            lines.append(f"  n={row.n}: tail={tail} (~{float(row.tail):.6g})")
+            lines.append(f"  n={row.n}: tail={format_rational(row.tail)} (~{float(row.tail):.6g})")
         return "\n".join(lines) + "\n"
 
 
@@ -297,12 +288,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
 
 
 def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: Param,
-                        n_list: Sequence[int], jobs: int = 1,
-                        exact: bool = True) -> ConcentrationReport:
-    """Exact tail mass outside the concentration set, for each rank in n_list.
-
-    exact=False rounds the exact tails to float (non-authoritative output).
-    """
+                        n_list: Sequence[int], jobs: int = 1) -> ConcentrationReport:
+    """Exact tail mass outside the concentration set, for each rank in n_list."""
     if mode not in ("suffix", "pi"):
         raise ValueError(f"unknown mode {mode!r}")
     n_list = list(n_list)
@@ -319,9 +306,8 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
             raise ValueError("eps must be positive")
         tails = sweep_many(w, n_list, pi_params=[(beta, eps)], jobs=jobs)
         key = ("pi", beta, eps)
-    cast = Fraction if exact else float
-    rows = tuple(SweepRow(n, cast(tails[key + (n,)]), cast(1 - tails[key + (n,)])) for n in n_list)
-    return ConcentrationReport(mode, w, Fraction(beta), key[2], rows, exact)
+    rows = tuple(SweepRow(n, tails[key + (n,)], 1 - tails[key + (n,)]) for n in n_list)
+    return ConcentrationReport(mode, w, Fraction(beta), key[2], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +682,8 @@ def identity_suite(max_rank: int,
     hook: substituting a corrupted f must make the coefficient-level
     identities fail with a concrete witness.
     """
-    if max_rank > MAX_SUITE_RANK:
-        raise ValueError(f"max_rank capped at {MAX_SUITE_RANK}")
+    if not 0 <= max_rank <= MAX_SUITE_RANK:
+        raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")
     if w_list is None:
         w_list = tuple(TailOnesWord.parse(c) for c in DEFAULT_CORES)
     ctx = _SuiteContext(max_rank, tuple(beta_grid), tuple(w_list), f_impl)

@@ -25,9 +25,10 @@ where x+d denotes appending digit d.  The recursion terminates because the
 word.  Each rule makes at most one call other than a z = 0 base value, so
 the recursion is a chain, and f follows it in a loop rather than by Python
 recursion, whatever the length of x.  The loop runs in integers scaled by
-rank(x)! (``_scaled_f``, which the sweep walk of ``experiments`` also uses)
-and builds one Fraction per value.  Values are memoized on the exact
-triple.
+rank(x)! (``_scaled_f``) and builds one Fraction per value.  Values are
+memoized on the exact triple.  The sweep walk of ``experiments``, the
+path-count formula and the kernel d'_beta call ``_scaled_f`` directly and
+keep their sums in ints, so they bypass both the Fraction and the memo.
 """
 
 from __future__ import annotations

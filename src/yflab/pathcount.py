@@ -7,9 +7,13 @@ The second is the closed formula
     d(x, y) = sum over i = 0..rank(x) of
               f(x, i, h(x, y)) * product over j of (g(y, j) - i)
 
-with h(x, y) the length of the longest common suffix.  The two must agree
-everywhere; tests enforce this.  All counts are exact arbitrary-precision
-integers (n! overflows 64 bits at n = 21).
+with h(x, y) the length of the longest common suffix.  The formula runs in
+plain ints: each f value enters as rank(x)! * f, the integer unwind
+harmonic._scaled_f, and the sum is divided by rank(x)! once, with the
+division asserted exact.  The DP shares no code with it and stays the
+independent route.  The two must agree everywhere; tests enforce this.
+All counts are exact arbitrary-precision integers (n! overflows 64 bits at
+n = 21).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .harmonic import f, g_all
+from .harmonic import _scaled_f, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
@@ -59,14 +63,18 @@ def d_paths_formula(x: YFWord, y: YFWord) -> int:
         raise ValueError("formula requires rank(y) >= rank(x)")
     gs = g_all(y)
     h = common_suffix_len(x, y)
-    total = Fraction(0)
-    for i in range(sum(x) + 1):
-        prod = 1
-        for G in gs:
-            prod *= G - i
-        total += f(x, i, h) * prod
-    assert total.denominator == 1
-    return int(total)
+    rank = sum(x)
+    fac = factorial(rank)
+    total = 0
+    for i in range(rank + 1):
+        term = _scaled_f(x, i, h, fac)
+        if term:
+            for G in gs:
+                term *= G - i
+            total += term
+    count, remainder = divmod(total, fac)
+    assert remainder == 0, f"path count d({x}, {y}) is not an integer"
+    return count
 
 
 def d_from_empty(y: YFWord) -> int:

@@ -13,9 +13,11 @@ from yflab.boundary import (
     mu_prelimit,
     suffix_of_infinite,
 )
-from yflab.harmonic import d_beta, f
+from yflab.harmonic import d_beta, f, g_all
 from yflab.pathcount import d_from_empty, descent_counts
 from yflab.words import EPSILON, enumerate_level, parse, prefix, suffix
+
+from reference_values import f_by_recursion
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 BETAS = [Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1)]
@@ -71,6 +73,25 @@ def test_d1_prime_all_ones_reduces_to_row_sums():
         h = h_infinite(x, w).length
         expected = sum(f(x, i, h) for i in range(x.rank + 1))
         assert d1_prime(x, w) == expected
+
+
+def test_d_beta_prime_matches_literal_definition_to_rank_8():
+    # The kernel sums rank! * f as ints over the weights' shared denominator and
+    # never calls f; here it meets the definition term by term, in Fractions,
+    # with f taken from the literal recursion rather than the library's unwind.
+    for w in CORES:
+        gs = g_all(w.core)
+        for beta in (Fr(1, 4), Fr(1, 2), Fr(3, 7), Fr(1)):
+            for n in range(9):
+                for x in enumerate_level(n):
+                    h = h_infinite(x, w).length
+                    expected = Fr(0)
+                    for i in range(n + 1):
+                        term = beta ** i * f_by_recursion(tuple(x), i, h)
+                        for G in gs:
+                            term *= Fr(G - i, G)
+                        expected += term
+                    assert d_beta_prime(x, w, beta) == expected, (x, w, beta)
 
 
 def test_d_beta_prime_basics():

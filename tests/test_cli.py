@@ -1,5 +1,6 @@
 from fractions import Fraction as Fr
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -91,19 +92,6 @@ def test_sweep(capsys):
     assert Fr(tail) + Fr(head) == 1
 
 
-def test_sweep_float_is_marked_non_authoritative(capsys):
-    args = ["sweep", "--mode", "pi", "--w", "212", "--beta", "1/2", "--eps", "1/4",
-            "--n", "4..6", "--float"]
-    code, out, _ = run(capsys, *args)
-    assert code == 0
-    assert out.splitlines()[0].endswith("  [float, non-authoritative]")
-    code, out, _ = run(capsys, *args, "--format", "csv")
-    assert code == 0
-    rows = out.splitlines()[1:]
-    assert len(rows) == 3
-    assert all(row.endswith(",float-nonauthoritative") for row in rows)
-
-
 def test_huge_exact_values_print(capsys):
     x = YFWord((2,) * 1500)
     code, out, _ = run(capsys, "f", x.text, "4", "1400")
@@ -141,6 +129,14 @@ def test_verify(capsys):
     assert "ALL IDENTITIES PASS" in out
 
 
+def test_verify_matches_benchmark_golden(capsys):
+    # the benchmark's verify workload checks these bytes too; this keeps the gate in the suite
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify-5.txt"
+    code, out, _ = run(capsys, "verify", "--max-rank", "5")
+    assert code == 0
+    assert out == golden.read_bytes().decode()
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     failing = SuiteReport(3, (IdentityResult("evtuh5", 4, 1, "x=21"),))
     monkeypatch.setattr("yflab.cli.identity_suite", lambda max_rank: failing)
@@ -162,9 +158,15 @@ def test_usage_errors_exit_2(capsys, tmp_path):
                            "--l", "2", *bad)
         assert code == 2
         assert err.startswith("yflab: error: ")
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "verify", "--max-rank", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("yflab: error: ")
+    for argv in (["no-such-command"],
+                 ["sweep", "--mode", "suffix", "--w", "22", "--beta", "1/2", "--l", "2",
+                  "--n", "4", "--float"]):  # float mode was removed; the flag is unknown
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_byte_identical_output(capsys):

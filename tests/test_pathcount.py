@@ -53,6 +53,7 @@ def test_formula_requires_rank_order():
 
 def test_formula_examples():
     assert d_paths_formula(EPSILON, parse("21221")) == 56
+    assert type(d_paths_formula(parse("21"), parse("21221"))) is int
     assert d_paths_formula(EPSILON, parse("12")) == 1
     assert d_paths_formula(parse("21"), parse("21221")) == d_paths_dp(parse("21"), parse("21221"))
 
