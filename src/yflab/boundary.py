@@ -125,19 +125,28 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
     return out, den
 
 
-@lru_cache(maxsize=None)
-def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
-    """d'_beta(x, w) as one Fraction: sum_i rank! f(x, i, h) W_i over rank! * D.
+def _kernel_terms(x, w: TailOnesWord, beta: Fraction) -> tuple[list[int], int]:
+    """The int terms rank! f(x, i, h) W_i of d'_beta(x, w), i = 0..rank(x), and
+    their shared denominator rank! D.
 
-    rank! f comes from harmonic._scaled_f and (W, D) from mass_weights, so the
-    sum runs in plain ints; the memo is keyed on the digit tuple.
+    rank! f comes from harmonic._scaled_f and (W, D) from mass_weights.  As
+    W_i / D at beta = p/q is beta^i times W_i / D at beta = 1, the terms at
+    beta = 1 over their denominator are the coefficients of d'_beta(x, w) as
+    a polynomial in beta.
     """
     rank = sum(x)
     fac = factorial(rank)
     h = h_infinite(x, w).length
     weights, den = mass_weights(w, beta, rank)
-    total = sum(_scaled_f(x, i, h, fac) * weight for i, weight in enumerate(weights))
-    return Fraction(total, fac * den)
+    return [_scaled_f(x, i, h, fac) * weight for i, weight in enumerate(weights)], fac * den
+
+
+@lru_cache(maxsize=None)
+def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
+    """d'_beta(x, w) as one Fraction: the sum of the kernel terms over their
+    denominator, in plain ints; the memo is keyed on the digit tuple."""
+    terms, den = _kernel_terms(x, w, beta)
+    return Fraction(sum(terms), den)
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:

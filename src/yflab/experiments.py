@@ -36,12 +36,13 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, factorial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
-from .boundary import TailOnesWord, d1_prime, d_beta_prime, h_infinite, mass_weights, mu
+from .boundary import (TailOnesWord, _kernel_terms, d1_prime, d_beta_prime, h_infinite,
+                       mass_weights, mu)
 from .harmonic import BetaPolynomial, d_beta, format_rational, pi, pi_split, q
 from .magic import MagicTable, build_table, column_bound, column_sum_closed_form, level_product
 from .pathcount import d_from_empty
@@ -466,17 +467,32 @@ def _check_odnoitozhe(ctx, rec):
 
 
 def _check_kusok(ctx, rec):
-    """d'_beta(x, w) decomposes over suffix splits of x through d_beta and d'_1."""
+    """d'_beta(x, w) decomposes over suffix splits of x through d_beta and d'_1.
+
+    Both sides are polynomials in beta, so the check compares coefficients
+    once per (x, w).  The left side's are the kernel's own int terms at
+    beta = 1 over their denominator (boundary._kernel_terms); the right side
+    is the sum over splits of beta^rank(tail) * d_beta(head) * d'_1(tail, w).
+    Equal coefficients decide the identity at every beta of the grid, and
+    each (x, w, beta) still counts as one instance.  When they differ, each
+    beta is decided pointwise against d'_beta(x, w, beta), so the failures
+    and the first witness are those of a pointwise check.
+    """
     for x in _all_words(ctx.max_rank):
         for w in ctx.ws:
+            terms, den = _kernel_terms(x, w, Fraction(1))
+            lhs = BetaPolynomial(tuple(Fraction(t, den) for t in terms))
+            coeffs = [Fraction(0)] * (sum(x) + 1)
+            for i in range(len(x) + 1):
+                tail = suffix(x, i)
+                scale, shift = d1_prime(tail, w), sum(tail)
+                for k, c in enumerate(ctx.d_beta(prefix(x, i)).coeffs):
+                    if c:
+                        coeffs[shift + k] += c * scale
+            rhs = BetaPolynomial(tuple(coeffs))
+            same = lhs == rhs
             for beta in ctx.betas:
-                lhs = d_beta_prime(x, w, beta)
-                rhs = Fraction(0)
-                for i in range(len(x) + 1):
-                    tail = suffix(x, i)
-                    head = prefix(x, i)
-                    rhs += beta ** sum(tail) * d_beta(head)(beta) * d1_prime(tail, w)
-                rec.check(lhs == rhs,
+                rec.check(same or d_beta_prime(x, w, beta) == rhs(beta),
                           lambda x=x, w=w, b=beta: f"x={x.text} core={w.core.text or 'eps'} beta={b}")
 
 
@@ -501,9 +517,9 @@ def _check_meexy(ctx, rec):
             rec.check(pi(v) == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
 
 
-def _divide_out_one_minus_beta(x: YFWord) -> Optional[BetaPolynomial]:
+def _divide_out_one_minus_beta(ctx, x: YFWord) -> Optional[BetaPolynomial]:
     """d_beta(x) / (1 - beta)^length(x), or None when a division leaves a remainder."""
-    poly = d_beta(x)
+    poly = ctx.d_beta(x)
     for _ in range(len(x)):
         poly, remainder = poly.div_one_minus_beta()
         if remainder != 0:
@@ -514,7 +530,7 @@ def _divide_out_one_minus_beta(x: YFWord) -> Optional[BetaPolynomial]:
 def _check_delitsa(ctx, rec):
     """The beta polynomial divides by (1 - beta) exactly length(x) times, no more."""
     for x in _all_words(ctx.max_rank):
-        quotient = _divide_out_one_minus_beta(x)
+        quotient = _divide_out_one_minus_beta(ctx, x)
         rec.check(quotient is not None and quotient(Fraction(1)) != 0,
                   lambda x=x: f"x={x.text}")
 
@@ -539,7 +555,7 @@ def _check_binomische2(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        quotient = _divide_out_one_minus_beta(x)
+        quotient = _divide_out_one_minus_beta(ctx, x)
         ok = quotient is not None and quotient == BetaPolynomial(
             tuple(_binom_partial(ctx, x, i) for i in range(sum(x) - len(x) + 1)))
         rec.check(ok, lambda x=x: f"x={x.text}")
@@ -574,7 +590,7 @@ def _check_mamka2(ctx, rec):
     """d_beta(x) <= q(x) * (1 - beta^2)^length(x) on the beta grid."""
     for x in _all_words(ctx.max_rank):
         for beta in ctx.betas:
-            lhs = d_beta(x)(beta)
+            lhs = ctx.d_beta(x)(beta)
             rhs = q(x) * (1 - beta * beta) ** len(x)
             rec.check(lhs <= rhs, lambda x=x, b=beta: f"x={x.text} beta={b}")
 
@@ -593,7 +609,7 @@ def _check_sum(ctx, rec):
     for table in ctx.tables:
         for y in range(table.n + 1):
             total = sum((row[y] for row in table.entries), Fraction(0))
-            closed = column_sum_closed_form(table.beta, table.n, y)
+            closed = ctx.closed_form(table.beta, table.n, y)
             rec.check(total == closed,
                       lambda t=table, y=y: f"core={t.w.core.text or 'eps'} beta={t.beta} "
                                            f"n={t.n} y={y}")
@@ -670,6 +686,16 @@ class _SuiteContext:
         """One table per (w, beta, n), built on first use and held for this suite run."""
         return tuple(build_table(w, beta, n) for w in self.ws for beta in self.betas
                      for n in range(self.max_rank + 1))
+
+    @cached_property
+    def d_beta(self) -> Callable[[YFWord], BetaPolynomial]:
+        """d_beta, one polynomial per word, held for this suite run."""
+        return lru_cache(maxsize=None)(d_beta)
+
+    @cached_property
+    def closed_form(self) -> Callable[[Fraction, int, int], Fraction]:
+        """column_sum_closed_form, one value per (beta, n, y), held for this suite run."""
+        return lru_cache(maxsize=None)(column_sum_closed_form)
 
 
 def identity_suite(max_rank: int,

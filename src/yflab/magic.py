@@ -7,6 +7,12 @@ column 0 <= y <= n the entry
 
 when v splits as head + tail with rank(tail) == y, and 0 otherwise.  Row
 sums dominate the measure masses; column sums have a closed product form.
+
+A row has at most length(v) + 1 nonzero cells, one per suffix split, so
+build_table fills each row in one pass over its splits, with d(empty, v)
+computed once per row and beta^y and (1 - beta^2)^k once per table.
+symbolic_entry and magic_entry compute one cell on their own and are the
+pointwise oracle the tests compare the tables with.
 """
 
 from __future__ import annotations
@@ -15,12 +21,13 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import prod
+from typing import Iterator, Optional
 
 from .boundary import TailOnesWord, d1_prime
 from .harmonic import format_rational, q
 from .pathcount import d_from_empty
-from .words import Level, YFWord, enumerate_level, split_by_rank
+from .words import Level, YFWord, enumerate_level, split_by_rank, suffix_ranks
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,15 @@ def magic_entry(w: TailOnesWord, beta: Fraction, n: int, v: YFWord, y: int) -> F
     return (cell.coeff * d1_prime(cell.tail, w)
             * beta ** cell.beta_exp
             * (1 - beta * beta) ** cell.one_minus_beta2_exp)
+
+
+def _row_cells(v: YFWord) -> Iterator[SymbolicCell]:
+    """The nonzero cells of row v in factored form, one per suffix split."""
+    d_eps = d_from_empty(v)
+    for k in range(len(v) + 1):
+        tail = YFWord(v[k:])
+        # d(empty, v) * q(head), with q(head) = 1 / prod of the head's suffix ranks
+        yield SymbolicCell(Fraction(d_eps, prod(suffix_ranks(v[:k]))), tail, sum(tail), k)
 
 
 @dataclass(frozen=True)
@@ -104,15 +120,11 @@ class MagicTable:
         writer.writerow(["word"] + [str(y) for y in range(self.n + 1)])
         for i, v in enumerate(self.level.words):
             if symbolic:
-                row = []
-                for y in range(self.n + 1):
-                    cell = symbolic_entry(self.n, v, y)
-                    if cell is None:
-                        row.append("")
-                    else:
-                        tail = cell.tail.text if len(cell.tail) else "eps"
-                        row.append(f"({format_rational(cell.coeff)};{tail};"
-                                   f"{cell.beta_exp};{cell.one_minus_beta2_exp})")
+                row = [""] * (self.n + 1)
+                for cell in _row_cells(v):
+                    tail = cell.tail.text if len(cell.tail) else "eps"
+                    row[cell.beta_exp] = (f"({format_rational(cell.coeff)};{tail};"
+                                          f"{cell.beta_exp};{cell.one_minus_beta2_exp})")
             else:
                 row = [format_rational(c) for c in self.entries[i]]
             writer.writerow([v.text if len(v) else "eps"] + row)
@@ -120,13 +132,26 @@ class MagicTable:
 
 
 def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:
-    """Construct the full table for (w, beta, n), rows in level order."""
+    """Construct the full table for (w, beta, n), rows in level order.
+
+    Each row is filled in one pass over its suffix splits; it equals
+    magic_entry cell for cell.
+    """
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    beta = Fraction(beta)
     level = enumerate_level(n)
-    rows = tuple(
-        tuple(magic_entry(w, beta, n, v, y) for y in range(n + 1))
-        for v in level
-    )
-    return MagicTable(w, Fraction(beta), n, level, rows)
+    beta_pow = [beta ** y for y in range(n + 1)]
+    one_minus_beta2_pow = [(1 - beta * beta) ** k for k in range(n + 1)]
+    rows = []
+    for v in level:
+        row = [Fraction(0)] * (n + 1)
+        for cell in _row_cells(v):
+            row[cell.beta_exp] = (cell.coeff * d1_prime(cell.tail, w)
+                                  * beta_pow[cell.beta_exp]
+                                  * one_minus_beta2_pow[cell.one_minus_beta2_exp])
+        rows.append(tuple(row))
+    return MagicTable(w, beta, n, level, tuple(rows))
 
 
 def column_sum_closed_form(beta: Fraction, n: int, y: int) -> Fraction:

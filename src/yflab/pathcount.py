@@ -24,7 +24,7 @@ from math import factorial
 from typing import Iterator
 
 from .harmonic import _scaled_f, g_all
-from .words import YFWord, common_suffix_len, down_neighbors
+from .words import YFWord, common_suffix_len, down_neighbors, suffix_ranks
 
 
 def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
@@ -66,7 +66,8 @@ def d_paths_formula(x: YFWord, y: YFWord) -> int:
     rank = sum(x)
     fac = factorial(rank)
     total = 0
-    for i in range(rank + 1):
+    # f(x, i, h) vanishes unless x has a suffix of rank i (i = 0: the empty one)
+    for i in (0,) + suffix_ranks(x):
         term = _scaled_f(x, i, h, fac)
         if term:
             for G in gs:

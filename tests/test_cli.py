@@ -131,10 +131,11 @@ def test_verify(capsys):
 
 def test_verify_matches_benchmark_golden(capsys):
     # the benchmark's verify workload checks these bytes too; this keeps the gate in the suite
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "goldens" / "verify-5.txt"
-    code, out, _ = run(capsys, "verify", "--max-rank", "5")
-    assert code == 0
-    assert out == golden.read_bytes().decode()
+    goldens = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"
+    for rank in (5, 8):
+        code, out, _ = run(capsys, "verify", "--max-rank", str(rank))
+        assert code == 0, rank
+        assert out == (goldens / f"verify-{rank}.txt").read_bytes().decode(), rank
 
 
 def test_verify_exit_code_on_failure(capsys, monkeypatch):

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yflab import experiments, harmonic
-from yflab.boundary import TailOnesWord, level_distribution, mass_weights, mu
+from yflab.boundary import (
+    TailOnesWord,
+    d1_prime,
+    d_beta_prime,
+    level_distribution,
+    mass_weights,
+    mu,
+)
 from yflab.experiments import (
     concentration_sweep,
     identity_suite,
@@ -17,8 +24,8 @@ from yflab.experiments import (
     sweep_many,
     walk_level_masses,
 )
-from yflab.harmonic import f, pi
-from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse
+from yflab.harmonic import d_beta, f, pi
+from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
 from reference_values import f_by_recursion
 
@@ -252,6 +259,35 @@ def test_corrupted_f_is_caught_with_a_witness():
     assert by_name["evtuh5"].failures > 0
     assert "21" in by_name["evtuh5"].first_counterexample
     assert "FAIL" in report.to_csv()
+
+
+def test_kusok_failures_match_pointwise_reference(monkeypatch):
+    # kusok compares coefficients in beta and falls back to single points only
+    # when they differ; a perturbed d'_1 must give the failures and the witness
+    # of the literal pointwise check
+    def perturbed(x, w):
+        value = d1_prime(x, w)
+        return value + 1 if x == parse("21") else value
+
+    monkeypatch.setattr(experiments, "d1_prime", perturbed)
+    failures, first, failing_pairs = 0, None, set()
+    for n in range(6):
+        for x in enumerate_level(n):
+            for w in CORES:
+                for beta in experiments.DEFAULT_BETA_GRID:
+                    lhs = d_beta_prime(x, w, beta)
+                    rhs = sum(beta ** sum(suffix(x, i)) * d_beta(prefix(x, i))(beta)
+                              * perturbed(suffix(x, i), w) for i in range(len(x) + 1))
+                    if lhs != rhs:
+                        failures += 1
+                        failing_pairs.add((x, w))
+                        first = first or f"x={x.text} core={w.core.text or 'eps'} beta={beta}"
+    # at beta = 1, d_beta(head) vanishes for a nonempty head, so some grid
+    # points of a failing (x, w) still pass
+    assert 0 < failures < 4 * len(failing_pairs)
+    kusok = {r.name: r for r in identity_suite(5).results}["kusok"]
+    assert kusok.instances == sum(fibonacci(n + 1) for n in range(6)) * 4 * 4
+    assert (kusok.failures, kusok.first_counterexample) == (failures, first)
 
 
 def test_suite_report_formats():

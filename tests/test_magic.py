@@ -160,3 +160,48 @@ def test_csv_export():
     row122 = next(line for line in symbolic.splitlines() if line.startswith("122,"))
     assert "(3/40;eps;0;3)" in row122
     assert "(1/2;2;2;2)" in row122  # 3/6 in lowest terms
+
+
+def test_table_rows_match_pointwise_entries_to_rank_10():
+    # build_table fills each row in one pass over its splits; magic_entry
+    # computes every cell on its own and is the oracle
+    for core in ("eps", "2", "22", "212"):
+        w = TailOnesWord.parse(core)
+        for beta in (Fr(1, 4), Fr(3, 7), Fr(1)):
+            for n in range(11):
+                table = build_table(w, beta, n)
+                for v, row in zip(table.level.words, table.entries):
+                    assert row == tuple(magic_entry(w, beta, n, v, y) for y in range(n + 1)), \
+                        (core, beta, n, v)
+
+
+# `yflab magic --w 2 --beta 1/2 --n 5` with and without --symbolic, as
+# printed by the per-cell table build that the row pass replaced
+CSV_W2_HALF_5 = (
+    'word,0,1,2,3,4,5\n'
+    '11111,81/40960,27/4096,0,0,0,0\n'
+    '1112,27/10240,0,9/512,9/256,3/64,1/32\n'
+    '1121,27/2560,9/512,0,0,0,0\n'
+    '1211,243/10240,27/512,0,0,0,0\n'
+    '122,81/2560,0,9/128,0,0,0\n'
+    '2111,27/640,27/256,0,0,0,0\n'
+    '212,9/160,0,3/16,3/16,0,0\n'
+    '221,9/40,9/32,0,0,0,0\n'
+)
+SYMBOLIC_CSV_W2_HALF_5 = (
+    'word,0,1,2,3,4,5\n'
+    '11111,(1/120;eps;0;5),(1/24;1;1;4),(1/6;11;2;3),(1/2;111;3;2),(1;1111;4;1),(1;11111;5;0)\n'
+    '1112,(1/120;eps;0;4),,(1/6;2;2;3),(1/2;12;3;2),(1;112;4;1),(1;1112;5;0)\n'
+    '1121,(1/30;eps;0;4),(1/12;1;1;3),,(1;21;3;2),(2;121;4;1),(2;1121;5;0)\n'
+    '1211,(3/40;eps;0;4),(1/4;1;1;3),(1/2;11;2;2),,(3;211;4;1),(3;1211;5;0)\n'
+    '122,(3/40;eps;0;3),,(1/2;2;2;2),,(3;22;4;1),(3;122;5;0)\n'
+    '2111,(2/15;eps;0;4),(1/2;1;1;3),(4/3;11;2;2),(2;111;3;1),,(4;2111;5;0)\n'
+    '212,(2/15;eps;0;3),,(4/3;2;2;2),(2;12;3;1),,(4;212;5;0)\n'
+    '221,(8/15;eps;0;3),(1;1;1;2),,(4;21;3;1),,(8;221;5;0)\n'
+)
+
+
+def test_csv_bytes_unchanged():
+    table = build_table(W2, HALF, 5)
+    assert table.to_csv() == CSV_W2_HALF_5
+    assert table.to_csv(symbolic=True) == SYMBOLIC_CSV_W2_HALF_5
