@@ -25,6 +25,20 @@ One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
 handed to the workers.  A sweep sums masses into one flat list of bins, and
 a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
 workers for all its ranks.
+
+The identity suite checks every identity exhaustively over the beta grid
+and the cores, and counts one instance per (word or table, beta).  Two
+identities are polynomial in beta and are decided by coefficients:
+`kusok` once per (x, w), and the column law `sum` once per (w, n, y), on
+a magic table built once per (w, n) as integer cells (magic.FactoredTable)
+and the w-free closed form built once per (n, y).  Equal coefficients pass
+every grid point; when they differ, each beta is decided pointwise, so the
+failures and witnesses are those of a pointwise check.  The table
+inequalities `stolb`, `lehamed` and `zabe` are decided at each beta, with
+the column sums, totals, row sums and masses as ints over one denominator.
+A _SuiteContext holds, for one suite run, the factored tables, the beta = 1
+kernel terms shared by kusok, the tables and zabe, the d_beta polynomials
+and the binomial partial sums.
 """
 
 from __future__ import annotations
@@ -36,15 +50,16 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, factorial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
 from .boundary import (TailOnesWord, _kernel_terms, d1_prime, d_beta_prime, h_infinite,
-                       mass_weights, mu)
+                       mass_weights)
 from .harmonic import BetaPolynomial, d_beta, format_rational, pi, pi_split, q
-from .magic import MagicTable, build_table, column_bound, column_sum_closed_form, level_product
+from .magic import (FactoredTable, column_bound, column_closed_form_coeffs,
+                    column_sum_closed_form, factored_table, level_product)
 from .pathcount import d_from_empty
 from .words import YFWord, enumerate_level, prefix, suffix
 
@@ -480,7 +495,7 @@ def _check_kusok(ctx, rec):
     """
     for x in _all_words(ctx.max_rank):
         for w in ctx.ws:
-            terms, den = _kernel_terms(x, w, Fraction(1))
+            terms, den = ctx.kernel_terms(x, w, Fraction(1))
             lhs = BetaPolynomial(tuple(Fraction(t, den) for t in terms))
             coeffs = [Fraction(0)] * (sum(x) + 1)
             for i in range(len(x) + 1):
@@ -535,9 +550,9 @@ def _check_delitsa(ctx, rec):
                   lambda x=x: f"x={x.text}")
 
 
-def _binom_partial(ctx, x: YFWord, i: int) -> Fraction:
+def _binom_partial(f: Callable, x: YFWord, i: int) -> Fraction:
     length = len(x)
-    return sum((ctx.f(x, j, 0) * comb(length - 1 + i - j, length - 1)
+    return sum((f(x, j, 0) * comb(length - 1 + i - j, length - 1)
                 for j in range(min(i, sum(x)) + 1)), Fraction(0))
 
 
@@ -547,7 +562,7 @@ def _check_binomische1(ctx, rec):
         if len(x) == 0:
             continue
         for i in range(sum(x) - len(x) + 1, sum(x) + 1):
-            rec.check(_binom_partial(ctx, x, i) == 0, lambda x=x, i=i: f"x={x.text} i={i}")
+            rec.check(ctx.binom_partial(x, i) == 0, lambda x=x, i=i: f"x={x.text} i={i}")
 
 
 def _check_binomische2(ctx, rec):
@@ -557,7 +572,7 @@ def _check_binomische2(ctx, rec):
             continue
         quotient = _divide_out_one_minus_beta(ctx, x)
         ok = quotient is not None and quotient == BetaPolynomial(
-            tuple(_binom_partial(ctx, x, i) for i in range(sum(x) - len(x) + 1)))
+            tuple(ctx.binom_partial(x, i) for i in range(sum(x) - len(x) + 1)))
         rec.check(ok, lambda x=x: f"x={x.text}")
 
 
@@ -568,7 +583,7 @@ def _check_schyot(ctx, rec):
         if L < 2:
             continue
         for i in range(1, R + 1):
-            lhs = _binom_partial(ctx, x, i) * (R - i)
+            lhs = ctx.binom_partial(x, i) * (R - i)
             first = sum((ctx.f(x, j, 0) * comb(L - 2 + i - j, L - 1)
                          for j in range(min(i - 1, R) + 1)), Fraction(0)) * (R - i - L + 1)
             second = sum(((R - j) * ctx.f(x, j, 0) * comb(L - 2 + i - j, L - 2)
@@ -582,7 +597,7 @@ def _check_binom1(ctx, rec):
         if len(x) == 0:
             continue
         for i in range(len(x) + 1):
-            rec.check(_binom_partial(ctx, x, i) <= q(x) * comb(len(x), i),
+            rec.check(ctx.binom_partial(x, i) <= q(x) * comb(len(x), i),
                       lambda x=x, i=i: f"x={x.text} i={i}")
 
 
@@ -604,25 +619,47 @@ def _check_dostalo(ctx, rec):
             rec.check(total == level_product(n, y), lambda n=n, y=y: f"n={n} y={y}")
 
 
+def _table_witness(w: TailOnesWord, beta: Fraction, n: int) -> str:
+    return f"core={w.core.text or 'eps'} beta={beta} n={n}"
+
+
 def _check_sum(ctx, rec):
-    """Every table column sums to its closed single-level form."""
-    for table in ctx.tables:
-        for y in range(table.n + 1):
-            total = sum((row[y] for row in table.entries), Fraction(0))
-            closed = ctx.closed_form(table.beta, table.n, y)
-            rec.check(total == closed,
-                      lambda t=table, y=y: f"core={t.w.core.text or 'eps'} beta={t.beta} "
-                                           f"n={t.n} y={y}")
+    """Every table column sums to its closed single-level form.
+
+    Both sides of column y are beta^y times a polynomial in (1 - beta^2):
+    the table's coefficients are FactoredTable.columns[y] over its den, the
+    closed form's are column_closed_form_coeffs(n, y), the same for every w.
+    So the check compares coefficients once per (w, n, y), and equal
+    coefficients decide every beta of the grid; each (w, beta, n, y) still
+    counts as one instance.  When they differ, each beta is decided pointwise
+    against column_sum_closed_form, so the failures and the first witness are
+    those of a pointwise check.
+    """
+    ranks = range(ctx.max_rank + 1)
+    closed = {(n, y): column_closed_form_coeffs(n, y) for n in ranks for y in range(n + 1)}
+    same = {(w, n): [tuple(Fraction(c, table.den) for c in column) == closed[n, y]
+                     for y, column in enumerate(table.columns)]
+            for (w, n), table in ctx.tables.items()}
+    for w in ctx.ws:
+        for beta in ctx.betas:
+            for n in ranks:
+                for y in range(n + 1):
+                    ok = same[w, n][y]
+                    if not ok:
+                        sums, den = ctx.tables[w, n].column_sums(beta)
+                        ok = Fraction(sums[y], den) == column_sum_closed_form(beta, n, y)
+                    rec.check(ok, lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_stolb(ctx, rec):
     """Every column sum respects the product bound."""
-    for table in ctx.tables:
-        for y in range(table.n + 1):
-            total = sum((row[y] for row in table.entries), Fraction(0))
-            rec.check(total <= column_bound(table.beta, table.n, y),
-                      lambda t=table, y=y: f"core={t.w.core.text or 'eps'} beta={t.beta} "
-                                           f"n={t.n} y={y}")
+    for w in ctx.ws:
+        for beta in ctx.betas:
+            for n in range(ctx.max_rank + 1):
+                sums, den = ctx.tables[w, n].column_sums(beta)
+                for y, total in enumerate(sums):
+                    rec.check(Fraction(total, den) <= column_bound(beta, n, y),
+                              lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_lehamed(ctx, rec):
@@ -631,20 +668,35 @@ def _check_lehamed(ctx, rec):
         for n in range(ctx.max_rank + 1):
             bound_total = sum((column_bound(beta, n, y) for y in range(n + 1)), Fraction(0))
             rec.check(bound_total <= 1 + 1 / beta, lambda b=beta, n=n: f"beta={b} n={n}")
-    for table in ctx.tables:
-        total = sum((sum(row, Fraction(0)) for row in table.entries), Fraction(0))
-        rec.check(total <= 1 + 1 / table.beta,
-                  lambda t=table: f"core={t.w.core.text or 'eps'} beta={t.beta} n={t.n}")
+    for w in ctx.ws:
+        for beta in ctx.betas:
+            for n in range(ctx.max_rank + 1):
+                sums, den = ctx.tables[w, n].column_sums(beta)
+                rec.check(Fraction(sum(sums), den) <= 1 + 1 / beta,
+                          lambda w=w, b=beta, n=n: _table_witness(w, b, n))
 
 
 def _check_zabe(ctx, rec):
-    """Row sums dominate the measure: mu_{w,beta}(v) <= sum of row v."""
-    for table in ctx.tables:
-        for i, v in enumerate(table.level.words):
-            mass = mu(table.w, table.beta, v)
-            rec.check(mass <= sum(table.entries[i], Fraction(0)),
-                      lambda t=table, v=v: f"core={t.w.core.text or 'eps'} beta={t.beta} "
-                                           f"n={t.n} v={v.text}")
+    """Row sums dominate the measure: mu_{w,beta}(v) <= sum of row v.
+
+    At beta = p/q, q^(2n) * mu_{w,beta}(v) is d(empty, v) * sum_i T_i p^i q^(2n-i)
+    over the denominator of T, with T_i the beta = 1 kernel terms of
+    boundary._kernel_terms that kusok uses too.  The row sums come from the
+    factored table over its den * q^(2n), so both sides stay ints until the
+    comparison.
+    """
+    one = Fraction(1)
+    for w in ctx.ws:
+        for beta in ctx.betas:
+            for n in range(ctx.max_rank + 1):
+                table = ctx.tables[w, n]
+                rows, _ = table.row_sums(beta)
+                powers = [beta.numerator ** i * beta.denominator ** (2 * n - i) for i in range(n + 1)]
+                for v, row in zip(table.level.words, rows):
+                    terms, den = ctx.kernel_terms(v, w, one)
+                    mass = d_from_empty(v) * sum(t * power for t, power in zip(terms, powers))
+                    rec.check(mass * table.den <= row * den,
+                              lambda w=w, b=beta, n=n, v=v: f"{_table_witness(w, b, n)} v={v.text}")
 
 
 IDENTITY_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -682,10 +734,16 @@ class _SuiteContext:
     f: Callable
 
     @cached_property
-    def tables(self) -> tuple[MagicTable, ...]:
-        """One table per (w, beta, n), built on first use and held for this suite run."""
-        return tuple(build_table(w, beta, n) for w in self.ws for beta in self.betas
-                     for n in range(self.max_rank + 1))
+    def kernel_terms(self) -> Callable[[YFWord, TailOnesWord, Fraction], tuple[list[int], int]]:
+        """boundary._kernel_terms, one result per (x, w, beta), held for this suite run;
+        kusok, the tables and zabe share its beta = 1 terms."""
+        return lru_cache(maxsize=None)(_kernel_terms)
+
+    @cached_property
+    def tables(self) -> dict[tuple[TailOnesWord, int], FactoredTable]:
+        """One factored table per (w, n), built on first use and held for this suite run."""
+        return {(w, n): factored_table(w, n, self.kernel_terms)
+                for w in self.ws for n in range(self.max_rank + 1)}
 
     @cached_property
     def d_beta(self) -> Callable[[YFWord], BetaPolynomial]:
@@ -693,9 +751,9 @@ class _SuiteContext:
         return lru_cache(maxsize=None)(d_beta)
 
     @cached_property
-    def closed_form(self) -> Callable[[Fraction, int, int], Fraction]:
-        """column_sum_closed_form, one value per (beta, n, y), held for this suite run."""
-        return lru_cache(maxsize=None)(column_sum_closed_form)
+    def binom_partial(self) -> Callable[[YFWord, int], Fraction]:
+        """The binomial partial sum of f(x, j, 0), one value per (x, i), held for this suite run."""
+        return lru_cache(maxsize=None)(partial(_binom_partial, self.f))
 
 
 def identity_suite(max_rank: int,

@@ -8,11 +8,29 @@ column 0 <= y <= n the entry
 when v splits as head + tail with rank(tail) == y, and 0 otherwise.  Row
 sums dominate the measure masses; column sums have a closed product form.
 
-A row has at most length(v) + 1 nonzero cells, one per suffix split, so
-build_table fills each row in one pass over its splits, with d(empty, v)
-computed once per row and beta^y and (1 - beta^2)^k once per table.
-symbolic_entry and magic_entry compute one cell on their own and are the
-pointwise oracle the tests compare the tables with.
+Only the last two factors depend on beta, so a table is built once per
+(w, n) as a FactoredTable of integer cells over one denominator.  With
+T(tail) = y! D1 d'_1(tail, w), the sum of the beta = 1 kernel terms of
+boundary._kernel_terms (an int, D1 = prod_j g(w, j)), and H(head) =
+1 / q(head), the cell of split (head, tail) is the int
+
+    C = d(empty, v) * T(tail) * n! / (H(head) * y!)
+
+over den = n! D1.  The division is exact: H(head) is a product of
+distinct integers in 1..n-y, so it divides (n-y)!, and y! (n-y)! divides
+n!; factored_table asserts it.  At beta = p/q the entry is
+C p^y (q^2 - p^2)^k q^(2n-y-2k) / (den q^(2n)) with k = length(head), so
+the column sums, row sums and totals at any beta are ints over one
+denominator, and build_table makes one Fraction per cell.  symbolic_entry
+and magic_entry compute one cell on their own and are the pointwise
+oracle the tests compare the tables with.
+
+As polynomials in (1 - beta^2), times beta^y, the column sums of every w
+and their closed form have coefficients that can be compared directly
+(FactoredTable.columns, column_closed_form_coeffs).  The identity suite
+checks the column law that way, and decides each beta pointwise against
+column_sum_closed_form only when the coefficients differ.  The row,
+column and total bounds are inequalities and are checked at each beta.
 """
 
 from __future__ import annotations
@@ -21,11 +39,12 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import factorial, prod
 from typing import Iterator, Optional
 
-from .boundary import TailOnesWord, d1_prime
-from .harmonic import format_rational, q
+from .boundary import TailOnesWord, _kernel_terms, d1_prime
+from .harmonic import format_rational, g_all, q
 from .pathcount import d_from_empty
 from .words import Level, YFWord, enumerate_level, split_by_rank, suffix_ranks
 
@@ -65,13 +84,11 @@ def magic_entry(w: TailOnesWord, beta: Fraction, n: int, v: YFWord, y: int) -> F
             * (1 - beta * beta) ** cell.one_minus_beta2_exp)
 
 
-def _row_cells(v: YFWord) -> Iterator[SymbolicCell]:
-    """The nonzero cells of row v in factored form, one per suffix split."""
-    d_eps = d_from_empty(v)
+def _splits(v) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(k, tail, H) for each suffix split v = head + tail: k = length(head) and
+    H = the product of the head's suffix ranks, so that q(head) = 1 / H."""
     for k in range(len(v) + 1):
-        tail = YFWord(v[k:])
-        # d(empty, v) * q(head), with q(head) = 1 / prod of the head's suffix ranks
-        yield SymbolicCell(Fraction(d_eps, prod(suffix_ranks(v[:k]))), tail, sum(tail), k)
+        yield k, tuple(v[k:]), prod(suffix_ranks(v[:k]))
 
 
 @dataclass(frozen=True)
@@ -121,46 +138,127 @@ class MagicTable:
         for i, v in enumerate(self.level.words):
             if symbolic:
                 row = [""] * (self.n + 1)
-                for cell in _row_cells(v):
-                    tail = cell.tail.text if len(cell.tail) else "eps"
-                    row[cell.beta_exp] = (f"({format_rational(cell.coeff)};{tail};"
-                                          f"{cell.beta_exp};{cell.one_minus_beta2_exp})")
+                d_eps = d_from_empty(v)
+                for k, tail, head_product in _splits(v):
+                    y = sum(tail)
+                    row[y] = (f"({format_rational(Fraction(d_eps, head_product))};"
+                              f"{YFWord(tail).text or 'eps'};{y};{k})")
             else:
                 row = [format_rational(c) for c in self.entries[i]]
             writer.writerow([v.text if len(v) else "eps"] + row)
         return buf.getvalue()
 
 
+@dataclass(frozen=True)
+class FactoredTable:
+    """The table for (w, n) before beta is chosen: integer cells over one denominator.
+
+    rows[r] holds one cell (y, k, C) per suffix split v = head + tail of the
+    r-th rank-n word v in level order, with y = rank(tail), k = length(head)
+    and C the int of the module docstring.  The cell's entry is
+    C / den * beta^y * (1 - beta^2)^k, with den = n! * prod_j g(w, j).
+    """
+
+    w: TailOnesWord
+    n: int
+    level: Level
+    den: int
+    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """columns[y][k] is the sum of C over the cells (y, k, C), k = 0..n-y, so that
+        column y sums to beta^y * sum_k columns[y][k] * (1 - beta^2)^k / den."""
+        out = [[0] * (self.n - y + 1) for y in range(self.n + 1)]
+        for cells in self.rows:
+            for y, k, C in cells:
+                out[y][k] += C
+        return tuple(tuple(column) for column in out)
+
+    def weights(self, beta: Fraction) -> tuple[list[list[int]], int]:
+        """(W, S) for beta = p/q: W[y][k] = p^y (q^2 - p^2)^k q^(2n - y - 2k) and
+        S = den * q^(2n), so that the cell (y, k, C) has the entry C * W[y][k] / S."""
+        n, p, q = self.n, beta.numerator, beta.denominator
+        p_pow = [p ** y for y in range(n + 1)]
+        rest_pow = [(q * q - p * p) ** k for k in range(n + 1)]
+        q_pow = [q ** e for e in range(2 * n + 1)]
+        return ([[p_pow[y] * rest_pow[k] * q_pow[2 * n - y - 2 * k] for k in range(n - y + 1)]
+                 for y in range(n + 1)], self.den * q_pow[2 * n])
+
+    def column_sums(self, beta: Fraction) -> tuple[list[int], int]:
+        """The column sums at beta as ints over the shared denominator S of weights."""
+        W, S = self.weights(beta)
+        return [sum(a * b for a, b in zip(column, W[y])) for y, column in enumerate(self.columns)], S
+
+    def row_sums(self, beta: Fraction) -> tuple[list[int], int]:
+        """The row sums at beta, in level order, as ints over the shared denominator S of weights."""
+        W, S = self.weights(beta)
+        return [sum(C * W[y][k] for y, k, C in cells) for cells in self.rows], S
+
+    def evaluate(self, beta: Fraction) -> MagicTable:
+        """The dense table at beta: one Fraction per nonzero-split cell."""
+        W, S = self.weights(beta)
+        rows = []
+        for cells in self.rows:
+            row = [Fraction(0)] * (self.n + 1)
+            for y, k, C in cells:
+                row[y] = Fraction(C * W[y][k], S)
+            rows.append(tuple(row))
+        return MagicTable(self.w, beta, self.n, self.level, tuple(rows))
+
+
+def factored_table(w: TailOnesWord, n: int, kernel_terms=_kernel_terms) -> FactoredTable:
+    """The factored table for (w, n); the division that makes each C is
+    asserted exact (see the module docstring for why it is).
+
+    kernel_terms is boundary._kernel_terms or a memo of it; each distinct
+    tail is looked up once.
+    """
+    level = enumerate_level(n)
+    den = factorial(n) * prod(g_all(w.core))
+    one = Fraction(1)
+    tail_sums: dict[tuple[int, ...], tuple[int, int]] = {}
+    rows = []
+    for v in level:
+        d_eps = d_from_empty(v)
+        cells = []
+        for k, tail, head_product in _splits(v):
+            if tail not in tail_sums:
+                terms, kernel_den = kernel_terms(tail, w, one)  # kernel_den = y! * D1
+                tail_sums[tail] = sum(terms), kernel_den
+            total, kernel_den = tail_sums[tail]
+            C, remainder = divmod(d_eps * total * den, head_product * kernel_den)
+            assert remainder == 0, f"cell {k} of row {v.text} of the ({w}, {n}) table is inexact"
+            cells.append((sum(tail), k, C))
+        rows.append(tuple(cells))
+    return FactoredTable(w, n, level, den, tuple(rows))
+
+
 def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:
     """Construct the full table for (w, beta, n), rows in level order.
 
-    Each row is filled in one pass over its suffix splits; it equals
-    magic_entry cell for cell.
+    It is factored_table(w, n) evaluated at beta, and equals magic_entry
+    cell for cell.
     """
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    beta = Fraction(beta)
-    level = enumerate_level(n)
-    beta_pow = [beta ** y for y in range(n + 1)]
-    one_minus_beta2_pow = [(1 - beta * beta) ** k for k in range(n + 1)]
-    rows = []
-    for v in level:
-        row = [Fraction(0)] * (n + 1)
-        for cell in _row_cells(v):
-            row[cell.beta_exp] = (cell.coeff * d1_prime(cell.tail, w)
-                                  * beta_pow[cell.beta_exp]
-                                  * one_minus_beta2_pow[cell.one_minus_beta2_exp])
-        rows.append(tuple(row))
-    return MagicTable(w, beta, n, level, tuple(rows))
+    return factored_table(w, n).evaluate(Fraction(beta))
+
+
+def column_closed_form_coeffs(n: int, y: int) -> tuple[Fraction, ...]:
+    """b_0..b_(n-y) with the closed column form equal to beta^y * sum_k b_k (1 - beta^2)^k:
+    b_k is the sum over rank-(n-y) words x' of length k of q(x') d(empty, x' + 1^y)."""
+    coeffs = [Fraction(0)] * (n - y + 1)
+    for xp in enumerate_level(n - y):
+        coeffs[len(xp)] += q(xp) * d_from_empty(xp + (1,) * y)
+    return tuple(coeffs)
 
 
 def column_sum_closed_form(beta: Fraction, n: int, y: int) -> Fraction:
     """Sum over rank-(n-y) words x' of q(x') d(empty, x'+1^y) beta^y (1-beta^2)^length(x')."""
-    total = Fraction(0)
-    for xp in enumerate_level(n - y):
-        total += (q(xp) * d_from_empty(xp + (1,) * y)
-                  * beta ** y * (1 - beta * beta) ** len(xp))
-    return total
+    one_minus_beta2 = 1 - beta * beta
+    return beta ** y * sum((b * one_minus_beta2 ** k
+                            for k, b in enumerate(column_closed_form_coeffs(n, y))), Fraction(0))
 
 
 def level_product(n: int, y: int) -> Fraction:

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -25,6 +26,7 @@ from yflab.experiments import (
     walk_level_masses,
 )
 from yflab.harmonic import d_beta, f, pi
+from yflab.magic import column_sum_closed_form, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
 from reference_values import f_by_recursion
@@ -234,15 +236,15 @@ def test_identity_suite_rank_cap():
 
 def test_identity_suite_builds_each_table_once(monkeypatch):
     calls = []
-    original = experiments.build_table
+    original = experiments.factored_table
 
-    def counting(w, beta, n):
-        calls.append((w, beta, n))
-        return original(w, beta, n)
+    def counting(w, n, kernel_terms):
+        calls.append((w, n))
+        return original(w, n, kernel_terms)
 
-    monkeypatch.setattr(experiments, "build_table", counting)
+    monkeypatch.setattr(experiments, "factored_table", counting)
     assert identity_suite(3).all_passed
-    assert len(calls) == 4 * 4 * 4  # cores x betas x ranks 0..3
+    assert len(calls) == 4 * 4  # cores x ranks 0..3; each table serves every beta
     assert len(set(calls)) == len(calls)
 
 
@@ -288,6 +290,46 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
     kusok = {r.name: r for r in identity_suite(5).results}["kusok"]
     assert kusok.instances == sum(fibonacci(n + 1) for n in range(6)) * 4 * 4
     assert (kusok.failures, kusok.first_counterexample) == (failures, first)
+
+
+def test_sum_failures_match_pointwise_reference(monkeypatch):
+    # sum compares column coefficients in (1 - beta^2) and falls back to single
+    # points only when they differ; a perturbed factored cell must give the
+    # failures and the witness of the literal pointwise column check
+    w22, v, split = CORES[2], parse("2111"), 1  # head 2, tail 111
+    original = experiments.factored_table
+    perturbation = {}
+
+    def perturbed(w, n, kernel_terms):
+        table = original(w, n, kernel_terms)
+        if (w, n) != (w22, 5):
+            return table
+        rows = [list(cells) for cells in table.rows]
+        r = table.level.words.index(v)
+        y, k, c = rows[r][split]
+        rows[r][split] = (y, k, c + 1)
+        perturbation.update(y=y, k=k, den=table.den)
+        return dataclasses.replace(table, rows=tuple(tuple(cells) for cells in rows))
+
+    monkeypatch.setattr(experiments, "factored_table", perturbed)
+    report = {r.name: r for r in identity_suite(5).results}
+    y, k = perturbation["y"], perturbation["k"]
+    failures, first = 0, None
+    for w in CORES:
+        for beta in experiments.DEFAULT_BETA_GRID:
+            for n in range(6):
+                for col in range(n + 1):
+                    column = sum(magic_entry(w, beta, n, word, col) for word in enumerate_level(n))
+                    if (w, n, col) == (w22, 5, y):
+                        column += Fr(1, perturbation["den"]) * beta ** y * (1 - beta * beta) ** k
+                    if column != column_sum_closed_form(beta, n, col):
+                        failures += 1
+                        first = first or f"core={w.core.text or 'eps'} beta={beta} n={n} y={col}"
+    # the head is nonempty, so at beta = 1 the perturbation vanishes and that
+    # grid point still passes
+    assert (y, k) == (3, 1) and failures == 3
+    assert report["sum"].instances == 4 * 4 * sum(n + 1 for n in range(6))
+    assert (report["sum"].failures, report["sum"].first_counterexample) == (failures, first)
 
 
 def test_suite_report_formats():

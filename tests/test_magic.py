@@ -7,6 +7,7 @@ from yflab.magic import (
     build_table,
     column_bound,
     column_sum_closed_form,
+    factored_table,
     level_product,
     magic_entry,
     symbolic_entry,
@@ -173,6 +174,24 @@ def test_table_rows_match_pointwise_entries_to_rank_10():
                 for v, row in zip(table.level.words, table.entries):
                     assert row == tuple(magic_entry(w, beta, n, v, y) for y in range(n + 1)), \
                         (core, beta, n, v)
+
+
+def test_factored_table_matches_pointwise_entries_on_suite_grid():
+    # the identity suite builds one factored table per (w, n) and evaluates it
+    # at every beta of its grid; cells, column sums and row sums must equal
+    # the pointwise oracle's
+    for core in ("eps", "2", "22", "212"):
+        w = TailOnesWord.parse(core)
+        for n in range(9):
+            table = factored_table(w, n)
+            for beta in (Fr(1, 4), HALF, Fr(3, 4), Fr(1)):
+                rows = [tuple(magic_entry(w, beta, n, v, y) for y in range(n + 1))
+                        for v in table.level.words]
+                assert table.evaluate(beta).entries == tuple(rows), (core, n, beta)
+                columns, den = table.column_sums(beta)
+                assert [Fr(c, den) for c in columns] == [sum(col) for col in zip(*rows)]
+                row_sums, den = table.row_sums(beta)
+                assert [Fr(r, den) for r in row_sums] == [sum(row) for row in rows]
 
 
 # `yflab magic --w 2 --beta 1/2 --n 5` with and without --symbolic, as
