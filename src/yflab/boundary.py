@@ -15,20 +15,20 @@ where
 
 Masses over one rank always sum to exactly 1.
 
-The kernel is summed in plain ints: rank(x)! * f(x, i, h) is the integer
-unwind harmonic._scaled_f, and for beta = p/q the beta and g factors are
-the integer weights W_i over the shared denominator D of mass_weights.  So
-d'_beta(x, w) = (sum over i of rank(x)! f(x, i, h) W_i) / (rank(x)! D) costs
-one Fraction per (x, w, beta), and it does not go through f or its memo.
+The kernel is one polynomial in beta, built without beta by _kernel_terms:
+int coefficients T_i = rank(x)! f(x, i, h) prod_j (g(w, j) - i), with
+rank(x)! f the integer unwind harmonic._scaled_f, over rank(x)! prod_j g(w, j).
+d_beta_prime evaluates it at beta = p/q in ints (_scaled_value) and builds
+one Fraction; d1_prime sums it.  Nothing here is memoized: the identity
+suite holds one kernel per (x, w) for a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .harmonic import _scaled_f, g_all
 from .pathcount import d_from_empty, d_paths_dp
@@ -125,40 +125,41 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
     return out, den
 
 
-def _kernel_terms(x, w: TailOnesWord, beta: Fraction) -> tuple[list[int], int]:
-    """The int terms rank! f(x, i, h) W_i of d'_beta(x, w), i = 0..rank(x), and
-    their shared denominator rank! D.
-
-    rank! f comes from harmonic._scaled_f and (W, D) from mass_weights.  As
-    W_i / D at beta = p/q is beta^i times W_i / D at beta = 1, the terms at
-    beta = 1 over their denominator are the coefficients of d'_beta(x, w) as
-    a polynomial in beta.
-    """
+def _kernel_terms(x, w: TailOnesWord) -> tuple[list[int], int]:
+    """The int coefficients T_0..T_rank of d'_beta(x, w) as a polynomial in beta, and
+    their shared denominator: rank! f(x, i, h) times the weights of mass_weights
+    at beta = 1, over rank! times theirs."""
     rank = sum(x)
     fac = factorial(rank)
     h = h_infinite(x, w).length
-    weights, den = mass_weights(w, beta, rank)
+    weights, den = mass_weights(w, Fraction(1), rank)
     return [_scaled_f(x, i, h, fac) * weight for i, weight in enumerate(weights)], fac * den
 
 
-@lru_cache(maxsize=None)
-def _d_beta_prime(x: tuple[int, ...], w: TailOnesWord, beta: Fraction) -> Fraction:
-    """d'_beta(x, w) as one Fraction: the sum of the kernel terms over their
-    denominator, in plain ints; the memo is keyed on the digit tuple."""
-    terms, den = _kernel_terms(x, w, beta)
-    return Fraction(sum(terms), den)
+def _scaled_value(coeffs: Sequence[int], t: Fraction, degree: int) -> int:
+    """q^degree * sum_i coeffs[i] t^i as an int, for t = p/q and degree >= len(coeffs) - 1;
+    it vanishes iff the polynomial does at t."""
+    p, q = t.numerator, t.denominator
+    total, q_power = 0, q ** (degree - len(coeffs) + 1)
+    for c in reversed(coeffs):
+        total = total * p + c * q_power
+        q_power *= q
+    return total
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:
     """The kernel d'_beta(x, w); see the module docstring."""
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return _d_beta_prime(tuple(x), w, Fraction(beta))
+    terms, den = _kernel_terms(x, w)
+    beta, rank = Fraction(beta), len(terms) - 1
+    return Fraction(_scaled_value(terms, beta, rank), den * beta.denominator ** rank)
 
 
 def d1_prime(x: YFWord, w: TailOnesWord) -> Fraction:
     """d'_1(x, w), the exact limit of d(x, w_m) / d(empty, w_m)."""
-    return _d_beta_prime(tuple(x), w, Fraction(1))
+    terms, den = _kernel_terms(x, w)
+    return Fraction(sum(terms), den)
 
 
 def mu(w: TailOnesWord, beta: Fraction, v: YFWord) -> Fraction:

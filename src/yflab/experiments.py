@@ -27,18 +27,17 @@ a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
 workers for all its ranks.
 
 The identity suite checks every identity exhaustively over the beta grid
-and the cores, and counts one instance per (word or table, beta).  Two
-identities are polynomial in beta and are decided by coefficients:
-`kusok` once per (x, w), and the column law `sum` once per (w, n, y), on
-a magic table built once per (w, n) as integer cells (magic.FactoredTable)
-and the w-free closed form built once per (n, y).  Equal coefficients pass
-every grid point; when they differ, each beta is decided pointwise, so the
-failures and witnesses are those of a pointwise check.  The table
-inequalities `stolb`, `lehamed` and `zabe` are decided at each beta, with
-the column sums, totals, row sums and masses as ints over one denominator.
-A _SuiteContext holds, for one suite run, the factored tables, the beta = 1
-kernel terms shared by kusok, the tables and zabe, the d_beta polynomials
-and the binomial partial sums.
+and the cores, and counts one instance per (word or table, beta).  The two
+polynomial identities have one decision path each: the difference of their
+sides is formed once as coefficients and evaluated at each grid beta
+(boundary._scaled_value), for `kusok` once per (x, w) in beta, for the
+column law `sum` once per (w, n, y) in (1 - beta^2), from a magic table
+built once per (w, n) as integer cells (magic.FactoredTable).  The table
+inequalities `stolb`, `lehamed` and `zabe` are decided at each beta on ints
+over one denominator.  A _SuiteContext holds, for one suite run, the
+kernel coefficients per (x, w) (the package's only kernel cache), the
+factored tables, the closed column forms, the d_beta polynomials and the
+binomial partial sums.
 """
 
 from __future__ import annotations
@@ -51,15 +50,14 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
-from .boundary import (TailOnesWord, _kernel_terms, d1_prime, d_beta_prime, h_infinite,
-                       mass_weights)
+from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
 from .harmonic import BetaPolynomial, d_beta, format_rational, pi, pi_split, q
-from .magic import (FactoredTable, column_bound, column_closed_form_coeffs,
-                    column_sum_closed_form, factored_table, level_product)
+from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
+                    level_product)
 from .pathcount import d_from_empty
 from .words import YFWord, enumerate_level, prefix, suffix
 
@@ -484,30 +482,30 @@ def _check_odnoitozhe(ctx, rec):
 def _check_kusok(ctx, rec):
     """d'_beta(x, w) decomposes over suffix splits of x through d_beta and d'_1.
 
-    Both sides are polynomials in beta, so the check compares coefficients
-    once per (x, w).  The left side's are the kernel's own int terms at
-    beta = 1 over their denominator (boundary._kernel_terms); the right side
-    is the sum over splits of beta^rank(tail) * d_beta(head) * d'_1(tail, w).
-    Equal coefficients decide the identity at every beta of the grid, and
-    each (x, w, beta) still counts as one instance.  When they differ, each
-    beta is decided pointwise against d'_beta(x, w, beta), so the failures
-    and the first witness are those of a pointwise check.
+    Over the kernel denominator rank(x)! D1 of boundary._kernel_terms, the
+    split into head (rank r - y) and tail (rank y) contributes
+    C(r, y) (r-y)! f(head, k, 0) * sum(T(tail)) to the coefficient of
+    beta^(y+k), with sum(T(tail)) / (y! D1) = d'_1(tail, w).  The head
+    factors do not depend on w and are built once per x; the int difference
+    of the two sides is formed once per (x, w) and evaluated at each beta.
     """
     for x in _all_words(ctx.max_rank):
+        r = sum(x)
+        heads = []
+        for i in range(len(x) + 1):
+            head, tail = prefix(x, i), suffix(x, i)
+            y, fac = sum(tail), factorial(sum(head))
+            heads.append((tail, y, [comb(r, y) * harmonic._scaled_f(head, k, 0, fac)
+                                    for k in range(r - y + 1)]))
         for w in ctx.ws:
-            terms, den = ctx.kernel_terms(x, w, Fraction(1))
-            lhs = BetaPolynomial(tuple(Fraction(t, den) for t in terms))
-            coeffs = [Fraction(0)] * (sum(x) + 1)
-            for i in range(len(x) + 1):
-                tail = suffix(x, i)
-                scale, shift = d1_prime(tail, w), sum(tail)
-                for k, c in enumerate(ctx.d_beta(prefix(x, i)).coeffs):
+            diff = list(ctx.kernel_terms(x, w)[0])
+            for tail, y, coeffs in heads:
+                tail_sum = sum(ctx.kernel_terms(tail, w)[0])
+                for k, c in enumerate(coeffs):
                     if c:
-                        coeffs[shift + k] += c * scale
-            rhs = BetaPolynomial(tuple(coeffs))
-            same = lhs == rhs
+                        diff[y + k] -= c * tail_sum
             for beta in ctx.betas:
-                rec.check(same or d_beta_prime(x, w, beta) == rhs(beta),
+                rec.check(_scaled_value(diff, beta, r) == 0,
                           lambda x=x, w=w, b=beta: f"x={x.text} core={w.core.text or 'eps'} beta={b}")
 
 
@@ -584,8 +582,7 @@ def _check_schyot(ctx, rec):
             continue
         for i in range(1, R + 1):
             lhs = ctx.binom_partial(x, i) * (R - i)
-            first = sum((ctx.f(x, j, 0) * comb(L - 2 + i - j, L - 1)
-                         for j in range(min(i - 1, R) + 1)), Fraction(0)) * (R - i - L + 1)
+            first = ctx.binom_partial(x, i - 1) * (R - i - L + 1)
             second = sum(((R - j) * ctx.f(x, j, 0) * comb(L - 2 + i - j, L - 2)
                           for j in range(min(i, R) + 1)), Fraction(0))
             rec.check(lhs == first + second, lambda x=x, i=i: f"x={x.text} i={i}")
@@ -611,12 +608,12 @@ def _check_mamka2(ctx, rec):
 
 
 def _check_dostalo(ctx, rec):
-    """Sum over rank-(n-y) words of q * d(empty, word + 1^y) equals the closed product."""
+    """Sum over rank-(n-y) words of q * d(empty, word + 1^y) equals the closed product;
+    the sum is taken from the closed column coefficients that sum uses too."""
     for n in range(ctx.max_rank + 1):
         for y in range(n + 1):
-            total = sum((q(xp) * d_from_empty(xp + (1,) * y)
-                         for xp in enumerate_level(n - y)), Fraction(0))
-            rec.check(total == level_product(n, y), lambda n=n, y=y: f"n={n} y={y}")
+            rec.check(sum(ctx.closed_columns[n, y]) == level_product(n, y),
+                      lambda n=n, y=y: f"n={n} y={y}")
 
 
 def _table_witness(w: TailOnesWord, beta: Fraction, n: int) -> str:
@@ -629,26 +626,21 @@ def _check_sum(ctx, rec):
     Both sides of column y are beta^y times a polynomial in (1 - beta^2):
     the table's coefficients are FactoredTable.columns[y] over its den, the
     closed form's are column_closed_form_coeffs(n, y), the same for every w.
-    So the check compares coefficients once per (w, n, y), and equal
-    coefficients decide every beta of the grid; each (w, beta, n, y) still
-    counts as one instance.  When they differ, each beta is decided pointwise
-    against column_sum_closed_form, so the failures and the first witness are
-    those of a pointwise check.
+    Their difference, times a positive int that makes it integral, is formed
+    once per (w, n, y) and evaluated at 1 - beta^2 for each beta.
     """
-    ranks = range(ctx.max_rank + 1)
-    closed = {(n, y): column_closed_form_coeffs(n, y) for n in ranks for y in range(n + 1)}
-    same = {(w, n): [tuple(Fraction(c, table.den) for c in column) == closed[n, y]
-                     for y, column in enumerate(table.columns)]
-            for (w, n), table in ctx.tables.items()}
+    diffs = {}
+    for (w, n), table in ctx.tables.items():
+        for y, column in enumerate(table.columns):
+            diff = [c - b * table.den for c, b in zip(column, ctx.closed_columns[n, y])]
+            scale = lcm(*(d.denominator for d in diff))
+            diffs[w, n, y] = [d.numerator * (scale // d.denominator) for d in diff]
     for w in ctx.ws:
         for beta in ctx.betas:
-            for n in ranks:
+            for n in range(ctx.max_rank + 1):
                 for y in range(n + 1):
-                    ok = same[w, n][y]
-                    if not ok:
-                        sums, den = ctx.tables[w, n].column_sums(beta)
-                        ok = Fraction(sums[y], den) == column_sum_closed_form(beta, n, y)
-                    rec.check(ok, lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
+                    rec.check(_scaled_value(diffs[w, n, y], 1 - beta * beta, n - y) == 0,
+                              lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_stolb(ctx, rec):
@@ -680,21 +672,19 @@ def _check_zabe(ctx, rec):
     """Row sums dominate the measure: mu_{w,beta}(v) <= sum of row v.
 
     At beta = p/q, q^(2n) * mu_{w,beta}(v) is d(empty, v) * sum_i T_i p^i q^(2n-i)
-    over the denominator of T, with T_i the beta = 1 kernel terms of
+    over the denominator of T, with T_i the kernel coefficients of
     boundary._kernel_terms that kusok uses too.  The row sums come from the
     factored table over its den * q^(2n), so both sides stay ints until the
     comparison.
     """
-    one = Fraction(1)
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 table = ctx.tables[w, n]
                 rows, _ = table.row_sums(beta)
-                powers = [beta.numerator ** i * beta.denominator ** (2 * n - i) for i in range(n + 1)]
                 for v, row in zip(table.level.words, rows):
-                    terms, den = ctx.kernel_terms(v, w, one)
-                    mass = d_from_empty(v) * sum(t * power for t, power in zip(terms, powers))
+                    terms, den = ctx.kernel_terms(v, w)
+                    mass = d_from_empty(v) * _scaled_value(terms, beta, 2 * n)
                     rec.check(mass * table.den <= row * den,
                               lambda w=w, b=beta, n=n, v=v: f"{_table_witness(w, b, n)} v={v.text}")
 
@@ -734,9 +724,9 @@ class _SuiteContext:
     f: Callable
 
     @cached_property
-    def kernel_terms(self) -> Callable[[YFWord, TailOnesWord, Fraction], tuple[list[int], int]]:
-        """boundary._kernel_terms, one result per (x, w, beta), held for this suite run;
-        kusok, the tables and zabe share its beta = 1 terms."""
+    def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
+        """boundary._kernel_terms, one result per (x, w), held for this suite run;
+        kusok, the tables and zabe share it."""
         return lru_cache(maxsize=None)(_kernel_terms)
 
     @cached_property
@@ -744,6 +734,13 @@ class _SuiteContext:
         """One factored table per (w, n), built on first use and held for this suite run."""
         return {(w, n): factored_table(w, n, self.kernel_terms)
                 for w in self.ws for n in range(self.max_rank + 1)}
+
+    @cached_property
+    def closed_columns(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+        """column_closed_form_coeffs(n, y) for every column up to max_rank, held for this
+        suite run; dostalo and sum share it."""
+        return {(n, y): column_closed_form_coeffs(n, y)
+                for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
     def d_beta(self) -> Callable[[YFWord], BetaPolynomial]:

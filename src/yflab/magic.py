@@ -10,8 +10,8 @@ sums dominate the measure masses; column sums have a closed product form.
 
 Only the last two factors depend on beta, so a table is built once per
 (w, n) as a FactoredTable of integer cells over one denominator.  With
-T(tail) = y! D1 d'_1(tail, w), the sum of the beta = 1 kernel terms of
-boundary._kernel_terms (an int, D1 = prod_j g(w, j)), and H(head) =
+T(tail) = y! D1 d'_1(tail, w), the sum of the beta-free int kernel
+coefficients of boundary._kernel_terms (D1 = prod_j g(w, j)), and H(head) =
 1 / q(head), the cell of split (head, tail) is the int
 
     C = d(empty, v) * T(tail) * n! / (H(head) * y!)
@@ -26,11 +26,10 @@ and magic_entry compute one cell on their own and are the pointwise
 oracle the tests compare the tables with.
 
 As polynomials in (1 - beta^2), times beta^y, the column sums of every w
-and their closed form have coefficients that can be compared directly
-(FactoredTable.columns, column_closed_form_coeffs).  The identity suite
-checks the column law that way, and decides each beta pointwise against
-column_sum_closed_form only when the coefficients differ.  The row,
-column and total bounds are inequalities and are checked at each beta.
+and their closed form have coefficients that can be subtracted directly
+(FactoredTable.columns, column_closed_form_coeffs); the identity suite
+checks the column law by evaluating that difference at each beta.  The
+row, column and total bounds are inequalities and are checked at each beta.
 """
 
 from __future__ import annotations
@@ -216,7 +215,6 @@ def factored_table(w: TailOnesWord, n: int, kernel_terms=_kernel_terms) -> Facto
     """
     level = enumerate_level(n)
     den = factorial(n) * prod(g_all(w.core))
-    one = Fraction(1)
     tail_sums: dict[tuple[int, ...], tuple[int, int]] = {}
     rows = []
     for v in level:
@@ -224,7 +222,7 @@ def factored_table(w: TailOnesWord, n: int, kernel_terms=_kernel_terms) -> Facto
         cells = []
         for k, tail, head_product in _splits(v):
             if tail not in tail_sums:
-                terms, kernel_den = kernel_terms(tail, w, one)  # kernel_den = y! * D1
+                terms, kernel_den = kernel_terms(tail, w)  # kernel_den = y! * D1
                 tail_sums[tail] = sum(terms), kernel_den
             total, kernel_den = tail_sums[tail]
             C, remainder = divmod(d_eps * total * den, head_product * kernel_den)

@@ -8,11 +8,9 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflab import experiments, harmonic
+from yflab import boundary, experiments, harmonic
 from yflab.boundary import (
     TailOnesWord,
-    d1_prime,
-    d_beta_prime,
     level_distribution,
     mass_weights,
     mu,
@@ -263,29 +261,52 @@ def test_corrupted_f_is_caught_with_a_witness():
     assert "FAIL" in report.to_csv()
 
 
-def test_kusok_failures_match_pointwise_reference(monkeypatch):
-    # kusok compares coefficients in beta and falls back to single points only
-    # when they differ; a perturbed d'_1 must give the failures and the witness
-    # of the literal pointwise check
-    def perturbed(x, w):
-        value = d1_prime(x, w)
-        return value + 1 if x == parse("21") else value
+def test_identity_suite_builds_each_kernel_once(monkeypatch):
+    calls = []
+    original = experiments._kernel_terms
 
-    monkeypatch.setattr(experiments, "d1_prime", perturbed)
+    def counting(x, w):
+        calls.append((tuple(x), w))
+        return original(x, w)
+
+    monkeypatch.setattr(experiments, "_kernel_terms", counting)
+    monkeypatch.setattr(boundary, "_kernel_terms", counting)
+    assert identity_suite(5).all_passed
+    # one kernel per (x, w): cores x words of rank 0..5, shared by kusok, the tables and zabe
+    assert len(calls) == 4 * sum(fibonacci(n + 1) for n in range(6))
+    assert len(set(calls)) == len(calls)
+
+
+def test_kusok_failures_match_pointwise_reference(monkeypatch):
+    # kusok evaluates the int difference of its two sides at each beta; a
+    # kernel raised by a constant on the word 21 must give the failures and
+    # the witness of the literal pointwise check, which uses the perturbed
+    # kernel wherever it enters
+    original = experiments._kernel_terms
+
+    def perturbed(x, w):
+        terms, den = original(x, w)
+        return ([terms[0] + den] + terms[1:], den) if tuple(x) == (2, 1) else (terms, den)
+
+    def kernel(x, w, beta):
+        terms, den = perturbed(x, w)
+        return sum(t * beta ** i for i, t in enumerate(terms)) / den
+
+    monkeypatch.setattr(experiments, "_kernel_terms", perturbed)
     failures, first, failing_pairs = 0, None, set()
     for n in range(6):
         for x in enumerate_level(n):
             for w in CORES:
                 for beta in experiments.DEFAULT_BETA_GRID:
-                    lhs = d_beta_prime(x, w, beta)
+                    lhs = kernel(x, w, beta)
                     rhs = sum(beta ** sum(suffix(x, i)) * d_beta(prefix(x, i))(beta)
-                              * perturbed(suffix(x, i), w) for i in range(len(x) + 1))
+                              * kernel(suffix(x, i), w, Fr(1)) for i in range(len(x) + 1))
                     if lhs != rhs:
                         failures += 1
                         failing_pairs.add((x, w))
                         first = first or f"x={x.text} core={w.core.text or 'eps'} beta={beta}"
-    # at beta = 1, d_beta(head) vanishes for a nonempty head, so some grid
-    # points of a failing (x, w) still pass
+    # at beta = 1 the constant enters both sides of x = 21, and d_beta(head)
+    # vanishes for a nonempty head, so some grid points of a failing (x, w) pass
     assert 0 < failures < 4 * len(failing_pairs)
     kusok = {r.name: r for r in identity_suite(5).results}["kusok"]
     assert kusok.instances == sum(fibonacci(n + 1) for n in range(6)) * 4 * 4
