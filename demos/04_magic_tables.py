@@ -43,7 +43,7 @@ for i, v in enumerate(table.level.words):
 
 print("\nColumn sums, their closed forms, and the product bounds:")
 for y in range(n + 1):
-    total = table.column_sum(y)  # asserts the closed single-level form
+    total = table.column_sum(y)  # equals the closed form (identity `sum` of `yflab verify`)
     print(f"  y={y}: sum {str(total):>12} <= bound {column_bound(beta, n, y)}"
           f"   (beta-free part {level_product(n, y)})")
 

@@ -91,8 +91,6 @@ def _cmd_level(args) -> int:
 
 def _cmd_dcount(args) -> int:
     x, y = _word(args.x), _word(args.y)
-    if args.method in ("formula", "both") and sum(y) < sum(x):
-        raise ValueError("formula requires rank(y) >= rank(x)")
     if args.method == "dp":
         _emit(f"{d_paths_dp(x, y)}\n", args)
     elif args.method == "formula":

@@ -27,17 +27,18 @@ a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
 workers for all its ranks.
 
 The identity suite checks every identity exhaustively over the beta grid
-and the cores, and counts one instance per (word or table, beta).  The two
-polynomial identities have one decision path each: the difference of their
-sides is formed once as coefficients and evaluated at each grid beta
-(boundary._scaled_value), for `kusok` once per (x, w) in beta, for the
-column law `sum` once per (w, n, y) in (1 - beta^2), from a magic table
-built once per (w, n) as integer cells (magic.FactoredTable).  The table
-inequalities `stolb`, `lehamed` and `zabe` are decided at each beta on ints
-over one denominator.  A _SuiteContext holds, for one suite run, the
-kernel coefficients per (x, w) (the package's only kernel cache), the
-factored tables, the closed column forms, the d_beta polynomials and the
-binomial partial sums.
+and the cores, and counts one instance per (word or table, beta).  Every
+polynomial it decides is one int coefficient list, compared exactly or
+evaluated at each beta (boundary._scaled_value).  The d_beta identities and
+kusok's head factors use the row R(x) = [rank(x)! f(x, i, 0)] of
+_d_beta_row and its quotient by (1 - beta)^length(x) (_div_one_minus_beta).
+kusok's two sides differ by one int polynomial per (x, w) in beta, the
+column law sum's by one per (w, n, y) in (1 - beta^2), from a magic table
+built once per (w, n) as integer cells (magic.FactoredTable).  stolb,
+lehamed and zabe are decided at each beta on ints over one denominator.
+A _SuiteContext holds, for one suite run, the kernel coefficients per
+(x, w) (the package's only kernel cache), the factored tables, the closed
+column coefficients, and each word's row and quotient.
 """
 
 from __future__ import annotations
@@ -49,17 +50,17 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from math import comb, factorial, lcm
+from functools import cached_property, lru_cache
+from math import comb, factorial, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
 from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
-from .harmonic import BetaPolynomial, d_beta, format_rational, pi, pi_split, q
+from .harmonic import format_rational, pi, pi_split, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
-from .words import YFWord, enumerate_level, prefix, suffix
+from .words import YFWord, enumerate_level, prefix, suffix, suffix_ranks
 
 Mode = str  # "suffix" | "pi"
 Param = Union[int, Fraction]
@@ -484,24 +485,20 @@ def _check_kusok(ctx, rec):
 
     Over the kernel denominator rank(x)! D1 of boundary._kernel_terms, the
     split into head (rank r - y) and tail (rank y) contributes
-    C(r, y) (r-y)! f(head, k, 0) * sum(T(tail)) to the coefficient of
-    beta^(y+k), with sum(T(tail)) / (y! D1) = d'_1(tail, w).  The head
-    factors do not depend on w and are built once per x; the int difference
-    of the two sides is formed once per (x, w) and evaluated at each beta.
+    C(r, y) R(head)[k] * sum(T(tail)) to the coefficient of beta^(y+k), with
+    R the row of _d_beta_row and sum(T(tail)) / (y! D1) = d'_1(tail, w).
+    The int difference of the two sides is formed once per (x, w) and
+    evaluated at each beta.
     """
     for x in _all_words(ctx.max_rank):
         r = sum(x)
-        heads = []
-        for i in range(len(x) + 1):
-            head, tail = prefix(x, i), suffix(x, i)
-            y, fac = sum(tail), factorial(sum(head))
-            heads.append((tail, y, [comb(r, y) * harmonic._scaled_f(head, k, 0, fac)
-                                    for k in range(r - y + 1)]))
+        splits = [(suffix(x, i), ctx.row(prefix(x, i))) for i in range(len(x) + 1)]
         for w in ctx.ws:
             diff = list(ctx.kernel_terms(x, w)[0])
-            for tail, y, coeffs in heads:
-                tail_sum = sum(ctx.kernel_terms(tail, w)[0])
-                for k, c in enumerate(coeffs):
+            for tail, row in splits:
+                y = sum(tail)
+                tail_sum = comb(r, y) * sum(ctx.kernel_terms(tail, w)[0])
+                for k, c in enumerate(row):
                     if c:
                         diff[y + k] -= c * tail_sum
             for beta in ctx.betas:
@@ -530,28 +527,36 @@ def _check_meexy(ctx, rec):
             rec.check(pi(v) == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
 
 
-def _divide_out_one_minus_beta(ctx, x: YFWord) -> Optional[BetaPolynomial]:
-    """d_beta(x) / (1 - beta)^length(x), or None when a division leaves a remainder."""
-    poly = ctx.d_beta(x)
-    for _ in range(len(x)):
-        poly, remainder = poly.div_one_minus_beta()
-        if remainder != 0:
-            return None
-    return poly
+def _d_beta_row(x: YFWord) -> list[int]:
+    """R(x) = [rank(x)! f(x, i, 0) for i = 0..rank(x)], the int coefficients of
+    d_beta(x) over rank(x)! (Goodman-Kerov's product formula at z = 0)."""
+    fac = factorial(sum(x))
+    return [harmonic._scaled_f(x, i, 0, fac) for i in range(sum(x) + 1)]
+
+
+def _div_one_minus_beta(coeffs: Sequence[int]) -> tuple[list[int], int]:
+    """(Q, r) with p(beta) = (1 - beta) Q(beta) + r for p = sum_i coeffs[i] beta^i:
+    r = p(1) is the coefficient sum and Q_j the prefix sum to j, minus r."""
+    prefix_sums, total = [], 0
+    for c in coeffs:
+        total += c
+        prefix_sums.append(total)
+    return [s - total for s in prefix_sums[:-1]], total
+
+
+def _binomial_sums(row: Sequence[int], m: int) -> list[int]:
+    """sum_{j <= i} row[j] C(m - 1 + i - j, m - 1) for i < len(row) and m >= 1, the
+    power-series coefficients of row(beta) / (1 - beta)^m.  For R(x) and
+    m = length(x) these are rank(x)! times the binomial partial sums of x."""
+    return [sum(c * comb(m - 1 + i - j, m - 1) for j, c in enumerate(row[:i + 1]))
+            for i in range(len(row))]
 
 
 def _check_delitsa(ctx, rec):
     """The beta polynomial divides by (1 - beta) exactly length(x) times, no more."""
     for x in _all_words(ctx.max_rank):
-        quotient = _divide_out_one_minus_beta(ctx, x)
-        rec.check(quotient is not None and quotient(Fraction(1)) != 0,
-                  lambda x=x: f"x={x.text}")
-
-
-def _binom_partial(f: Callable, x: YFWord, i: int) -> Fraction:
-    length = len(x)
-    return sum((f(x, j, 0) * comb(length - 1 + i - j, length - 1)
-                for j in range(min(i, sum(x)) + 1)), Fraction(0))
+        quotient = ctx.row_quotient(x)
+        rec.check(quotient is not None and sum(quotient) != 0, lambda x=x: f"x={x.text}")
 
 
 def _check_binomische1(ctx, rec):
@@ -559,8 +564,9 @@ def _check_binomische1(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        for i in range(sum(x) - len(x) + 1, sum(x) + 1):
-            rec.check(ctx.binom_partial(x, i) == 0, lambda x=x, i=i: f"x={x.text} i={i}")
+        start = sum(x) - len(x) + 1
+        for i, total in enumerate(_binomial_sums(ctx.row(x), len(x))[start:], start):
+            rec.check(total == 0, lambda x=x, i=i: f"x={x.text} i={i}")
 
 
 def _check_binomische2(ctx, rec):
@@ -568,10 +574,8 @@ def _check_binomische2(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        quotient = _divide_out_one_minus_beta(ctx, x)
-        ok = quotient is not None and quotient == BetaPolynomial(
-            tuple(ctx.binom_partial(x, i) for i in range(sum(x) - len(x) + 1)))
-        rec.check(ok, lambda x=x: f"x={x.text}")
+        partial = _binomial_sums(ctx.row(x), len(x))[:sum(x) - len(x) + 1]
+        rec.check(ctx.row_quotient(x) == partial, lambda x=x: f"x={x.text}")
 
 
 def _check_schyot(ctx, rec):
@@ -580,39 +584,44 @@ def _check_schyot(ctx, rec):
         L, R = len(x), sum(x)
         if L < 2:
             continue
+        row = ctx.row(x)
+        partial = _binomial_sums(row, L)
+        second = _binomial_sums([(R - j) * c for j, c in enumerate(row)], L - 1)
         for i in range(1, R + 1):
-            lhs = ctx.binom_partial(x, i) * (R - i)
-            first = ctx.binom_partial(x, i - 1) * (R - i - L + 1)
-            second = sum(((R - j) * ctx.f(x, j, 0) * comb(L - 2 + i - j, L - 2)
-                          for j in range(min(i, R) + 1)), Fraction(0))
-            rec.check(lhs == first + second, lambda x=x, i=i: f"x={x.text} i={i}")
+            rec.check(partial[i] * (R - i) == partial[i - 1] * (R - i - L + 1) + second[i],
+                      lambda x=x, i=i: f"x={x.text} i={i}")
 
 
 def _check_binom1(ctx, rec):
     """Binomial partial sums are bounded by q(x) * C(length(x), i) for i <= length(x)."""
     for x in _all_words(ctx.max_rank):
-        if len(x) == 0:
+        L = len(x)
+        if L == 0:
             continue
-        for i in range(len(x) + 1):
-            rec.check(ctx.binom_partial(x, i) <= q(x) * comb(len(x), i),
-                      lambda x=x, i=i: f"x={x.text} i={i}")
+        scaled_q = factorial(sum(x)) // prod(suffix_ranks(x))  # rank(x)! q(x)
+        for i, total in enumerate(_binomial_sums(ctx.row(x), L)[:L + 1]):
+            rec.check(total <= scaled_q * comb(L, i), lambda x=x, i=i: f"x={x.text} i={i}")
 
 
 def _check_mamka2(ctx, rec):
-    """d_beta(x) <= q(x) * (1 - beta^2)^length(x) on the beta grid."""
+    """d_beta(x) <= q(x) * (1 - beta^2)^length(x) on the beta grid, decided at
+    beta = p/q on rank(x)! q^(2 rank(x)) times both sides."""
     for x in _all_words(ctx.max_rank):
+        L, r = len(x), sum(x)
+        scaled_q = factorial(r) // prod(suffix_ranks(x))
         for beta in ctx.betas:
-            lhs = ctx.d_beta(x)(beta)
-            rhs = q(x) * (1 - beta * beta) ** len(x)
-            rec.check(lhs <= rhs, lambda x=x, b=beta: f"x={x.text} beta={b}")
+            p, den = beta.numerator, beta.denominator
+            rhs = scaled_q * (den * den - p * p) ** L * den ** (2 * r - 2 * L)
+            rec.check(_scaled_value(ctx.row(x), beta, 2 * r) <= rhs,
+                      lambda x=x, b=beta: f"x={x.text} beta={b}")
 
 
 def _check_dostalo(ctx, rec):
     """Sum over rank-(n-y) words of q * d(empty, word + 1^y) equals the closed product;
-    the sum is taken from the closed column coefficients that sum uses too."""
+    the sum is taken from the int closed column coefficients that sum uses too."""
     for n in range(ctx.max_rank + 1):
         for y in range(n + 1):
-            rec.check(sum(ctx.closed_columns[n, y]) == level_product(n, y),
+            rec.check(sum(ctx.closed_columns[n, y]) == level_product(n, y) * factorial(n - y),
                       lambda n=n, y=y: f"n={n} y={y}")
 
 
@@ -625,16 +634,16 @@ def _check_sum(ctx, rec):
 
     Both sides of column y are beta^y times a polynomial in (1 - beta^2):
     the table's coefficients are FactoredTable.columns[y] over its den, the
-    closed form's are column_closed_form_coeffs(n, y), the same for every w.
-    Their difference, times a positive int that makes it integral, is formed
-    once per (w, n, y) and evaluated at 1 - beta^2 for each beta.
+    closed form's are column_closed_form_coeffs(n, y) over (n - y)!, the same
+    for every w.  Their difference over den (n - y)! is formed once per
+    (w, n, y) and evaluated at 1 - beta^2 for each beta.
     """
     diffs = {}
     for (w, n), table in ctx.tables.items():
         for y, column in enumerate(table.columns):
-            diff = [c - b * table.den for c, b in zip(column, ctx.closed_columns[n, y])]
-            scale = lcm(*(d.denominator for d in diff))
-            diffs[w, n, y] = [d.numerator * (scale // d.denominator) for d in diff]
+            fac = factorial(n - y)
+            diffs[w, n, y] = [c * fac - b * table.den
+                              for c, b in zip(column, ctx.closed_columns[n, y])]
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
@@ -736,21 +745,30 @@ class _SuiteContext:
                 for w in self.ws for n in range(self.max_rank + 1)}
 
     @cached_property
-    def closed_columns(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    def closed_columns(self) -> dict[tuple[int, int], tuple[int, ...]]:
         """column_closed_form_coeffs(n, y) for every column up to max_rank, held for this
         suite run; dostalo and sum share it."""
         return {(n, y): column_closed_form_coeffs(n, y)
                 for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
-    def d_beta(self) -> Callable[[YFWord], BetaPolynomial]:
-        """d_beta, one polynomial per word, held for this suite run."""
-        return lru_cache(maxsize=None)(d_beta)
+    def row(self) -> Callable[[YFWord], list[int]]:
+        """_d_beta_row, one int row per word, held for this suite run; kusok's heads
+        and every d_beta identity share it."""
+        return lru_cache(maxsize=None)(_d_beta_row)
 
     @cached_property
-    def binom_partial(self) -> Callable[[YFWord, int], Fraction]:
-        """The binomial partial sum of f(x, j, 0), one value per (x, i), held for this suite run."""
-        return lru_cache(maxsize=None)(partial(_binom_partial, self.f))
+    def row_quotient(self) -> Callable[[YFWord], Optional[list[int]]]:
+        """self.row(x) divided by (1 - beta) length(x) times, or None when a division
+        leaves a remainder; one per word, held for this suite run."""
+        def divide(x: YFWord) -> Optional[list[int]]:
+            coeffs = self.row(x)
+            for _ in range(len(x)):
+                coeffs, remainder = _div_one_minus_beta(coeffs)
+                if remainder:
+                    return None
+            return coeffs
+        return lru_cache(maxsize=None)(divide)
 
 
 def identity_suite(max_rank: int,
@@ -760,8 +778,11 @@ def identity_suite(max_rank: int,
     """Run every identity exhaustively up to max_rank over the beta/w grids.
 
     Failures become report rows, not exceptions.  f_impl exists as a test
-    hook: substituting a corrupted f must make the coefficient-level
-    identities fail with a concrete witness.
+    hook: substituting a corrupted f must make the identities that evaluate f
+    pointwise (evtuh5, evtuh7, evtuh11, evtuh12, evtuh91-93, odnoitozhe) fail
+    with a concrete witness.  It does not reach the identities decided on the
+    int rows of _d_beta_row (kusok and the d_beta family delitsa through
+    mamka2), which come from harmonic._scaled_f directly.
     """
     if not 0 <= max_rank <= MAX_SUITE_RANK:
         raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")

@@ -217,23 +217,6 @@ class BetaPolynomial:
             acc = acc * beta + c
         return acc
 
-    def div_one_minus_beta(self) -> tuple["BetaPolynomial", Fraction]:
-        """Exact division by (1 - beta): returns (quotient, remainder).
-
-        The remainder is the value at beta = 1; division is exact iff it
-        vanishes.
-        """
-        r = self(Fraction(1))
-        qc: list[Fraction] = []
-        prev = Fraction(0)
-        for k, c in enumerate(self.coeffs):
-            cur = c - r if k == 0 else c + prev
-            qc.append(cur)
-            prev = cur
-        if qc:
-            qc.pop()  # top coefficient of (1-beta)*quotient is -quotient[-1]
-        return BetaPolynomial(tuple(qc)), r
-
     def __repr__(self) -> str:
         return f"BetaPolynomial({[str(c) for c in self.coeffs]})"
 

@@ -27,11 +27,19 @@ def test_dcount_both(capsys):
     code, out, _ = run(capsys, "dcount", "eps", "21221", "--method", "both")
     assert code == 0
     assert out == "56 56 MATCH\n"
+    # the formula rejects rank(y) < rank(x); nothing reaches stdout before it does
+    code, out, err = run(capsys, "dcount", "21", "2", "--method", "both")
+    assert (code, out) == (2, "")
+    assert "formula requires rank(y) >= rank(x)" in err
 
 
 def test_dcount_single_methods(capsys):
     assert run(capsys, "dcount", "eps", "221", "--method", "dp")[1] == "8\n"
     assert run(capsys, "dcount", "eps", "221", "--method", "formula")[1] == "8\n"
+    assert run(capsys, "dcount", "21", "2", "--method", "dp")[:2] == (0, "0\n")
+    code, out, err = run(capsys, "dcount", "21", "2", "--method", "formula")
+    assert (code, out) == (2, "")
+    assert "formula requires rank(y) >= rank(x)" in err
 
 
 def test_level(capsys):

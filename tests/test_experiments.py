@@ -3,7 +3,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 from fractions import Fraction as Fr
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +23,7 @@ from yflab.experiments import (
     sweep_many,
     walk_level_masses,
 )
-from yflab.harmonic import d_beta, f, pi
+from yflab.harmonic import d_beta, f, pi, q
 from yflab.magic import column_sum_closed_form, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
@@ -311,6 +311,78 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
     kusok = {r.name: r for r in identity_suite(5).results}["kusok"]
     assert kusok.instances == sum(fibonacci(n + 1) for n in range(6)) * 4 * 4
     assert (kusok.failures, kusok.first_counterexample) == (failures, first)
+
+
+def test_d_beta_identities_match_fraction_reference(monkeypatch):
+    # the d_beta identities decide on the int rows of _d_beta_row and on their
+    # quotients by (1 - beta)^length(x); a row of the word 21 raised by rank! at
+    # beta^0, i.e. f(21, 0, 0) + 1, must give the failures and the witness of
+    # the literal Fraction checks of their docstrings under the same perturbation
+    original = experiments._d_beta_row
+
+    def perturbed(x):
+        row = original(x)
+        return [row[0] + factorial(sum(x))] + row[1:] if tuple(x) == (2, 1) else row
+
+    def coeffs(x):
+        return [f(x, i, 0) + (1 if (tuple(x), i) == ((2, 1), 0) else 0)
+                for i in range(sum(x) + 1)]
+
+    def value(cs, t):
+        return sum((c * t ** i for i, c in enumerate(cs)), Fr(0))
+
+    def quotient(x):
+        # long division by (1 - beta) from the top: c_d = -Q_(d-1), c_k = Q_k - Q_(k-1)
+        cs = coeffs(x)
+        for _ in range(len(x)):
+            qs = [Fr(0)] * (len(cs) - 1)
+            for k in range(len(cs) - 1, 0, -1):
+                qs[k - 1] = (qs[k] if k < len(qs) else 0) - cs[k]
+            if cs[0] - (qs[0] if qs else 0) != 0:
+                return None
+            cs = qs
+        return cs
+
+    def partial(x, i, m, weight=lambda j: 1):
+        return sum((weight(j) * c * comb(m - 1 + i - j, m - 1)
+                    for j, c in enumerate(coeffs(x)) if j <= i), Fr(0))
+
+    expected = {}
+
+    def check(name, ok, witness):
+        entry = expected.setdefault(name, [0, 0, None])
+        entry[0] += 1
+        if not ok:
+            entry[1] += 1
+            entry[2] = entry[2] or witness
+
+    for n in range(6):
+        for x in enumerate_level(n):
+            L, R, Q = len(x), n, quotient(x)
+            check("delitsa", Q is not None and value(Q, 1) != 0, f"x={x.text}")
+            if L > 0:
+                for i in range(R - L + 1, R + 1):
+                    check("binomische1", partial(x, i, L) == 0, f"x={x.text} i={i}")
+                check("binomische2", Q == [partial(x, i, L) for i in range(R - L + 1)],
+                      f"x={x.text}")
+            if L >= 2:
+                for i in range(1, R + 1):
+                    second = partial(x, i, L - 1, weight=lambda j: R - j)
+                    check("schyot", partial(x, i, L) * (R - i)
+                          == partial(x, i - 1, L) * (R - i - L + 1) + second, f"x={x.text} i={i}")
+            if L > 0:
+                for i in range(L + 1):
+                    check("binom1", partial(x, i, L) <= q(x) * comb(L, i), f"x={x.text} i={i}")
+            for beta in experiments.DEFAULT_BETA_GRID:
+                check("mamka2", value(coeffs(x), beta) <= q(x) * (1 - beta * beta) ** L,
+                      f"x={x.text} beta={beta}")
+    assert {name: failures for name, (_, failures, _) in expected.items()} == {
+        "delitsa": 1, "binomische1": 2, "binomische2": 1, "schyot": 0, "binom1": 3, "mamka2": 4}
+    monkeypatch.setattr(experiments, "_d_beta_row", perturbed)
+    report = {r.name: r for r in identity_suite(5).results}
+    assert {name: (report[name].instances, report[name].failures,
+                   report[name].first_counterexample) for name in expected} == {
+        name: tuple(entry) for name, entry in expected.items()}
 
 
 def test_sum_failures_match_pointwise_reference(monkeypatch):

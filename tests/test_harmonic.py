@@ -18,6 +18,7 @@ from yflab.harmonic import (
     pi_split,
     q,
 )
+from yflab.experiments import _div_one_minus_beta
 from yflab.words import EPSILON, YFWord, enumerate_level, parse
 
 from reference_values import F_TABLE_21221, F_TABLES, f_by_recursion
@@ -163,13 +164,17 @@ def test_beta_polynomial_trims_and_evaluates():
     assert len({p, untrimmed, BetaPolynomial((1, 2))}) == 1
 
 
-@given(st.lists(st.fractions(max_denominator=20), max_size=8))
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8))
 def test_division_by_one_minus_beta_reconstructs(coeffs):
-    p = BetaPolynomial(tuple(coeffs))
-    quotient, remainder = p.div_one_minus_beta()
-    assert remainder == p(Fr(1))
+    def value(cs, t):
+        return sum((c * t ** i for i, c in enumerate(cs)), Fr(0))
+
+    quotient, remainder = _div_one_minus_beta(coeffs)
+    assert all(isinstance(c, int) for c in quotient) and isinstance(remainder, int)
+    assert len(quotient) == max(len(coeffs) - 1, 0)
+    assert remainder == value(coeffs, 1)
     for point in (Fr(0), Fr(1, 3), Fr(2), Fr(-1)):
-        assert p(point) == (1 - point) * quotient(point) + remainder
+        assert value(coeffs, point) == (1 - point) * value(quotient, point) + remainder
 
 
 def test_pi_values():

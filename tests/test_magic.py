@@ -93,10 +93,10 @@ def test_column_sums():
     for w in (W2, W22):
         for n in range(7):
             table = build_table(w, HALF, n)
-            # column_sum itself asserts the closed single-level form
             assert table.column_sum(n) == HALF ** n
             for y in range(n + 1):
                 total = table.column_sum(y)
+                assert total == column_sum_closed_form(HALF, n, y)
                 assert total <= column_bound(HALF, n, y)
 
 
