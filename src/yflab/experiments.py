@@ -1,30 +1,69 @@
 """Concentration sets, measure sweeps, and the exhaustive identity suite.
 
-Sweeps over large ranks use a left-extension walk of the level: levels are
-generated by prepending a digit, and the whole vector f(v, i, h(v, w)) for
-i = 0..rank(v) transforms under prepending by a single exact division per
-entry, because f(x, y, z) = f(ax, y, z) * (rank(ax) - y) whenever y and z
-stay inside the shorter word's ranges.  Prepending a 2 additionally sets
-the entry at rank(x)+1 to zero.  The entry at the top of the new vector is
-filled by harmonic._scaled_f, the integer unwind of the recursion along the
-right end of the word that f itself uses.  Only when the common suffix
-with w grows (the current word is a full suffix of w and the prepended
-digit matches) is the vector recomputed from scratch; at most one word per
-level is affected.  The walk is validated against the direct formulas in
-the test suite.
+The left-extension walk computes the mass of each word of a level by
+itself: levels are generated by prepending a digit, and the vector
+F_i = rank! f(v, i, h(v, w)) for i = 0..rank(v) transforms under prepending
+by one exact division per entry, because f(x, y, z) = f(ax, y, z) *
+(rank(ax) - y) whenever y and z stay inside the shorter word's ranges.
+Prepending a 2 also sets the entry at rank(x)+1 to zero, and the new top
+entry comes from harmonic._scaled_f, as does the whole vector when the
+common suffix with w grows.  node_mass is then the int n! D mu(v) over the
+shared denominator D of boundary.mass_weights (weights W_i).  The walk visits
+all Fib(n + 1) words of rank n; it is the oracle the tests check sweeps
+against.
 
-The walk runs in plain ints.  A node stores F_i = rank! * f(v, i, h), an
-integer (see harmonic._scaled_f): prepending alpha to a rank-r word maps
-F_i to F_i * (r+1)...(r+alpha) / (r+alpha-i), and every such division is
-asserted exact.  For beta = p/q the masses use the integer weights of
-boundary.mass_weights over their shared denominator D = q^n prod_j g(w, j),
-so node_mass is the int n! * D * mu(v), a sweep sums ints, asserts each
-rank's total to be n! * D, and builds one Fraction per (beta, bin, rank).
+Sweeps split each word instead (_split_sums).  Let s_L be the chain node
+suffix_of_infinite(w, L).  Fix z = L and give a word x + s_L of rank R the
+vector of n + 1 ints
 
-One traversal (`_iter_nodes`) yields both the leaves and the subtree roots
-handed to the workers.  A sweep sums masses into one flat list of bins, and
-a call with jobs > 1 opens one fork pool of min(jobs, os.cpu_count())
-workers for all its ranks.
+    X[i] = d(empty, x + s_L) i! (R - i)! f(x + s_L, i, L)       for i <= R,
+    X[i] = d(empty, x + s_L) i! f(1^(i - R) + x + s_L, i, L)    for i > R.
+
+A word v of rank n with h(v, w) = L is x + s_L, and n! D mu(v) is
+sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X unchanged, and prepending a
+2 of g-value G = R + 1 multiplies X[i] by G (G - i): below R + 1 by the
+left-extension law, and above because the unwind of f(1^j + 2 + c, top, L)
+never reaches the 2 and every base value of it is -(j + 1) times that of
+1^(j+2) + c (the prefix-rank products differ by the factor j + 1).  So if
+v = u + b with h(v, w) = h(b), then X(v)[i] = X(b)[i] Y_u[i] with
+
+    Y_u[i] = prod over the 2s of u of G (G - i),  G = rank(b) + sigma - 1,
+
+sigma the rank of the suffix of u that starts at the 2; likewise
+d(empty, v) = d(empty, b) e_u, with e_u the product of the G, and
+pi(v) = pi(b) prod (G - 1)/G over the G > 1.  For i <= r = rank(b), Y_u[i] is
+the factorial form e_u ((n - i)! / (r - i)!) / prod_{sigma in SR(u)} (r + sigma - i),
+SR(u) the suffix ranks of u: the factors r + sigma - i fill the integers in
+(r - i, n - i] except the G - i, one per 2.  Above r it is the same as
+(-1)^(len(u2) - j) e_u (j! / P(u2)) ((n - r - j)! / Q(u1)) for i = r + j and
+u = u1 + u2 with rank(u2) = j, and 0 when no suffix of u has rank j (a 2
+straddles it and its factor G - i is 0); P and Q, the prefix-rank product of
+u2 and the suffix-rank product of u1, are products of distinct integers up
+to j and n - r - j, so they divide the factorials.
+
+Each word v of rank n is cut as v = u + b, with b the shortest suffix of v of
+rank >= k = n // 2 that is not a chain node, or b = v for the chain node of
+rank n.  The b are the non-chain rank-k words, the non-chain rank-(k+1)
+words that begin with 2, and b_L = (3 - w.digit_from_right(L)) + s_L with
+rank(s_L) >= k; h(v, w) = h(b), and u runs over all words of rank n -
+rank(b).  The right halves b are grown from each b_L by prepending, their X
+from the chain node's (_chain_state), and held in memory; the left halves u
+are streamed, Y_u grown from all ones.  Suffix and total bins then take,
+per right-half rank, one inner product of the selected b's X sum with the
+u's Y sum, weighted by C(n, i) W_i.  A pi bin outside (lo, hi) sorts the b
+of each rank by pi(b), keeps prefix sums of X, and adds each Y_u to the
+bucket of the number of keys at most lo / pi(u) and of the number below
+hi / pi(u).  Each level so costs about Fib(n / 2) vectors per side.
+
+Besides harmonic._scaled_f's own, the engine's only division is the chain
+node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), asserted exact:
+f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product of distinct
+integers up to rho - i, which divides (rho - i)!, and i! f(tail, i, L) an
+integer (harmonic._scaled_f).  Every sum is an int over
+n! D; sweep_many asserts each rank's total to be n! D and builds one
+Fraction per (beta, bin, rank).  A call with jobs > 1 opens one fork pool of
+min(jobs, os.cpu_count()) workers for all its ranks and uses it from rank
+_POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  Every
@@ -38,7 +77,7 @@ built once per (w, n) as integer cells (magic.FactoredTable).  stolb,
 lehamed and zabe are decided at each beta on ints over one denominator.
 A _SuiteContext holds, for one suite run, the kernel coefficients per
 (x, w) (the package's only kernel cache), the factored tables, the closed
-column coefficients, and each word's row and quotient.
+column coefficients, the column bounds, and each word's row and quotient.
 """
 
 from __future__ import annotations
@@ -47,16 +86,17 @@ import csv
 import io
 import multiprocessing
 import os
+from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import comb, factorial, prod
+from functools import cached_property, cmp_to_key, lru_cache
+from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from . import harmonic
 from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
-from .harmonic import format_rational, pi, pi_split, q
+from .harmonic import format_rational, g_all, pi, pi_split, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
@@ -99,7 +139,7 @@ def r_sets(w: TailOnesWord, beta: Fraction, n: int,
 
 
 # ---------------------------------------------------------------------------
-# Fast level walk
+# Left-extension walk
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -148,13 +188,12 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     return _Node(digits, top, fvec, h, h_rank, node.d_eps * G, pi_num)
 
 
-def _iter_nodes(node: _Node, stop: int, n: int, w: TailOnesWord) -> Iterable[_Node]:
-    """Nodes below node at the first rank >= stop (<= n); their subtrees partition
-    the rank-n words below node, and stop = n yields those words."""
-    stack = [node]
+def _iter_nodes(n: int, w: TailOnesWord) -> Iterable[_Node]:
+    """The walk states of the rank-n words."""
+    stack = [_ROOT]
     while stack:
         cur = stack.pop()
-        if cur.rank >= stop:
+        if cur.rank == n:
             yield cur
             continue
         if cur.rank + 2 <= n:
@@ -167,7 +206,7 @@ def walk_level_masses(w: TailOnesWord, beta: Fraction, n: int) -> dict[YFWord, F
     weights, den = mass_weights(w, beta, n)
     scale = factorial(n) * den
     return {YFWord(leaf.digits): Fraction(node_mass(leaf, weights), scale)
-            for leaf in _iter_nodes(_ROOT, n, n, w)}
+            for leaf in _iter_nodes(n, w)}
 
 
 def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
@@ -180,6 +219,179 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
         if Fi:
             total += Fi * Wi
     return leaf.d_eps * total
+
+
+# ---------------------------------------------------------------------------
+# Split-sum engine
+# ---------------------------------------------------------------------------
+
+# A half-word state (rank, X, d, pi_num): the rank the word has reached, its
+# vector X of n + 1 ints, and the products of G and of G - 1 over the g-values
+# G > 1 of the 2s that X carries.
+_State = tuple[int, list[int], int, int]
+
+
+@lru_cache(maxsize=None)
+def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row G is (G (G - i) for i = 0..n): a prepended 2 of g-value G multiplies
+    entry i of a half-word vector by it."""
+    return tuple(tuple(G * (G - i) for i in range(n + 1)) for G in range(n + 1))
+
+
+def _grow(state: _State, digit: int, n: int) -> _State:
+    """The state of digit + word from that of word: a 1 changes nothing but the
+    rank; a 2 has g-value G = rank + 1."""
+    rank, vec, d, pi_num = state
+    if digit == 1:
+        return rank + 1, vec, d, pi_num
+    G = rank + 1
+    return (rank + 2, [v * c for v, c in zip(vec, _g_factors(n)[G])], d * G,
+            pi_num * (G - 1) if G > 1 else pi_num)
+
+
+def _prepend(start: _State, stop: int, n: int) -> Iterable[_State]:
+    """The states of x + start over the words x with rank(x + start) the first
+    rank >= stop (and <= n) met while prepending digits; stop = n gives every
+    x with rank(x + start) = n."""
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        if state[0] >= stop:
+            yield state
+            continue
+        if state[0] + 2 <= n:
+            stack.append(_grow(state, 2, n))
+        stack.append(_grow(state, 1, n))
+
+
+def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
+    """The state of the chain node s = suffix_of_infinite(w, L), with f taken at
+    z = L: X[i] = d(empty, s) i! (rho - i)! f(s, i, L) for i <= rho = rank(s)
+    and d(empty, s) i! f(1^(i - rho) + s, i, L) above."""
+    rho, gs = sum(s), g_all(s)
+    d, fac = prod(gs), factorial(rho)
+    vec = []
+    for i in range(n + 1):
+        if i <= rho:
+            value, remainder = divmod(harmonic._scaled_f(s, i, L, fac), comb(rho, i))
+            assert remainder == 0, f"chain node {s}: inexact at i={i}"
+        else:
+            value = harmonic._scaled_f((1,) * (i - rho) + s, i, L, factorial(i))
+        vec.append(d * value)
+    return rho, vec, d, prod(G - 1 for G in gs if G > 1)
+
+
+def _right_halves(w: TailOnesWord, n: int, k: int) -> Iterable[tuple[int, _State]]:
+    """(h_rank, state) for every right half b at split rank k: the chain node of
+    rank n, if any, and the shortest suffixes of rank >= k that are not chain
+    nodes, grown from each b_L = mismatched digit + s_L."""
+    L, s = 0, ()  # s = s_L, the last L digits of w
+    while sum(s) <= n:
+        chain = _chain_state(s, L, n)
+        if chain[0] == n:
+            yield n, chain
+        digit = 3 - w.digit_from_right(L)
+        if chain[0] + digit <= n:
+            for state in _prepend(_grow(chain, digit, n), k, n):
+                yield chain[0], state
+        s = (w.digit_from_right(L),) + s
+        L += 1
+
+
+def _pi_key(pi_num: int, d: int) -> tuple[int, int]:
+    """pi = pi_num / d in lowest terms, as a hashable (numerator, denominator)."""
+    g = gcd(pi_num, d)
+    return pi_num // g, d // g
+
+
+def _add_into(groups: dict, key, vec: list[int]) -> None:
+    """groups[key] += vec entrywise; a vector is never changed in place, so one
+    may be shared by several states and groups."""
+    acc = groups.get(key)
+    groups[key] = vec if acc is None else [a + v for a, v in zip(acc, vec)]
+
+
+def _left_sums(lefts: Iterable[_State], n: int, keys: Sequence[tuple[int, int]],
+               cuts: Sequence[tuple[Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
+    """Sums over the left-half states lefts (all of one right-half rank): of their
+    vectors, and for each cut (lo, hi) of pi(v), two dicts m -> sum of the
+    vectors of the u with m right-half keys (the ascending pi keys) at most
+    lo / pi(u), or below hi / pi(u), respectively."""
+    total = [0] * (n + 1)
+    buckets = [({}, {}) for _ in cuts]
+    for _, vec, d, pi_num in lefts:
+        total = [a + v for a, v in zip(total, vec)]
+        for (lo, hi), (at_most, below) in zip(cuts, buckets):
+            # pi(b) <= lo / pi(u) = tn / td iff pi_b.num * td - tn * pi_b.den <= 0
+            tn, td = lo.numerator * d, lo.denominator * pi_num
+            _add_into(at_most, bisect_right(keys, 0, key=lambda b: b[0] * td - tn * b[1]), vec)
+            tn, td = hi.numerator * d, hi.denominator * pi_num
+            _add_into(below, bisect_left(keys, 0, key=lambda b: b[0] * td - tn * b[1]), vec)
+    return total, buckets
+
+
+def _dot(*vectors: Sequence[int]) -> int:
+    """sum_i of the product of the vectors' entries i."""
+    return sum(map(prod, zip(*vectors)))
+
+
+# A sweep with jobs > 1 sums ranks >= _POOL_RANK in its pool: worker p of P
+# takes the left halves above the states _TASK_DEPTH above each right half
+# whose index is p mod P, and builds the right halves itself.  The crossover,
+# timed on a 2-vCPU VM (Python 3.11) for the three cores eps, 22 and 212 and
+# the six (beta, parameter) pairs of criterion 8, medians of 7 alternated
+# runs: serial against 2 workers 0.14 s / 0.17 s at rank 28, 0.24 s / 0.24 s
+# at rank 30, 0.39 s / 0.33 s at rank 32 and 0.64 s / 0.52 s at rank 34.
+_POOL_RANK = 32
+_TASK_DEPTH = 6
+
+
+def _split_sums(w: TailOnesWord, n: int, weights: Sequence[Sequence[int]],
+                bins: Sequence[tuple[int, str, object]], share: tuple[int, int] = (0, 1),
+                split: Optional[int] = None) -> list[int]:
+    """Sums of n! * D * mu(v) with weights[b] over the rank-n words v, one per bin
+    (b, kind, param): every word for "total", common-suffix rank < param for
+    "suffix", pi(v) outside the open interval (lo, hi) for "pi" with
+    param = (lo, hi) two Fractions.  Words split at rank split (default n // 2)
+    as in the module docstring; share = (p, P) restricts the sums to part p of
+    P of the left halves, and the P parts add up to the whole.
+    """
+    k = n // 2 if split is None else split
+    cuts = [param for _, kind, param in bins if kind == "pi"]
+    right: dict[int, tuple[dict, dict]] = {}  # r -> (sums by h_rank, sums by pi key)
+    for h_rank, (r, vec, d, pi_num) in _right_halves(w, n, k):
+        by_h_rank, by_pi = right.setdefault(r, ({}, {}))
+        _add_into(by_h_rank, h_rank, vec)
+        if cuts:
+            _add_into(by_pi, _pi_key(pi_num, d), vec)
+    scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector in weights]
+    part, parts = share
+    sums = [0] * len(bins)
+    for r, (by_h_rank, by_pi) in right.items():
+        keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        prefix = [[0] * (n + 1)]  # prefix[m]: the sum over the m smallest pi keys
+        for key in keys:
+            prefix.append([a + v for a, v in zip(prefix[-1], by_pi[key])])
+        roots = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n)
+        lefts = (state for i, root in enumerate(roots) if i % parts == part
+                 for state in _prepend(root, n, n))
+        total, buckets = _left_sums(lefts, n, keys, cuts)
+        cut = iter(buckets)
+        for j, (b, kind, param) in enumerate(bins):
+            cw = scaled[b]
+            if kind == "pi":
+                # outside (lo, hi): the keys at most lo / pi(u), and all but those below hi / pi(u)
+                at_most, below = next(cut)
+                sums[j] += (_dot(cw, prefix[-1], total)
+                            + sum(_dot(cw, prefix[m], y) for m, y in at_most.items())
+                            - sum(_dot(cw, prefix[m], y) for m, y in below.items()))
+            else:
+                x = [0] * (n + 1)
+                for h_rank, vec in by_h_rank.items():
+                    if kind == "total" or h_rank < param:
+                        x = [a + v for a, v in zip(x, vec)]
+                sums[j] += _dot(cw, x, total)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -222,43 +434,20 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
-def _accumulate(w: TailOnesWord, n: int, start: _Node, weight_sets: Sequence[Sequence[int]],
-                bins: Sequence[tuple[int, str, object]]) -> list[int]:
-    """Sums of node_mass with weight_sets[b] over the rank-n words below start, one
-    per bin (b, kind, param): every word for "total", common-suffix rank < param
-    for "suffix", pi outside the open interval (lo_num/lo_den, hi_num/hi_den) for
-    "pi" with param = (lo_num, lo_den, hi_num, hi_den).
-    """
-    sums = [0] * len(bins)
-    for leaf in _iter_nodes(start, n, n, w):
-        masses = [node_mass(leaf, weights) for weights in weight_sets]
-        for k, (b, kind, param) in enumerate(bins):
-            if kind == "suffix":
-                if leaf.h_rank >= param:
-                    continue
-            elif kind == "pi":
-                # pi(leaf) = pi_num / d_eps; both denominators are positive
-                lo_num, lo_den, hi_num, hi_den = param
-                if (lo_num * leaf.d_eps < leaf.pi_num * lo_den
-                        and leaf.pi_num * hi_den < hi_num * leaf.d_eps):
-                    continue
-            sums[k] += masses[b]
-    return sums
-
-
-_SPLIT_RANK = 8
-
-
 def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                suffix_params: Sequence[tuple[Fraction, int]] = (),
                pi_params: Sequence[tuple[Fraction, Fraction]] = (),
                jobs: int = 1) -> dict[tuple[Mode, Fraction, Param, int], Fraction]:
-    """Tail masses for many (mode, beta, parameter) pairs in one walk per rank.
+    """Tail masses for many (mode, beta, parameter) pairs in one split sum per rank.
 
-    Returns a map (mode, beta, parameter, n) -> tail mass.  The walk sums
-    integers over n! * D_b (D_b the shared weight denominator of beta b); each
-    rank's total is asserted to equal n! * D_b exactly, and each tail becomes one
-    Fraction.  jobs is clamped to the CPU count.
+    Returns a map (mode, beta, parameter, n) -> tail mass.  Each rank's sums
+    are integers over n! * D_b (D_b the shared weight denominator of beta b),
+    from _split_sums; each rank's total is asserted to equal n! * D_b exactly,
+    and each tail becomes one Fraction.  jobs is clamped to the CPU count.  With
+    more than one worker, the call opens one fork pool when some rank is at
+    least _POOL_RANK (32) and shares those ranks' left halves among its
+    workers; lower ranks, where a pool costs more than it saves, and every
+    rank on one CPU, run in-process.  Results are identical for every jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -278,22 +467,20 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
         bins.append((betas.index(beta), "suffix", l))
         keys.append(("suffix", beta, l))
     for beta, e in pi_params:
-        lo, hi = piw * (beta - e), piw * (beta + e)
-        bins.append((betas.index(beta), "pi",
-                     (lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
+        bins.append((betas.index(beta), "pi", (piw * (beta - e), piw * (beta + e))))
         keys.append(("pi", beta, e))
     workers = min(jobs, os.cpu_count() or 1)
-    pooled = [n for n in n_list if n >= _SPLIT_RANK + 2] if workers > 1 else []
+    pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 else []
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]
             vectors = [vector for vector, _ in weights]
             if n in pooled:
-                roots = _iter_nodes(_ROOT, _SPLIT_RANK, n, w)
-                parts = pool.starmap(_accumulate, [(w, n, node, vectors, bins) for node in roots])
+                parts = pool.starmap(_split_sums, [(w, n, vectors, bins, (p, workers))
+                                                   for p in range(workers)])
             else:
-                parts = [_accumulate(w, n, _ROOT, vectors, bins)]
+                parts = [_split_sums(w, n, vectors, bins)]
             sums = [sum(column) for column in zip(*parts)]
             scales = [factorial(n) * den for _, den in weights]
             assert sums[:len(betas)] == scales, f"level {n} masses do not sum to 1"
@@ -304,7 +491,11 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
 
 def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: Param,
                         n_list: Sequence[int], jobs: int = 1) -> ConcentrationReport:
-    """Exact tail mass outside the concentration set, for each rank in n_list."""
+    """Exact tail mass outside the concentration set, for each rank in n_list.
+
+    jobs is passed to sweep_many: it changes no result, and only ranks from 32
+    on use a pool.
+    """
     if mode not in ("suffix", "pi"):
         raise ValueError(f"unknown mode {mode!r}")
     n_list = list(n_list)
@@ -519,12 +710,13 @@ def _check_razbivaem(ctx, rec):
 def _check_meexy(ctx, rec):
     """pi factors across every rank split: pi(v) = pi(head + 1^y) * pi(tail)."""
     for v in _all_words(ctx.max_rank):
+        pi_v = pi(v)
         for y in range(sum(v) + 1):
             parts = pi_split(v, y)
             if parts is None:
                 continue
             head_part, tail_part = parts
-            rec.check(pi(v) == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
+            rec.check(pi_v == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
 
 
 def _d_beta_row(x: YFWord) -> list[int]:
@@ -659,7 +851,7 @@ def _check_stolb(ctx, rec):
             for n in range(ctx.max_rank + 1):
                 sums, den = ctx.tables[w, n].column_sums(beta)
                 for y, total in enumerate(sums):
-                    rec.check(Fraction(total, den) <= column_bound(beta, n, y),
+                    rec.check(Fraction(total, den) <= ctx.column_bounds[beta, n, y],
                               lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
@@ -667,7 +859,7 @@ def _check_lehamed(ctx, rec):
     """Column bounds sum to at most 1 + 1/beta; so does the whole table."""
     for beta in ctx.betas:
         for n in range(ctx.max_rank + 1):
-            bound_total = sum((column_bound(beta, n, y) for y in range(n + 1)), Fraction(0))
+            bound_total = sum((ctx.column_bounds[beta, n, y] for y in range(n + 1)), Fraction(0))
             rec.check(bound_total <= 1 + 1 / beta, lambda b=beta, n=n: f"beta={b} n={n}")
     for w in ctx.ws:
         for beta in ctx.betas:
@@ -750,6 +942,13 @@ class _SuiteContext:
         suite run; dostalo and sum share it."""
         return {(n, y): column_closed_form_coeffs(n, y)
                 for n in range(self.max_rank + 1) for y in range(n + 1)}
+
+    @cached_property
+    def column_bounds(self) -> dict[tuple[Fraction, int, int], Fraction]:
+        """column_bound(beta, n, y) for every beta and column up to max_rank, held for
+        this suite run; stolb and lehamed share it for every core."""
+        return {(beta, n, y): column_bound(beta, n, y)
+                for beta in self.betas for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
     def row(self) -> Callable[[YFWord], list[int]]:

@@ -120,6 +120,50 @@ def test_walk_masses_match_direct_measure_at_high_rank(v):
             assert walked == mu(w, beta, v), (v.text, core, beta)
 
 
+def _walk_sums(w, n, weights, bins):
+    """The bin sums of _split_sums taken word by word over the walk, with node_mass."""
+    sums = [0] * len(bins)
+    for leaf in experiments._iter_nodes(n, w):
+        for j, (b, kind, param) in enumerate(bins):
+            if kind == "suffix" and leaf.h_rank >= param:
+                continue
+            if kind == "pi" and param[0] < Fr(leaf.pi_num, leaf.d_eps) < param[1]:
+                continue
+            sums[j] += experiments.node_mass(leaf, weights[b])
+    return sums
+
+
+def _gate_bins(w, betas):
+    piw = pi(w)
+    return ([(b, "total", None) for b in range(len(betas))]
+            + [(b, "suffix", l) for b in range(len(betas)) for l in (0, 1, 2, 3, 5)]
+            + [(b, "pi", (piw * (beta - eps), piw * (beta + eps)))
+               for b, beta in enumerate(betas) for eps in (Fr(1, 4), Fr(1, 10))])
+
+
+def test_split_sums_equal_the_walk():
+    # every split rank k up to rank 10, the default split up to rank 18
+    betas = (Fr(1, 2), Fr(3, 7), Fr(1))
+    for core in ("eps", "2", "22", "212", "2122"):
+        w = TailOnesWord.parse(core)
+        bins = _gate_bins(w, betas)
+        for n in range(19):
+            weights = [mass_weights(w, beta, n)[0] for beta in betas]
+            expected = _walk_sums(w, n, weights, bins)
+            assert expected[:len(betas)] == [factorial(n) * mass_weights(w, beta, n)[1]
+                                             for beta in betas]
+            splits = range(n + 1) if n <= 10 else [None]
+            for k in splits:
+                assert experiments._split_sums(w, n, weights, bins, split=k) == expected, (core, n, k)
+
+
+def test_sweep_at_rank_40():
+    # sweep_many asserts that the rank's masses sum to exactly 1 at each beta
+    tails = sweep_many(CORES[2], [40], suffix_params=[(Fr(1, 2), 2)],
+                       pi_params=[(Fr(3, 7), Fr(1, 4))])
+    assert all(0 < tail < 1 for tail in tails.values())
+
+
 def test_sweep_matches_brute_force():
     w = CORES[2]
     beta = Fr(1, 2)
@@ -186,6 +230,7 @@ def test_parallel_sweep_opens_one_pool_per_call(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting)
+    monkeypatch.setattr(experiments, "_POOL_RANK", 10)  # both ranks take the pooled path
     params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1), Fr(1, 4))])
     parallel = sweep_many(CORES[2], [10, 11], jobs=2, **params)
     assert len(started) == 1
