@@ -459,6 +459,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
         if beta not in betas:
             betas.append(beta)
+    if any(e <= 0 for _, e in pi_params):
+        raise ValueError("eps must be positive")
     piw = pi(w)
     # One total bin per beta first, then one bin per requested tail.
     bins = [(b, "total", None) for b in range(len(betas))]

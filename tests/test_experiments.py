@@ -197,6 +197,9 @@ def test_sweep_rejects_bad_input():
         concentration_sweep("pi", CORES[0], Fr(1, 2), Fr(0), [4])
     with pytest.raises(ValueError):
         concentration_sweep("suffix", CORES[0], Fr(1, 2), 1, [-1])
+    for eps in (Fr(0), Fr(-1, 4)):
+        with pytest.raises(ValueError):
+            sweep_many(CORES[2], [4], pi_params=[(Fr(1, 2), eps)])
 
 
 def test_sweep_many_agrees_with_single_sweeps():
@@ -213,7 +216,8 @@ def test_sweep_many_agrees_with_single_sweeps():
         assert combos[("pi", Fr(1, 2), Fr(1, 4), row.n)] == row.tail
 
 
-def test_parallel_sweep_matches_serial():
+def test_parallel_sweep_matches_serial(monkeypatch):
+    monkeypatch.setattr(experiments, "_POOL_RANK", 10)  # rank 11 takes the pooled path
     w = CORES[2]
     serial = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=1)
     parallel = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=2)
@@ -243,6 +247,7 @@ def test_jobs_clamped_to_cpu_count(monkeypatch):
 
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(experiments, "_POOL_RANK", 10)  # rank 10 would take the pooled path
     params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1, 2), Fr(1, 4))])
     assert sweep_many(CORES[2], [10], jobs=2, **params) == sweep_many(CORES[2], [10], **params)
 
