@@ -66,11 +66,13 @@ min(jobs, os.cpu_count()) workers for all its ranks and uses it from rank
 _POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
-and the cores, and counts one instance per (word or table, beta).  Every
-polynomial it decides is one int coefficient list, compared exactly or
-evaluated at each beta (boundary._scaled_value).  The d_beta identities and
-kusok's head factors use the row R(x) = [rank(x)! f(x, i, 0)] of
-_d_beta_row and its quotient by (1 - beta)^length(x) (_div_one_minus_beta).
+and the cores, and counts one instance per (word or table, beta).  It reads
+f only as harmonic._scaled_f ints: an f identity compares its two sides
+times r!, r the rank of the instance's longest word.  Every polynomial it
+decides is one int coefficient list, compared exactly or evaluated at each
+beta (boundary._scaled_value).  The d_beta identities and kusok's heads use
+the row R(x) = [rank(x)! f(x, i, 0)] of harmonic._d_beta_row, which d_beta
+wraps, and its quotient by (1 - beta)^length(x) (_div_one_minus_beta).
 kusok's two sides differ by one int polynomial per (x, w) in beta, the
 column law sum's by one per (w, n, y) in (1 - beta^2), from a magic table
 built once per (w, n) as integer cells (magic.FactoredTable).  stolb,
@@ -94,9 +96,8 @@ from functools import cached_property, cmp_to_key, lru_cache
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from . import harmonic
 from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
-from .harmonic import format_rational, g_all, pi, pi_split, q
+from .harmonic import _d_beta_row, _scaled_f, format_rational, g_all, pi, pi_split, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
@@ -167,7 +168,7 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     grows = node.h == len(node.digits) and w.digit_from_right(len(node.digits)) == alpha
     if grows:
         h = node.h + 1
-        fvec = tuple(harmonic._scaled_f(digits, i, h, fac) for i in range(top + 1))
+        fvec = tuple(_scaled_f(digits, i, h, fac) for i in range(top + 1))
     else:
         h = node.h
         up = r + 1 if alpha == 1 else (r + 1) * (r + 2)  # top! / r!
@@ -178,7 +179,7 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
             vals.append(value)
         if alpha == 2:
             vals.append(0)  # f(2x, rank(x)+1, z) = 0
-        vals.append(harmonic._scaled_f(digits, top, h, fac))
+        vals.append(_scaled_f(digits, top, h, fac))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
@@ -273,10 +274,10 @@ def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
     vec = []
     for i in range(n + 1):
         if i <= rho:
-            value, remainder = divmod(harmonic._scaled_f(s, i, L, fac), comb(rho, i))
+            value, remainder = divmod(_scaled_f(s, i, L, fac), comb(rho, i))
             assert remainder == 0, f"chain node {s}: inexact at i={i}"
         else:
-            value = harmonic._scaled_f((1,) * (i - rho) + s, i, L, factorial(i))
+            value = _scaled_f((1,) * (i - rho) + s, i, L, factorial(i))
         vec.append(d * value)
     return rho, vec, d, prod(G - 1 for G in gs if G > 1)
 
@@ -459,6 +460,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
         if beta not in betas:
             betas.append(beta)
+    if any(l < 0 for _, l in suffix_params):
+        raise ValueError("l must be nonnegative")
     if any(e <= 0 for _, e in pi_params):
         raise ValueError("eps must be positive")
     piw = pi(w)
@@ -504,14 +507,10 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and strictly ascending")
     if mode == "suffix":
-        if int(parameter) < 0:
-            raise ValueError("l must be nonnegative")
         tails = sweep_many(w, n_list, suffix_params=[(beta, int(parameter))], jobs=jobs)
         key = ("suffix", beta, int(parameter))
     else:
         eps = Fraction(parameter)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         tails = sweep_many(w, n_list, pi_params=[(beta, eps)], jobs=jobs)
         key = ("pi", beta, eps)
     rows = tuple(SweepRow(n, tails[key + (n,)], 1 - tails[key + (n,)]) for n in n_list)
@@ -595,66 +594,69 @@ def _check_evtuh5(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        total = sum(ctx.f(x, i, 0) for i in range(sum(x) + 1))
-        rec.check(total == 0, lambda x=x, t=total: f"x={x.text}: sum={t}")
+        fac = factorial(sum(x))
+        total = sum(_scaled_f(x, i, 0, fac) for i in range(sum(x) + 1))
+        rec.check(total == 0, lambda x=x, t=total, fac=fac: f"x={x.text}: sum={Fraction(t, fac)}")
 
 
 def _check_evtuh7(ctx, rec):
     """f(x, y, z) = f(ax, y, z) * (rank(ax) - y) for a prepended digit a."""
     for alpha in (1, 2):
         for x in _all_words(ctx.max_rank - alpha):
-            ax = YFWord((alpha,) + tuple(x))
+            ax = (alpha,) + x
+            fac = factorial(sum(ax))
             for y in range(sum(x) + 1):
                 for z in range(len(x) + 1):
-                    lhs = ctx.f(x, y, z)
-                    rhs = ctx.f(ax, y, z) * (sum(ax) - y)
-                    rec.check(lhs == rhs,
+                    rec.check(_scaled_f(x, y, z, fac) == _scaled_f(ax, y, z, fac) * (sum(ax) - y),
                               lambda x=x, a=alpha, y=y, z=z: f"a={a} x={x.text} y={y} z={z}")
 
 
 def _check_evtuh11(ctx, rec):
     """-y * f(x+1, y, 0) = f(x, y-1, 0) for appended 1 and y >= 1."""
     for x in _all_words(ctx.max_rank - 1):
-        x1 = YFWord(tuple(x) + (1,))
-        for y in range(1, sum(x1) + 1):
-            rec.check(-y * ctx.f(x1, y, 0) == ctx.f(x, y - 1, 0),
+        fac = factorial(sum(x) + 1)
+        for y in range(1, sum(x) + 2):
+            rec.check(-y * _scaled_f(x + (1,), y, 0, fac) == _scaled_f(x, y - 1, 0, fac),
                       lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh12(ctx, rec):
     """(1 - y) * f(x+11, y, 0) = f(x+2, y, 0)."""
     for x in _all_words(ctx.max_rank - 2):
-        x11 = YFWord(tuple(x) + (1, 1))
-        x2 = YFWord(tuple(x) + (2,))
+        x11, x2 = x + (1, 1), x + (2,)
+        fac = factorial(sum(x2))
         for y in range(sum(x2) + 1):
-            rec.check((1 - y) * ctx.f(x11, y, 0) == ctx.f(x2, y, 0),
+            rec.check((1 - y) * _scaled_f(x11, y, 0, fac) == _scaled_f(x2, y, 0, fac),
                       lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh91(ctx, rec):
     """f(2x, y, length(x)) = f(2x, y, length(2x)) over the full y range."""
     for x in _all_words(ctx.max_rank - 2):
-        ax = YFWord((2,) + tuple(x))
+        ax = (2,) + x
+        fac = factorial(sum(ax))
         for y in range(sum(ax) + 1):
-            rec.check(ctx.f(ax, y, len(x)) == ctx.f(ax, y, len(ax)),
+            rec.check(_scaled_f(ax, y, len(x), fac) == _scaled_f(ax, y, len(ax), fac),
                       lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh92(ctx, rec):
     """f(1x, y, length(x)) = f(1x, y, length(1x)) for y <= rank(x)."""
     for x in _all_words(ctx.max_rank - 1):
-        ax = YFWord((1,) + tuple(x))
+        ax = (1,) + x
+        fac = factorial(sum(ax))
         for y in range(sum(x) + 1):
-            rec.check(ctx.f(ax, y, len(x)) == ctx.f(ax, y, len(ax)),
+            rec.check(_scaled_f(ax, y, len(x), fac) == _scaled_f(ax, y, len(ax), fac),
                       lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh93(ctx, rec):
     """f(2x, rank(x) + 1, z) = 0 for every valid z."""
     for x in _all_words(ctx.max_rank - 2):
-        ax = YFWord((2,) + tuple(x))
+        ax = (2,) + x
+        fac = factorial(sum(ax))
         for z in range(len(ax) + 1):
-            rec.check(ctx.f(ax, sum(x) + 1, z) == 0,
+            rec.check(_scaled_f(ax, sum(x) + 1, z, fac) == 0,
                       lambda x=x, z=z: f"x={x.text} z={z}")
 
 
@@ -668,9 +670,10 @@ def _check_q_recurrence(ctx, rec):
 
 
 def _check_odnoitozhe(ctx, rec):
-    """q(x) = f(x, 0, 0)."""
+    """q(x) = f(x, 0, 0), decided on rank(x)! times both sides."""
     for x in _all_words(ctx.max_rank):
-        rec.check(q(x) == ctx.f(x, 0, 0), lambda x=x: f"x={x.text}")
+        fac = factorial(sum(x))
+        rec.check(fac // prod(suffix_ranks(x)) == _scaled_f(x, 0, 0, fac), lambda x=x: f"x={x.text}")
 
 
 def _check_kusok(ctx, rec):
@@ -719,13 +722,6 @@ def _check_meexy(ctx, rec):
                 continue
             head_part, tail_part = parts
             rec.check(pi_v == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
-
-
-def _d_beta_row(x: YFWord) -> list[int]:
-    """R(x) = [rank(x)! f(x, i, 0) for i = 0..rank(x)], the int coefficients of
-    d_beta(x) over rank(x)! (Goodman-Kerov's product formula at z = 0)."""
-    fac = factorial(sum(x))
-    return [harmonic._scaled_f(x, i, 0, fac) for i in range(sum(x) + 1)]
 
 
 def _div_one_minus_beta(coeffs: Sequence[int]) -> tuple[list[int], int]:
@@ -924,7 +920,6 @@ class _SuiteContext:
     max_rank: int
     betas: tuple[Fraction, ...]
     ws: tuple[TailOnesWord, ...]
-    f: Callable
 
     @cached_property
     def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
@@ -974,22 +969,19 @@ class _SuiteContext:
 
 def identity_suite(max_rank: int,
                    beta_grid: Sequence[Fraction] = DEFAULT_BETA_GRID,
-                   w_list: Sequence[TailOnesWord] = None,
-                   f_impl: Callable = harmonic.f) -> SuiteReport:
+                   w_list: Sequence[TailOnesWord] = None) -> SuiteReport:
     """Run every identity exhaustively up to max_rank over the beta/w grids.
 
-    Failures become report rows, not exceptions.  f_impl exists as a test
-    hook: substituting a corrupted f must make the identities that evaluate f
-    pointwise (evtuh5, evtuh7, evtuh11, evtuh12, evtuh91-93, odnoitozhe) fail
-    with a concrete witness.  It does not reach the identities decided on the
-    int rows of _d_beta_row (kusok and the d_beta family delitsa through
-    mamka2), which come from harmonic._scaled_f directly.
+    Failures become report rows, not exceptions, each with a concrete witness.
+    The f identities (evtuh5, evtuh7, evtuh11, evtuh12, evtuh91-93,
+    odnoitozhe) read f through this module's _scaled_f; kusok and the d_beta
+    identities read it through _d_beta_row.
     """
     if not 0 <= max_rank <= MAX_SUITE_RANK:
         raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")
     if w_list is None:
         w_list = tuple(TailOnesWord.parse(c) for c in DEFAULT_CORES)
-    ctx = _SuiteContext(max_rank, tuple(beta_grid), tuple(w_list), f_impl)
+    ctx = _SuiteContext(max_rank, tuple(beta_grid), tuple(w_list))
     results = []
     for name, check in IDENTITY_CHECKS:
         rec = _Recorder()

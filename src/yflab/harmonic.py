@@ -25,10 +25,10 @@ where x+d denotes appending digit d.  The recursion terminates because the
 word.  Each rule makes at most one call other than a z = 0 base value, so
 the recursion is a chain, and f follows it in a loop rather than by Python
 recursion, whatever the length of x.  The loop runs in integers scaled by
-rank(x)! (``_scaled_f``) and builds one Fraction per value.  Values are
-memoized on the exact triple.  The sweep walk of ``experiments``, the
-path-count formula and the kernel d'_beta call ``_scaled_f`` directly and
-keep their sums in ints, so they bypass both the Fraction and the memo.
+rank(x)! (``_scaled_f``); every caller inside the package sums those ints:
+the walk, sweeps and identity suite of ``experiments``, the path counts,
+the kernel d'_beta, and ``d_beta`` via ``_d_beta_row``.  Only the public
+``f`` makes a Fraction, memoized per triple; perfbench reads the memo.
 """
 
 from __future__ import annotations
@@ -221,9 +221,17 @@ class BetaPolynomial:
         return f"BetaPolynomial({[str(c) for c in self.coeffs]})"
 
 
+def _d_beta_row(x: Sequence[int]) -> list[int]:
+    """R(x) = [rank(x)! f(x, i, 0) for i = 0..rank(x)], the int coefficients of
+    d_beta(x) over rank(x)! (Goodman-Kerov's product formula at z = 0)."""
+    fac = factorial(sum(x))
+    return [_scaled_f(x, i, 0, fac) for i in range(sum(x) + 1)]
+
+
 def d_beta(x: YFWord) -> BetaPolynomial:
     """The polynomial sum over i of f(x, i, 0) * beta^i."""
-    return BetaPolynomial(tuple(f(x, i, 0) for i in range(sum(x) + 1)))
+    fac = factorial(sum(x))
+    return BetaPolynomial(tuple(Fraction(c, fac) for c in _d_beta_row(x)))
 
 
 def d_beta_eval(x: YFWord, beta: Fraction) -> Fraction:

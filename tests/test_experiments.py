@@ -197,6 +197,10 @@ def test_sweep_rejects_bad_input():
         concentration_sweep("pi", CORES[0], Fr(1, 2), Fr(0), [4])
     with pytest.raises(ValueError):
         concentration_sweep("suffix", CORES[0], Fr(1, 2), 1, [-1])
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        concentration_sweep("suffix", CORES[0], Fr(1, 2), -1, [4])
+    with pytest.raises(ValueError, match="l must be nonnegative"):
+        sweep_many(CORES[2], [6], suffix_params=[(Fr(1, 2), -1)])
     for eps in (Fr(0), Fr(-1, 4)):
         with pytest.raises(ValueError):
             sweep_many(CORES[2], [4], pi_params=[(Fr(1, 2), eps)])
@@ -296,19 +300,31 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
-def test_corrupted_f_is_caught_with_a_witness():
-    def corrupted(x, y, z):
-        value = f(x, y, z)
-        if tuple(x) == (2, 1) and y == 0 and z == 0:
-            return value + 1
-        return value
+def test_corrupted_f_is_caught_with_a_witness(monkeypatch):
+    # f(21, 0, 0) + 1 through the suite's scaled-f seam: the f identities must
+    # fail with a witness, while kusok and the d_beta identities, which read f
+    # through harmonic._d_beta_row, stay out of its reach
+    original = experiments._scaled_f
 
-    report = identity_suite(4, f_impl=corrupted)
+    def corrupted(x, y, z, fac):
+        value = original(x, y, z, fac)
+        return value + fac if (tuple(x), y, z) == ((2, 1), 0, 0) else value
+
+    monkeypatch.setattr(experiments, "_scaled_f", corrupted)
+    report = identity_suite(4)
     assert not report.all_passed
     by_name = {r.name: r for r in report.results}
     assert by_name["evtuh5"].failures > 0
     assert "21" in by_name["evtuh5"].first_counterexample
+    for name in ("kusok", "delitsa", "binomische1", "binomische2", "schyot", "binom1", "mamka2"):
+        assert by_name[name].passed, name
     assert "FAIL" in report.to_csv()
+
+
+def test_identity_suite_leaves_the_f_memo_empty():
+    harmonic._f.cache_clear()
+    assert identity_suite(8).all_passed
+    assert harmonic._f.cache_info().currsize == 0
 
 
 def test_identity_suite_builds_each_kernel_once(monkeypatch):

@@ -59,11 +59,17 @@ def test_f_rejects_out_of_range():
 
 
 def test_f_matches_recursive_definition_to_rank_10():
-    # the integer unwind of f against a literal transcription of its recursion
+    # the integer unwind of f against a literal transcription of its recursion;
+    # d_beta, built from the integer row it shares with the identity suite,
+    # must give the trimmed z = 0 column of the same recursion
     for x in all_words(10):
         for y in range(x.rank + 1):
             for z in range(x.length + 1):
                 assert f(x, y, z) == f_by_recursion(tuple(x), y, z), (x.text, y, z)
+        column = [f_by_recursion(tuple(x), i, 0) for i in range(x.rank + 1)]
+        while column and column[-1] == 0:
+            column.pop()
+        assert d_beta(x).coeffs == tuple(column), x.text
 
 
 def test_scaled_f_is_integral_to_rank_12():
