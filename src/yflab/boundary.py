@@ -17,7 +17,7 @@ Masses over one rank always sum to exactly 1.
 
 The kernel is one polynomial in beta, built without beta by _kernel_terms:
 int coefficients T_i = rank(x)! f(x, i, h) prod_j (g(w, j) - i), with
-rank(x)! f the integer unwind harmonic._scaled_f, over rank(x)! prod_j g(w, j).
+rank(x)! f(x, i, h) the row harmonic._f_row(x, h), over rank(x)! prod_j g(w, j).
 d_beta_prime evaluates it at beta = p/q in ints (_scaled_value) and builds
 one Fraction; d1_prime sums it.  Nothing here is memoized: the identity
 suite holds one kernel per (x, w) for a run.
@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple, Sequence
 
-from .harmonic import _scaled_f, g_all
+from .harmonic import _f_row, g_all
 from .pathcount import d_from_empty, d_paths_dp
 from .words import EPSILON, YFWord, enumerate_level
 
@@ -125,15 +125,14 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
     return out, den
 
 
-def _kernel_terms(x, w: TailOnesWord) -> tuple[list[int], int]:
+def _kernel_terms(x, w: TailOnesWord, f_row=_f_row) -> tuple[list[int], int]:
     """The int coefficients T_0..T_rank of d'_beta(x, w) as a polynomial in beta, and
-    their shared denominator: rank! f(x, i, h) times the weights of mass_weights
-    at beta = 1, over rank! times theirs."""
+    their shared denominator: the row f_row(x, h) (harmonic._f_row or a memo of
+    it) times the weights of mass_weights at beta = 1, over rank! times theirs."""
     rank = sum(x)
-    fac = factorial(rank)
-    h = h_infinite(x, w).length
     weights, den = mass_weights(w, Fraction(1), rank)
-    return [_scaled_f(x, i, h, fac) * weight for i, weight in enumerate(weights)], fac * den
+    row = f_row(x, h_infinite(x, w).length)
+    return [F * weight for F, weight in zip(row, weights)], factorial(rank) * den
 
 
 def _scaled_value(coeffs: Sequence[int], t: Fraction, degree: int) -> int:

@@ -6,11 +6,11 @@ F_i = rank! f(v, i, h(v, w)) for i = 0..rank(v) transforms under prepending
 by one exact division per entry, because f(x, y, z) = f(ax, y, z) *
 (rank(ax) - y) whenever y and z stay inside the shorter word's ranges.
 Prepending a 2 also sets the entry at rank(x)+1 to zero, and the new top
-entry comes from harmonic._scaled_f, as does the whole vector when the
-common suffix with w grows.  node_mass is then the int n! D mu(v) over the
-shared denominator D of boundary.mass_weights (weights W_i).  The walk visits
-all Fib(n + 1) words of rank n; it is the oracle the tests check sweeps
-against.
+entry comes from harmonic._scaled_f; the vector is the row harmonic._f_row
+when the common suffix with w grows.  node_mass is then the int n! D mu(v)
+over the shared denominator D of boundary.mass_weights (weights W_i).  The
+walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
+check sweeps against.
 
 Sweeps split each word instead (_split_sums).  Let s_L be the chain node
 suffix_of_infinite(w, L).  Fix z = L and give a word x + s_L of rank R the
@@ -51,15 +51,16 @@ from the chain node's (_chain_state), and held in memory; the left halves u
 are streamed, Y_u grown from all ones.  Suffix and total bins then take,
 per right-half rank, one inner product of the selected b's X sum with the
 u's Y sum, weighted by C(n, i) W_i.  A pi bin outside (lo, hi) sorts the b
-of each rank by pi(b), keeps prefix sums of X, and adds each Y_u to the
-bucket of the number of keys at most lo / pi(u) and of the number below
-hi / pi(u).  Each level so costs about Fib(n / 2) vectors per side.
+of each rank by pi(b), adds each Y_u to the bucket of the number of keys at
+most lo / pi(u) and of the number below hi / pi(u), and dots each bucket with
+the running X sum of the keys below it, in one pass over the keys.  Each
+level so costs about Fib(n / 2) vectors per side.
 
 Besides harmonic._scaled_f's own, the engine's only division is the chain
-node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), asserted exact:
-f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product of distinct
-integers up to rho - i, which divides (rho - i)!, and i! f(tail, i, L) an
-integer (harmonic._scaled_f).  Every sum is an int over
+node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), F = harmonic._f_row(s, L),
+asserted exact: f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product
+of distinct integers up to rho - i, which divides (rho - i)!, and
+i! f(tail, i, L) an integer (harmonic._scaled_f).  Every sum is an int over
 n! D; sweep_many asserts each rank's total to be n! D and builds one
 Fraction per (beta, bin, rank).  A call with jobs > 1 opens one fork pool of
 min(jobs, os.cpu_count()) workers for all its ranks and uses it from rank
@@ -67,19 +68,18 @@ _POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  It reads
-f only as harmonic._scaled_f ints: an f identity compares its two sides
-times r!, r the rank of the instance's longest word.  Every polynomial it
-decides is one int coefficient list, compared exactly or evaluated at each
-beta (boundary._scaled_value).  The d_beta identities and kusok's heads use
-the row R(x) = [rank(x)! f(x, i, 0)] of harmonic._d_beta_row, which d_beta
-wraps, and its quotient by (1 - beta)^length(x) (_div_one_minus_beta).
-kusok's two sides differ by one int polynomial per (x, w) in beta, the
+f only from one memo of the rows harmonic._f_row(x, z), one per (x, z): the
+f identities compare row entries, the kernels read rows at z = h, and kusok's
+heads and the d_beta identities the rows R(x) at z = 0 and their quotients
+by (1 - beta)^length(x) (_div_one_minus_beta).  Every polynomial it decides
+is one int coefficient list, compared exactly or evaluated at each beta
+(boundary._scaled_value).  kusok's two sides differ by one int polynomial per (x, w) in beta, the
 column law sum's by one per (w, n, y) in (1 - beta^2), from a magic table
 built once per (w, n) as integer cells (magic.FactoredTable).  stolb,
 lehamed and zabe are decided at each beta on ints over one denominator.
-A _SuiteContext holds, for one suite run, the kernel coefficients per
-(x, w) (the package's only kernel cache), the factored tables, the closed
-column coefficients, the column bounds, and each word's row and quotient.
+A _SuiteContext holds, for one suite run, the rows, the kernel coefficients
+per (x, w) (the package's only kernel cache), the factored tables, the
+closed column coefficients, the column bounds, and each word's quotient.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
-from .harmonic import _d_beta_row, _scaled_f, format_rational, g_all, pi, pi_split, q
+from .harmonic import _f_row, _scaled_f, format_rational, g_all, pi, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
@@ -164,11 +164,10 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
     digits = (alpha,) + node.digits
     r = node.rank
     top = r + alpha
-    fac = factorial(top)
     grows = node.h == len(node.digits) and w.digit_from_right(len(node.digits)) == alpha
     if grows:
         h = node.h + 1
-        fvec = tuple(_scaled_f(digits, i, h, fac) for i in range(top + 1))
+        fvec = tuple(_f_row(digits, h))
     else:
         h = node.h
         up = r + 1 if alpha == 1 else (r + 1) * (r + 2)  # top! / r!
@@ -179,7 +178,7 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
             vals.append(value)
         if alpha == 2:
             vals.append(0)  # f(2x, rank(x)+1, z) = 0
-        vals.append(_scaled_f(digits, top, h, fac))
+        vals.append(_scaled_f(digits, top, h, factorial(top)))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
@@ -265,21 +264,25 @@ def _prepend(start: _State, stop: int, n: int) -> Iterable[_State]:
         stack.append(_grow(state, 1, n))
 
 
+def _pi_parts(x) -> tuple[int, int]:
+    """pi(x) as (product of G - 1, product of G) over the g-values G > 1 of x."""
+    gs = [G for G in g_all(x) if G > 1]
+    return prod(G - 1 for G in gs), prod(gs)
+
+
 def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
     """The state of the chain node s = suffix_of_infinite(w, L), with f taken at
     z = L: X[i] = d(empty, s) i! (rho - i)! f(s, i, L) for i <= rho = rank(s)
     and d(empty, s) i! f(1^(i - rho) + s, i, L) above."""
-    rho, gs = sum(s), g_all(s)
-    d, fac = prod(gs), factorial(rho)
+    rho, (pi_num, d) = sum(s), _pi_parts(s)
     vec = []
-    for i in range(n + 1):
-        if i <= rho:
-            value, remainder = divmod(_scaled_f(s, i, L, fac), comb(rho, i))
-            assert remainder == 0, f"chain node {s}: inexact at i={i}"
-        else:
-            value = _scaled_f((1,) * (i - rho) + s, i, L, factorial(i))
+    for i, F in enumerate(_f_row(s, L)):
+        value, remainder = divmod(F, comb(rho, i))
+        assert remainder == 0, f"chain node {s}: inexact at i={i}"
         vec.append(d * value)
-    return rho, vec, d, prod(G - 1 for G in gs if G > 1)
+    for i in range(rho + 1, n + 1):
+        vec.append(d * _scaled_f((1,) * (i - rho) + s, i, L, factorial(i)))
+    return rho, vec, d, pi_num
 
 
 def _right_halves(w: TailOnesWord, n: int, k: int) -> Iterable[tuple[int, _State]]:
@@ -366,32 +369,35 @@ def _split_sums(w: TailOnesWord, n: int, weights: Sequence[Sequence[int]],
         if cuts:
             _add_into(by_pi, _pi_key(pi_num, d), vec)
     scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector in weights]
+    pi_bins = [(j, scaled[b]) for j, (b, kind, _) in enumerate(bins) if kind == "pi"]
     part, parts = share
     sums = [0] * len(bins)
     for r, (by_h_rank, by_pi) in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-        prefix = [[0] * (n + 1)]  # prefix[m]: the sum over the m smallest pi keys
-        for key in keys:
-            prefix.append([a + v for a, v in zip(prefix[-1], by_pi[key])])
         roots = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n)
         lefts = (state for i, root in enumerate(roots) if i % parts == part
                  for state in _prepend(root, n, n))
         total, buckets = _left_sums(lefts, n, keys, cuts)
-        cut = iter(buckets)
+        # outside (lo, hi): the keys at most lo / pi(u), and all but those below
+        # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
+        running = [0] * (n + 1)
+        for m in range(len(keys) + 1):
+            if m:
+                running = [a + v for a, v in zip(running, by_pi[keys[m - 1]])]
+            for (j, cw), (at_most, below) in zip(pi_bins, buckets):
+                if m in at_most:
+                    sums[j] += _dot(cw, running, at_most[m])
+                if m in below:
+                    sums[j] -= _dot(cw, running, below[m])
+        for j, cw in pi_bins:
+            sums[j] += _dot(cw, running, total)
         for j, (b, kind, param) in enumerate(bins):
-            cw = scaled[b]
-            if kind == "pi":
-                # outside (lo, hi): the keys at most lo / pi(u), and all but those below hi / pi(u)
-                at_most, below = next(cut)
-                sums[j] += (_dot(cw, prefix[-1], total)
-                            + sum(_dot(cw, prefix[m], y) for m, y in at_most.items())
-                            - sum(_dot(cw, prefix[m], y) for m, y in below.items()))
-            else:
+            if kind != "pi":
                 x = [0] * (n + 1)
                 for h_rank, vec in by_h_rank.items():
                     if kind == "total" or h_rank < param:
                         x = [a + v for a, v in zip(x, vec)]
-                sums[j] += _dot(cw, x, total)
+                sums[j] += _dot(scaled[b], x, total)
     return sums
 
 
@@ -594,70 +600,65 @@ def _check_evtuh5(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        fac = factorial(sum(x))
-        total = sum(_scaled_f(x, i, 0, fac) for i in range(sum(x) + 1))
-        rec.check(total == 0, lambda x=x, t=total, fac=fac: f"x={x.text}: sum={Fraction(t, fac)}")
+        total = sum(ctx.row(x, 0))
+        rec.check(total == 0, lambda x=x, t=total: f"x={x.text}: sum={Fraction(t, factorial(sum(x)))}")
 
 
 def _check_evtuh7(ctx, rec):
-    """f(x, y, z) = f(ax, y, z) * (rank(ax) - y) for a prepended digit a."""
+    """f(x, y, z) = f(ax, y, z) * (rank(ax) - y) for a prepended digit a (the walk's
+    prepend law), the row of x raised to rank(ax)!."""
     for alpha in (1, 2):
         for x in _all_words(ctx.max_rank - alpha):
-            ax = (alpha,) + x
-            fac = factorial(sum(ax))
-            for y in range(sum(x) + 1):
-                for z in range(len(x) + 1):
-                    rec.check(_scaled_f(x, y, z, fac) == _scaled_f(ax, y, z, fac) * (sum(ax) - y),
+            ax, r = (alpha,) + x, sum(x)
+            up = factorial(r + alpha) // factorial(r)
+            rows = [(ctx.row(x, z), ctx.row(ax, z)) for z in range(len(x) + 1)]
+            for y in range(r + 1):
+                for z, (fx, fax) in enumerate(rows):
+                    rec.check(fx[y] * up == fax[y] * (r + alpha - y),
                               lambda x=x, a=alpha, y=y, z=z: f"a={a} x={x.text} y={y} z={z}")
 
 
 def _check_evtuh11(ctx, rec):
     """-y * f(x+1, y, 0) = f(x, y-1, 0) for appended 1 and y >= 1."""
     for x in _all_words(ctx.max_rank - 1):
-        fac = factorial(sum(x) + 1)
-        for y in range(1, sum(x) + 2):
-            rec.check(-y * _scaled_f(x + (1,), y, 0, fac) == _scaled_f(x, y - 1, 0, fac),
-                      lambda x=x, y=y: f"x={x.text} y={y}")
+        r = sum(x)
+        fx, fx1 = ctx.row(x, 0), ctx.row(x + (1,), 0)
+        for y in range(1, r + 2):
+            rec.check(-y * fx1[y] == fx[y - 1] * (r + 1), lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh12(ctx, rec):
     """(1 - y) * f(x+11, y, 0) = f(x+2, y, 0)."""
     for x in _all_words(ctx.max_rank - 2):
-        x11, x2 = x + (1, 1), x + (2,)
-        fac = factorial(sum(x2))
-        for y in range(sum(x2) + 1):
-            rec.check((1 - y) * _scaled_f(x11, y, 0, fac) == _scaled_f(x2, y, 0, fac),
-                      lambda x=x, y=y: f"x={x.text} y={y}")
+        f11, f2 = ctx.row(x + (1, 1), 0), ctx.row(x + (2,), 0)
+        for y in range(sum(x) + 3):
+            rec.check((1 - y) * f11[y] == f2[y], lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh91(ctx, rec):
     """f(2x, y, length(x)) = f(2x, y, length(2x)) over the full y range."""
     for x in _all_words(ctx.max_rank - 2):
         ax = (2,) + x
-        fac = factorial(sum(ax))
+        short, full = ctx.row(ax, len(x)), ctx.row(ax, len(ax))
         for y in range(sum(ax) + 1):
-            rec.check(_scaled_f(ax, y, len(x), fac) == _scaled_f(ax, y, len(ax), fac),
-                      lambda x=x, y=y: f"x={x.text} y={y}")
+            rec.check(short[y] == full[y], lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh92(ctx, rec):
     """f(1x, y, length(x)) = f(1x, y, length(1x)) for y <= rank(x)."""
     for x in _all_words(ctx.max_rank - 1):
         ax = (1,) + x
-        fac = factorial(sum(ax))
+        short, full = ctx.row(ax, len(x)), ctx.row(ax, len(ax))
         for y in range(sum(x) + 1):
-            rec.check(_scaled_f(ax, y, len(x), fac) == _scaled_f(ax, y, len(ax), fac),
-                      lambda x=x, y=y: f"x={x.text} y={y}")
+            rec.check(short[y] == full[y], lambda x=x, y=y: f"x={x.text} y={y}")
 
 
 def _check_evtuh93(ctx, rec):
     """f(2x, rank(x) + 1, z) = 0 for every valid z."""
     for x in _all_words(ctx.max_rank - 2):
         ax = (2,) + x
-        fac = factorial(sum(ax))
         for z in range(len(ax) + 1):
-            rec.check(_scaled_f(ax, sum(x) + 1, z, fac) == 0,
-                      lambda x=x, z=z: f"x={x.text} z={z}")
+            rec.check(ctx.row(ax, z)[sum(x) + 1] == 0, lambda x=x, z=z: f"x={x.text} z={z}")
 
 
 def _check_q_recurrence(ctx, rec):
@@ -673,7 +674,7 @@ def _check_odnoitozhe(ctx, rec):
     """q(x) = f(x, 0, 0), decided on rank(x)! times both sides."""
     for x in _all_words(ctx.max_rank):
         fac = factorial(sum(x))
-        rec.check(fac // prod(suffix_ranks(x)) == _scaled_f(x, 0, 0, fac), lambda x=x: f"x={x.text}")
+        rec.check(fac // prod(suffix_ranks(x)) == ctx.row(x, 0)[0], lambda x=x: f"x={x.text}")
 
 
 def _check_kusok(ctx, rec):
@@ -682,13 +683,13 @@ def _check_kusok(ctx, rec):
     Over the kernel denominator rank(x)! D1 of boundary._kernel_terms, the
     split into head (rank r - y) and tail (rank y) contributes
     C(r, y) R(head)[k] * sum(T(tail)) to the coefficient of beta^(y+k), with
-    R the row of _d_beta_row and sum(T(tail)) / (y! D1) = d'_1(tail, w).
+    R the z = 0 row of the suite's f memo and sum(T(tail)) / (y! D1) = d'_1(tail, w).
     The int difference of the two sides is formed once per (x, w) and
     evaluated at each beta.
     """
     for x in _all_words(ctx.max_rank):
         r = sum(x)
-        splits = [(suffix(x, i), ctx.row(prefix(x, i))) for i in range(len(x) + 1)]
+        splits = [(suffix(x, i), ctx.row(prefix(x, i), 0)) for i in range(len(x) + 1)]
         for w in ctx.ws:
             diff = list(ctx.kernel_terms(x, w)[0])
             for tail, row in splits:
@@ -705,23 +706,23 @@ def _check_kusok(ctx, rec):
 def _check_razbivaem(ctx, rec):
     """d(empty, head + tail) = d(empty, tail) * d(empty, head + 1^rank(tail))."""
     for x in _all_words(ctx.max_rank):
+        lhs = d_from_empty(x)
         for i in range(len(x) + 1):
             head, tail = prefix(x, i), suffix(x, i)
-            lhs = d_from_empty(x)
             rhs = d_from_empty(tail) * d_from_empty(head + (1,) * sum(tail))
             rec.check(lhs == rhs, lambda x=x, i=i: f"x={x.text} split={i}")
 
 
 def _check_meexy(ctx, rec):
-    """pi factors across every rank split: pi(v) = pi(head + 1^y) * pi(tail)."""
+    """pi(v) = pi(head + 1^y) * pi(tail) across every rank split, cross-multiplied on _pi_parts."""
     for v in _all_words(ctx.max_rank):
-        pi_v = pi(v)
-        for y in range(sum(v) + 1):
-            parts = pi_split(v, y)
-            if parts is None:
-                continue
-            head_part, tail_part = parts
-            rec.check(pi_v == head_part * tail_part, lambda v=v, y=y: f"v={v.text} y={y}")
+        num, den = _pi_parts(v)
+        for i in range(len(v) + 1):
+            head, tail = prefix(v, i), suffix(v, i)
+            y = sum(tail)
+            (head_num, head_den), (tail_num, tail_den) = _pi_parts(head + (1,) * y), _pi_parts(tail)
+            rec.check(num * head_den * tail_den == head_num * tail_num * den,
+                      lambda v=v, y=y: f"v={v.text} y={y}")
 
 
 def _div_one_minus_beta(coeffs: Sequence[int]) -> tuple[list[int], int]:
@@ -755,7 +756,7 @@ def _check_binomische1(ctx, rec):
         if len(x) == 0:
             continue
         start = sum(x) - len(x) + 1
-        for i, total in enumerate(_binomial_sums(ctx.row(x), len(x))[start:], start):
+        for i, total in enumerate(_binomial_sums(ctx.row(x, 0), len(x))[start:], start):
             rec.check(total == 0, lambda x=x, i=i: f"x={x.text} i={i}")
 
 
@@ -764,7 +765,7 @@ def _check_binomische2(ctx, rec):
     for x in _all_words(ctx.max_rank):
         if len(x) == 0:
             continue
-        partial = _binomial_sums(ctx.row(x), len(x))[:sum(x) - len(x) + 1]
+        partial = _binomial_sums(ctx.row(x, 0), len(x))[:sum(x) - len(x) + 1]
         rec.check(ctx.row_quotient(x) == partial, lambda x=x: f"x={x.text}")
 
 
@@ -774,7 +775,7 @@ def _check_schyot(ctx, rec):
         L, R = len(x), sum(x)
         if L < 2:
             continue
-        row = ctx.row(x)
+        row = ctx.row(x, 0)
         partial = _binomial_sums(row, L)
         second = _binomial_sums([(R - j) * c for j, c in enumerate(row)], L - 1)
         for i in range(1, R + 1):
@@ -789,7 +790,7 @@ def _check_binom1(ctx, rec):
         if L == 0:
             continue
         scaled_q = factorial(sum(x)) // prod(suffix_ranks(x))  # rank(x)! q(x)
-        for i, total in enumerate(_binomial_sums(ctx.row(x), L)[:L + 1]):
+        for i, total in enumerate(_binomial_sums(ctx.row(x, 0), L)[:L + 1]):
             rec.check(total <= scaled_q * comb(L, i), lambda x=x, i=i: f"x={x.text} i={i}")
 
 
@@ -802,7 +803,7 @@ def _check_mamka2(ctx, rec):
         for beta in ctx.betas:
             p, den = beta.numerator, beta.denominator
             rhs = scaled_q * (den * den - p * p) ** L * den ** (2 * r - 2 * L)
-            rec.check(_scaled_value(ctx.row(x), beta, 2 * r) <= rhs,
+            rec.check(_scaled_value(ctx.row(x, 0), beta, 2 * r) <= rhs,
                       lambda x=x, b=beta: f"x={x.text} beta={b}")
 
 
@@ -922,10 +923,16 @@ class _SuiteContext:
     ws: tuple[TailOnesWord, ...]
 
     @cached_property
+    def row(self) -> Callable[[Sequence[int], int], list[int]]:
+        """harmonic._f_row, one int row per (x, z), held for this suite run; the
+        suite's only f source."""
+        return lru_cache(maxsize=None)(_f_row)
+
+    @cached_property
     def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
-        """boundary._kernel_terms, one result per (x, w), held for this suite run;
-        kusok, the tables and zabe share it."""
-        return lru_cache(maxsize=None)(_kernel_terms)
+        """boundary._kernel_terms on self.row, one result per (x, w), held for this
+        suite run; kusok, the tables and zabe share it."""
+        return lru_cache(maxsize=None)(lambda x, w: _kernel_terms(x, w, self.row))
 
     @cached_property
     def tables(self) -> dict[tuple[TailOnesWord, int], FactoredTable]:
@@ -948,17 +955,11 @@ class _SuiteContext:
                 for beta in self.betas for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
-    def row(self) -> Callable[[YFWord], list[int]]:
-        """_d_beta_row, one int row per word, held for this suite run; kusok's heads
-        and every d_beta identity share it."""
-        return lru_cache(maxsize=None)(_d_beta_row)
-
-    @cached_property
     def row_quotient(self) -> Callable[[YFWord], Optional[list[int]]]:
-        """self.row(x) divided by (1 - beta) length(x) times, or None when a division
+        """self.row(x, 0) divided by (1 - beta) length(x) times, or None when a division
         leaves a remainder; one per word, held for this suite run."""
         def divide(x: YFWord) -> Optional[list[int]]:
-            coeffs = self.row(x)
+            coeffs = self.row(x, 0)
             for _ in range(len(x)):
                 coeffs, remainder = _div_one_minus_beta(coeffs)
                 if remainder:
@@ -973,9 +974,9 @@ def identity_suite(max_rank: int,
     """Run every identity exhaustively up to max_rank over the beta/w grids.
 
     Failures become report rows, not exceptions, each with a concrete witness.
-    The f identities (evtuh5, evtuh7, evtuh11, evtuh12, evtuh91-93,
-    odnoitozhe) read f through this module's _scaled_f; kusok and the d_beta
-    identities read it through _d_beta_row.
+    Every f value comes from one memo of harmonic._f_row per run, one row per
+    (x, z): the f identities compare its entries, the kernels read it at z = h,
+    and kusok and the d_beta identities at z = 0.
     """
     if not 0 <= max_rank <= MAX_SUITE_RANK:
         raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")

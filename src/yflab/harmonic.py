@@ -25,10 +25,10 @@ where x+d denotes appending digit d.  The recursion terminates because the
 word.  Each rule makes at most one call other than a z = 0 base value, so
 the recursion is a chain, and f follows it in a loop rather than by Python
 recursion, whatever the length of x.  The loop runs in integers scaled by
-rank(x)! (``_scaled_f``); every caller inside the package sums those ints:
-the walk, sweeps and identity suite of ``experiments``, the path counts,
-the kernel d'_beta, and ``d_beta`` via ``_d_beta_row``.  Only the public
-``f`` makes a Fraction, memoized per triple; perfbench reads the memo.
+rank(x)! (``_scaled_f``).  ``_f_row(x, z)``, the one builder of a whole row
+[rank(x)! f(x, y, z) for y = 0..rank(x)], serves ``d_beta`` (z = 0), the
+kernel d'_beta (z = h), the walk, the sweeps and the identity suite.  Only
+the public ``f`` makes Fractions, memoized per triple in a memo perfbench reads.
 """
 
 from __future__ import annotations
@@ -105,6 +105,13 @@ def _scaled_f(x: Sequence[int], y: int, z: int, fac: int) -> int:
     value, remainder = divmod(acc + sign * (scale // prod), mden)
     assert remainder == 0, f"scaled f of {x} is not an integer"
     return value
+
+
+def _f_row(x: Sequence[int], z: int) -> list[int]:
+    """[rank(x)! f(x, y, z) for y = 0..rank(x)] as exact ints; at z = 0 these are
+    the coefficients of d_beta(x) over rank(x)! (Goodman-Kerov's product formula)."""
+    fac = factorial(sum(x))
+    return [_scaled_f(x, y, z, fac) for y in range(sum(x) + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -221,17 +228,10 @@ class BetaPolynomial:
         return f"BetaPolynomial({[str(c) for c in self.coeffs]})"
 
 
-def _d_beta_row(x: Sequence[int]) -> list[int]:
-    """R(x) = [rank(x)! f(x, i, 0) for i = 0..rank(x)], the int coefficients of
-    d_beta(x) over rank(x)! (Goodman-Kerov's product formula at z = 0)."""
-    fac = factorial(sum(x))
-    return [_scaled_f(x, i, 0, fac) for i in range(sum(x) + 1)]
-
-
 def d_beta(x: YFWord) -> BetaPolynomial:
     """The polynomial sum over i of f(x, i, 0) * beta^i."""
     fac = factorial(sum(x))
-    return BetaPolynomial(tuple(Fraction(c, fac) for c in _d_beta_row(x)))
+    return BetaPolynomial(tuple(Fraction(c, fac) for c in _f_row(x, 0)))
 
 
 def d_beta_eval(x: YFWord, beta: Fraction) -> Fraction:

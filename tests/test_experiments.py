@@ -301,24 +301,50 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
 
 
 def test_corrupted_f_is_caught_with_a_witness(monkeypatch):
-    # f(21, 0, 0) + 1 through the suite's scaled-f seam: the f identities must
-    # fail with a witness, while kusok and the d_beta identities, which read f
-    # through harmonic._d_beta_row, stay out of its reach
-    original = experiments._scaled_f
+    # f(21, 0, 0) + 1 through the suite's one f seam, its memo of _f_row: the
+    # f identities must fail with a witness, and the corruption reaches kusok
+    # and the d_beta identities, which read the same rows
+    original = experiments._f_row
 
-    def corrupted(x, y, z, fac):
-        value = original(x, y, z, fac)
-        return value + fac if (tuple(x), y, z) == ((2, 1), 0, 0) else value
+    def corrupted(x, z):
+        row = original(x, z)
+        return [row[0] + factorial(sum(x))] + row[1:] if (tuple(x), z) == ((2, 1), 0) else row
 
-    monkeypatch.setattr(experiments, "_scaled_f", corrupted)
+    monkeypatch.setattr(experiments, "_f_row", corrupted)
     report = identity_suite(4)
     assert not report.all_passed
     by_name = {r.name: r for r in report.results}
     assert by_name["evtuh5"].failures > 0
     assert "21" in by_name["evtuh5"].first_counterexample
-    for name in ("kusok", "delitsa", "binomische1", "binomische2", "schyot", "binom1", "mamka2"):
-        assert by_name[name].passed, name
+    for name in ("kusok", "delitsa", "binomische1", "binomische2", "binom1", "mamka2"):
+        assert not by_name[name].passed, name
+        assert "x=21" in by_name[name].first_counterexample, name
     assert "FAIL" in report.to_csv()
+
+
+def test_identity_suite_builds_each_f_row_once(monkeypatch):
+    rows, unwinds = [], []
+    original_row, original_unwind = experiments._f_row, harmonic._scaled_f
+
+    def counting_row(x, z):
+        rows.append((tuple(x), z))
+        return original_row(x, z)
+
+    def counting_unwind(x, y, z, fac):
+        unwinds.append((tuple(x), y, z))
+        return original_unwind(x, y, z, fac)
+
+    monkeypatch.setattr(experiments, "_f_row", counting_row)
+    monkeypatch.setattr(experiments, "_scaled_f", counting_unwind)
+    monkeypatch.setattr(harmonic, "_scaled_f", counting_unwind)
+    assert identity_suite(5).all_passed
+    # one row per (x, z): every word of rank 0..5 at every z = 0..length, shared by
+    # the f identities, the kernels, kusok's heads and the d_beta identities, and
+    # no f value is unwound outside those rows
+    assert len(set(rows)) == len(rows)
+    assert set(rows) == {(tuple(x), z) for n in range(6) for x in enumerate_level(n)
+                         for z in range(len(x) + 1)}
+    assert len(unwinds) == sum(sum(x) + 1 for x, _ in rows)
 
 
 def test_identity_suite_leaves_the_f_memo_empty():
@@ -331,9 +357,9 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
     calls = []
     original = experiments._kernel_terms
 
-    def counting(x, w):
+    def counting(x, w, f_row):
         calls.append((tuple(x), w))
-        return original(x, w)
+        return original(x, w, f_row)
 
     monkeypatch.setattr(experiments, "_kernel_terms", counting)
     monkeypatch.setattr(boundary, "_kernel_terms", counting)
@@ -350,8 +376,8 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
     # kernel wherever it enters
     original = experiments._kernel_terms
 
-    def perturbed(x, w):
-        terms, den = original(x, w)
+    def perturbed(x, w, *f_row):
+        terms, den = original(x, w, *f_row)
         return ([terms[0] + den] + terms[1:], den) if tuple(x) == (2, 1) else (terms, den)
 
     def kernel(x, w, beta):
@@ -380,15 +406,16 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
 
 
 def test_d_beta_identities_match_fraction_reference(monkeypatch):
-    # the d_beta identities decide on the int rows of _d_beta_row and on their
-    # quotients by (1 - beta)^length(x); a row of the word 21 raised by rank! at
-    # beta^0, i.e. f(21, 0, 0) + 1, must give the failures and the witness of
-    # the literal Fraction checks of their docstrings under the same perturbation
-    original = experiments._d_beta_row
+    # the d_beta identities decide on the z = 0 int rows of the suite's _f_row
+    # memo and on their quotients by (1 - beta)^length(x); the row of the word 21
+    # raised by rank! at beta^0, i.e. f(21, 0, 0) + 1, must give the failures and
+    # the witness of the literal Fraction checks of their docstrings under the
+    # same perturbation
+    original = experiments._f_row
 
-    def perturbed(x):
-        row = original(x)
-        return [row[0] + factorial(sum(x))] + row[1:] if tuple(x) == (2, 1) else row
+    def perturbed(x, z):
+        row = original(x, z)
+        return [row[0] + factorial(sum(x))] + row[1:] if (tuple(x), z) == ((2, 1), 0) else row
 
     def coeffs(x):
         return [f(x, i, 0) + (1 if (tuple(x), i) == ((2, 1), 0) else 0)
@@ -444,7 +471,7 @@ def test_d_beta_identities_match_fraction_reference(monkeypatch):
                       f"x={x.text} beta={beta}")
     assert {name: failures for name, (_, failures, _) in expected.items()} == {
         "delitsa": 1, "binomische1": 2, "binomische2": 1, "schyot": 0, "binom1": 3, "mamka2": 4}
-    monkeypatch.setattr(experiments, "_d_beta_row", perturbed)
+    monkeypatch.setattr(experiments, "_f_row", perturbed)
     report = {r.name: r for r in identity_suite(5).results}
     assert {name: (report[name].instances, report[name].failures,
                    report[name].first_counterexample) for name in expected} == {
