@@ -56,11 +56,11 @@ most lo / pi(u) and of the number below hi / pi(u), and dots each bucket with
 the running X sum of the keys below it, in one pass over the keys.  Each
 level so costs about Fib(n / 2) vectors per side.
 
-Besides harmonic._scaled_f's own, the engine's only division is the chain
+Besides harmonic._unwind's own, the engine's only division is the chain
 node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), F = harmonic._f_row(s, L),
 asserted exact: f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product
 of distinct integers up to rho - i, which divides (rho - i)!, and
-i! f(tail, i, L) an integer (harmonic._scaled_f).  Every sum is an int over
+i! f(tail, i, L) an integer (harmonic._unwind).  Every sum is an int over
 n! D; sweep_many asserts each rank's total to be n! D and builds one
 Fraction per (beta, bin, rank).  A call with jobs > 1 opens one fork pool of
 min(jobs, os.cpu_count()) workers for all its ranks and uses it from rank
@@ -178,7 +178,7 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
             vals.append(value)
         if alpha == 2:
             vals.append(0)  # f(2x, rank(x)+1, z) = 0
-        vals.append(_scaled_f(digits, top, h, factorial(top)))
+        vals.append(_scaled_f(digits, top, h))
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
@@ -281,7 +281,7 @@ def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
         assert remainder == 0, f"chain node {s}: inexact at i={i}"
         vec.append(d * value)
     for i in range(rho + 1, n + 1):
-        vec.append(d * _scaled_f((1,) * (i - rho) + s, i, L, factorial(i)))
+        vec.append(d * _scaled_f((1,) * (i - rho) + s, i, L))
     return rho, vec, d, pi_num
 
 

@@ -24,11 +24,26 @@ where x+d denotes appending digit d.  The recursion terminates because the
 2-rule hands off to a word ending in 11 whose 1-rules strictly shrink the
 word.  Each rule makes at most one call other than a z = 0 base value, so
 the recursion is a chain, and f follows it in a loop rather than by Python
-recursion, whatever the length of x.  The loop runs in integers scaled by
-rank(x)! (``_scaled_f``).  ``_f_row(x, z)``, the one builder of a whole row
-[rank(x)! f(x, y, z) for y = 0..rank(x)], serves ``d_beta`` (z = 0), the
-kernel d'_beta (z = h), the walk, the sweeps and the identity suite.  Only
-the public ``f`` makes Fractions, memoized per triple in a memo perfbench reads.
+recursion, whatever the length of x.
+
+The loop runs in integers scaled by rank(x)!.  Its start is the Goodman-Kerov
+product form of the base value (J. Algebraic Combin. 11, 2000): for the split
+at suffix rank y of a word x of rank R with g-values g_1, ..., g_k,
+
+    R! f(x, y, 0) = (-1)^length(tail) * C(R, y) * prod_j |g_j - y|,
+
+because the tail's prefix ranks are 1..y less the rank y - g of each 2 in
+the tail, and the head's suffix ranks are 1..R-y less the rank g - y of each
+2 in the head (``_base``).  ``_unwind`` carries that value down the chain: a
+1-step multiplies it by y and a 2-step divides it by y - 1, exactly, since
+R! / H is a multiple of y! and P divides y!; the (1 - y) divisors are
+divided out once at the end, also exactly.  ``_f_splits(x, z)`` runs one
+pass over the suffix splits of x, so ``_f_row(x, z)``, the one builder of a
+whole row [R! f(x, y, z) for y = 0..R], needs no factorial and no per-entry
+split search; it serves ``d_beta`` (z = 0), the kernel d'_beta (z = h), the
+walk, the sweeps and the identity suite, and the path-count formula reads
+the splits directly.  ``_scaled_f`` is the single-entry path.  Only the
+public ``f`` makes Fractions, memoized per triple in a memo perfbench reads.
 """
 
 from __future__ import annotations
@@ -36,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import Optional, Sequence, Union
 
 from .words import YFWord, split_by_rank, suffix_ranks
@@ -48,43 +63,34 @@ def _digits_of(x) -> tuple[int, ...]:
     return tuple(getattr(x, "core", x))
 
 
-def _scaled_f(x: Sequence[int], y: int, z: int, fac: int) -> int:
-    """fac * f(x, y, z) as an exact int, for fac a multiple of rank(x)!.
+def _base(rank: int, y: int, gs: Sequence[int]) -> int:
+    """|rank! f(x, y, 0)| = rank! / (H P) = C(rank, y) prod |g - y| for the split of
+    x at suffix rank y, with gs = g_all(x) (module docstring)."""
+    value = comb(rank, y)
+    for G in gs:
+        value *= G - y if G > y else y - G
+    return value
 
-    f(x, y, z) vanishes unless x splits as head + tail with rank(tail) == y.
-    The recursion chain then rewrites only the right end of the tail, so the
-    current word is head + x[s:j] + 1^t with rank(tail) == y throughout, each
-    base value is +-1 / (H * P) with H the product of the head's suffix ranks
-    and P that of the tail's prefix ranks, and each step changes P by one
-    factor.  The (1 - y) divisors of the 2-steps are collected in mden, by
-    which acc is multiplied as they come, and divided out once at the end.
-    The quotient is exact: f(x, y, z) = f(tail, y, z) / H, y! f(tail, y, z) is
-    an integer by induction on y (each 2-step's sum is a multiple of y - 1),
-    and so is rank(x)! / (H y!).
+
+def _unwind(x: Sequence[int], y: int, z: int, base: int) -> int:
+    """rank(x)! f(x, y, z) from base = rank(x)! f(x, y, 0), for x with a suffix of rank y.
+
+    The recursion chain rewrites only the right end of the tail, so the current
+    word is head + x[s:j] + 1^t with rank(tail) == y throughout, and each step
+    changes P, the product of the tail's prefix ranks, by one factor.  The
+    (1 - y) divisors of the 2-steps are collected in mden, by which acc is
+    multiplied as they come, and divided out once at the end.  The quotient is
+    exact: f(x, y, z) = f(tail, y, z) / H, y! f(tail, y, z) is an integer by
+    induction on y (each 2-step's sum is a multiple of y - 1), and so is
+    rank(x)! / (H y!).
     """
-    s, total = len(x), 0
-    while total < y:
-        s -= 1
-        total += x[s]
-    if total != y:
-        return 0
-    head, run = 1, 0
-    for k in range(s - 1, -1, -1):
-        run += x[k]
-        head *= run
-    scale = fac // head
-    prod, run = 1, 0
-    for k in range(s, len(x)):
-        run += x[k]
-        prod *= run
-    sign = -1 if (len(x) - s) % 2 else 1  # each tail digit negates its running sum
     j, t = len(x), 0
     acc, mden = 0, 1
     while z and y:
         if t or x[j - 1] == 1:
             # f(u+1, y, z) = f(u+1, y, 0) + f(u, y-1, z-1); rank(u+1) = y is P's last factor
-            acc += sign * (scale // prod)
-            prod //= y
+            acc += base
+            base *= -y
             if t:
                 t -= 1
             else:
@@ -95,29 +101,55 @@ def _scaled_f(x: Sequence[int], y: int, z: int, fac: int) -> int:
             # f(u+2, y, z) = f(u+11, y, z+1) / (1 - y) with y >= 2; P gains the factor y - 1
             acc *= 1 - y
             mden *= 1 - y
-            prod *= y - 1
+            base, remainder = divmod(base, 1 - y)  # exact: y! divides rank! / H, P divides y!
+            assert remainder == 0, f"base of {x} at rank {y} is not divisible by {y - 1}"
             j -= 1
             t += 2
             z += 1
-        sign = -sign
     # at y == 0 the tail is empty and f(head, 0, z) = f(head, 0, 0): a trailing 2
     # becomes 11 with divisor 1 - 0 and the same head product
-    value, remainder = divmod(acc + sign * (scale // prod), mden)
+    value, remainder = divmod(acc + base, mden)
     assert remainder == 0, f"scaled f of {x} is not an integer"
     return value
+
+
+def _f_splits(x: Sequence[int], z: int) -> list[tuple[int, int]]:
+    """[(y, rank(x)! f(x, y, z))] for the suffix ranks y = 0, ..., rank(x) of x,
+    one pair per split; f vanishes at every other y."""
+    gs, rank = g_all(x), sum(x)
+    out, y, sign = [(0, _base(rank, 0, gs))], 0, 1
+    for digit in reversed(x):
+        y += digit
+        sign = -sign  # each tail digit negates its running sum
+        base = sign * _base(rank, y, gs)
+        out.append((y, _unwind(x, y, z, base) if z else base))
+    return out
+
+
+def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
+    """rank(x)! f(x, y, z) as an exact int: zero unless x has a suffix of rank y."""
+    s, total = len(x), 0
+    while total < y:
+        s -= 1
+        total += x[s]
+    if total != y:
+        return 0
+    base = _base(sum(x), y, g_all(x))
+    return _unwind(x, y, z, -base if (len(x) - s) % 2 else base)
 
 
 def _f_row(x: Sequence[int], z: int) -> list[int]:
     """[rank(x)! f(x, y, z) for y = 0..rank(x)] as exact ints; at z = 0 these are
     the coefficients of d_beta(x) over rank(x)! (Goodman-Kerov's product formula)."""
-    fac = factorial(sum(x))
-    return [_scaled_f(x, y, z, fac) for y in range(sum(x) + 1)]
+    row = [0] * (sum(x) + 1)
+    for y, value in _f_splits(x, z):
+        row[y] = value
+    return row
 
 
 @lru_cache(maxsize=None)
 def _f(x: tuple[int, ...], y: int, z: int) -> Fraction:
-    fac = factorial(sum(x))
-    return Fraction(_scaled_f(x, y, z, fac), fac)
+    return Fraction(_scaled_f(x, y, z), factorial(sum(x)))
 
 
 def f(x: YFWord, y: int, z: int) -> Fraction:

@@ -8,9 +8,11 @@ The second is the closed formula
               f(x, i, h(x, y)) * product over j of (g(y, j) - i)
 
 with h(x, y) the length of the longest common suffix.  The formula runs in
-plain ints: each f value enters as rank(x)! * f, the integer unwind
-harmonic._scaled_f, and the sum is divided by rank(x)! once, with the
-division asserted exact.  The DP shares no code with it and stays the
+plain ints: f(x, i, h) vanishes unless x has a suffix of rank i, and
+harmonic._f_splits gives rank(x)! * f(x, i, h) at each of those splits from
+the product form C(rank(x), i) prod |g(x, j) - i| of its base value and the
+integer unwind of the recursion.  The sum is divided by rank(x)! once, with
+the division asserted exact.  The DP shares no code with it and stays the
 independent route.  The two must agree everywhere; tests enforce this.
 All counts are exact arbitrary-precision integers (n! overflows 64 bits at
 n = 21).
@@ -23,8 +25,8 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .harmonic import _scaled_f, g_all
-from .words import YFWord, common_suffix_len, down_neighbors, suffix_ranks
+from .harmonic import _f_splits, g_all
+from .words import YFWord, common_suffix_len, down_neighbors
 
 
 def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
@@ -62,17 +64,12 @@ def d_paths_formula(x: YFWord, y: YFWord) -> int:
     if sum(y) < sum(x):
         raise ValueError("formula requires rank(y) >= rank(x)")
     gs = g_all(y)
-    h = common_suffix_len(x, y)
-    rank = sum(x)
-    fac = factorial(rank)
     total = 0
-    # f(x, i, h) vanishes unless x has a suffix of rank i (i = 0: the empty one)
-    for i in (0,) + suffix_ranks(x):
-        term = _scaled_f(x, i, h, fac)
-        if term:
-            for G in gs:
-                term *= G - i
-            total += term
+    for i, term in _f_splits(x, common_suffix_len(x, y)):
+        for G in gs:
+            term *= G - i
+        total += term
+    fac = factorial(sum(x))
     count, remainder = divmod(total, fac)
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count

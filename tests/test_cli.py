@@ -146,6 +146,31 @@ def test_verify_matches_benchmark_golden(capsys):
         assert out == (goldens / f"verify-{rank}.txt").read_bytes().decode(), rank
 
 
+POINTWISE_GOLDENS = Path(__file__).resolve().parent / "goldens"
+DBETA_WORDS = ("2212", "12212", "222122", "2212122", "21221212")
+DCOUNT_PAIRS = (("212", "2212122"), ("2212", "22122122"), ("eps", "2221221"),
+                ("22", "2122221"), ("121", "2212221221"))
+
+
+def test_pointwise_oracles_match_goldens(capsys):
+    # the measure, magic table, d_beta and both path-count routes print the bytes
+    # pinned before the f rows took their product form
+    def stdout(*argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        return out
+
+    def golden(name):
+        return (POINTWISE_GOLDENS / name).read_bytes().decode()
+
+    assert stdout("measure", "--w", "212", "--beta", "3/7", "--n", "10", "--format", "csv") \
+        == golden("measure-212-3_7-10.csv")
+    assert stdout("magic", "--w", "22", "--beta", "4/7", "--n", "7") == golden("magic-22-4_7-7.txt")
+    assert "".join(stdout("dbeta", w) for w in DBETA_WORDS) == golden("dbeta.txt")
+    assert "".join(stdout("dcount", x, y, "--method", "both") for x, y in DCOUNT_PAIRS) \
+        == golden("dcount.txt")
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     failing = SuiteReport(3, (IdentityResult("evtuh5", 4, 1, "x=21"),))
     monkeypatch.setattr("yflab.cli.identity_suite", lambda max_rank: failing)

@@ -80,7 +80,7 @@ def test_right_end_unwind_matches_f_at_full_rank():
     for n in range(9):
         for x in enumerate_level(n):
             for z in range(x.length + 1):
-                scaled = harmonic._scaled_f(tuple(x), n, z, factorial(n))
+                scaled = harmonic._scaled_f(tuple(x), n, z)
                 assert type(scaled) is int
                 assert scaled == factorial(n) * f_by_recursion(tuple(x), n, z)
 
@@ -330,21 +330,21 @@ def test_identity_suite_builds_each_f_row_once(monkeypatch):
         rows.append((tuple(x), z))
         return original_row(x, z)
 
-    def counting_unwind(x, y, z, fac):
+    def counting_unwind(x, y, z):
         unwinds.append((tuple(x), y, z))
-        return original_unwind(x, y, z, fac)
+        return original_unwind(x, y, z)
 
     monkeypatch.setattr(experiments, "_f_row", counting_row)
     monkeypatch.setattr(experiments, "_scaled_f", counting_unwind)
     monkeypatch.setattr(harmonic, "_scaled_f", counting_unwind)
     assert identity_suite(5).all_passed
     # one row per (x, z): every word of rank 0..5 at every z = 0..length, shared by
-    # the f identities, the kernels, kusok's heads and the d_beta identities, and
-    # no f value is unwound outside those rows
+    # the f identities, the kernels, kusok's heads and the d_beta identities; the
+    # rows come from one pass over the suffix splits, not from single entries
     assert len(set(rows)) == len(rows)
     assert set(rows) == {(tuple(x), z) for n in range(6) for x in enumerate_level(n)
                          for z in range(len(x) + 1)}
-    assert len(unwinds) == sum(sum(x) + 1 for x, _ in rows)
+    assert unwinds == []
 
 
 def test_identity_suite_leaves_the_f_memo_empty():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from yflab.harmonic import (
     BetaPolynomial,
+    _f_row,
     d_beta,
     d_beta_eval,
     f,
@@ -19,7 +20,7 @@ from yflab.harmonic import (
     q,
 )
 from yflab.experiments import _div_one_minus_beta
-from yflab.words import EPSILON, YFWord, enumerate_level, parse
+from yflab.words import EPSILON, YFWord, enumerate_level, parse, suffix_ranks
 
 from reference_values import F_TABLE_21221, F_TABLES, f_by_recursion
 
@@ -70,6 +71,21 @@ def test_f_matches_recursive_definition_to_rank_10():
         while column and column[-1] == 0:
             column.pop()
         assert d_beta(x).coeffs == tuple(column), x.text
+
+
+def test_f_row_matches_recursive_definition_to_rank_10():
+    # the product-form row builder against the literal recursion at every z; its
+    # zeros sit exactly off the suffix ranks (y = 0 is the empty suffix)
+    for x in all_words(10):
+        fac = factorial(x.rank)
+        ranks = {0, *suffix_ranks(x)}
+        for z in range(x.length + 1):
+            row = _f_row(tuple(x), z)
+            assert row == [fac * f_by_recursion(tuple(x), y, z) for y in range(x.rank + 1)], \
+                (x.text, z)
+            assert all(type(v) is int for v in row)
+            assert {y for y, v in enumerate(row) if v} <= ranks, (x.text, z)
+        assert {y for y, v in enumerate(_f_row(tuple(x), 0)) if v} == ranks, x.text
 
 
 def test_scaled_f_is_integral_to_rank_12():
