@@ -12,16 +12,14 @@ failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from fractions import Fraction
 
 from .boundary import TailOnesWord, d_beta_prime, level_distribution
 from .experiments import concentration_sweep, identity_suite
-from .harmonic import d_beta, f, format_rational, g_all, parse_rational, pi, q
-from .magic import build_table
+from .harmonic import _csv_rows, d_beta, f, format_rational, g_all, parse_rational, pi, q
+from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
 from .words import YFWord, enumerate_level
 
@@ -70,13 +68,6 @@ def _emit(text: str, args) -> None:
             handle.write(text)
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-def _csv_rows(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _cmd_level(args) -> int:
@@ -152,8 +143,8 @@ def _cmd_magic(args) -> int:
     if args.n > args.cap:
         raise ValueError(f"n={args.n} exceeds the table cap {args.cap}; "
                          f"raise it with --cap if the dense table is intended")
-    table = build_table(TailOnesWord.parse(args.w), _beta(args.beta), args.n)
-    _emit(table.to_csv(symbolic=args.symbolic), args)
+    w, beta = TailOnesWord.parse(args.w), _beta(args.beta)  # checked in both modes
+    _emit(symbolic_csv(args.n) if args.symbolic else build_table(w, beta, args.n).to_csv(), args)
     return 0
 
 

@@ -10,7 +10,7 @@ entry comes from harmonic._scaled_f; the vector is the row harmonic._f_row
 when the common suffix with w grows.  node_mass is then the int n! D mu(v)
 over the shared denominator D of boundary.mass_weights (weights W_i).  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
-check sweeps against.
+check sweeps against, and it shares one stack loop (_prepend) with them.
 
 Sweeps split each word instead (_split_sums).  Let s_L be the chain node
 suffix_of_infinite(w, L).  Fix z = L and give a word x + s_L of rank R the
@@ -84,8 +84,6 @@ closed column coefficients, the column bounds, and each word's quotient.
 
 from __future__ import annotations
 
-import csv
-import io
 import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
@@ -94,10 +92,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache
 from math import comb, factorial, gcd, prod
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
-from .harmonic import _f_row, _scaled_f, format_rational, g_all, pi, q
+from .harmonic import _csv_rows, _f_row, _g_ratio_parts, _scaled_f, format_rational, pi, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
@@ -143,12 +141,11 @@ def r_sets(w: TailOnesWord, beta: Fraction, n: int,
 # Left-extension walk
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Node:
-    """Walk state for one word: the word, its scaled f-vector at z = h, and carried scalars."""
+class _Node(NamedTuple):
+    """Walk state for one word: its rank, digits, scaled f-vector at z = h, and carried scalars."""
 
-    digits: tuple[int, ...]
     rank: int
+    digits: tuple[int, ...]
     fvec: tuple[int, ...]  # fvec[i] = rank! * f(digits, i, h) for i = 0..rank
     h: int                 # common suffix length with w
     h_rank: int            # common suffix rank with w
@@ -156,7 +153,7 @@ class _Node:
     pi_num: int            # pi(digits) * d_eps = product of (g - 1) over g-values > 1
 
 
-_ROOT = _Node((), 0, (1,), 0, 0, 1, 1)  # the empty word
+_ROOT = _Node(0, (), (1,), 0, 0, 1, 1)  # the empty word
 
 
 def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
@@ -182,31 +179,15 @@ def _child(node: _Node, alpha: int, w: TailOnesWord) -> _Node:
         fvec = tuple(vals)
     h_rank = node.h_rank + (alpha if grows else 0)
     if alpha == 1:
-        return _Node(digits, top, fvec, h, h_rank, node.d_eps, node.pi_num)
+        return _Node(top, digits, fvec, h, h_rank, node.d_eps, node.pi_num)
     G = r + 1  # the g-value contributed by the new leftmost 2
     pi_num = node.pi_num * (G - 1) if G > 1 else node.pi_num
-    return _Node(digits, top, fvec, h, h_rank, node.d_eps * G, pi_num)
+    return _Node(top, digits, fvec, h, h_rank, node.d_eps * G, pi_num)
 
 
 def _iter_nodes(n: int, w: TailOnesWord) -> Iterable[_Node]:
     """The walk states of the rank-n words."""
-    stack = [_ROOT]
-    while stack:
-        cur = stack.pop()
-        if cur.rank == n:
-            yield cur
-            continue
-        if cur.rank + 2 <= n:
-            stack.append(_child(cur, 2, w))
-        stack.append(_child(cur, 1, w))
-
-
-def walk_level_masses(w: TailOnesWord, beta: Fraction, n: int) -> dict[YFWord, Fraction]:
-    """All masses of one rank via the left-extension walk (exact)."""
-    weights, den = mass_weights(w, beta, n)
-    scale = factorial(n) * den
-    return {YFWord(leaf.digits): Fraction(node_mass(leaf, weights), scale)
-            for leaf in _iter_nodes(n, w)}
+    return _prepend(_ROOT, n, n, lambda node, digit: _child(node, digit, w))
 
 
 def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
@@ -238,21 +219,22 @@ def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(G * (G - i) for i in range(n + 1)) for G in range(n + 1))
 
 
-def _grow(state: _State, digit: int, n: int) -> _State:
+def _grow(state: _State, digit: int) -> _State:
     """The state of digit + word from that of word: a 1 changes nothing but the
     rank; a 2 has g-value G = rank + 1."""
     rank, vec, d, pi_num = state
     if digit == 1:
         return rank + 1, vec, d, pi_num
     G = rank + 1
-    return (rank + 2, [v * c for v, c in zip(vec, _g_factors(n)[G])], d * G,
+    return (rank + 2, [v * c for v, c in zip(vec, _g_factors(len(vec) - 1)[G])], d * G,
             pi_num * (G - 1) if G > 1 else pi_num)
 
 
-def _prepend(start: _State, stop: int, n: int) -> Iterable[_State]:
-    """The states of x + start over the words x with rank(x + start) the first
-    rank >= stop (and <= n) met while prepending digits; stop = n gives every
-    x with rank(x + start) = n."""
+def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
+    """The states grow makes of x + start over the words x with rank(x + start) the
+    first rank >= stop (and <= n) met while prepending digits; stop = n gives
+    every x with rank(x + start) = n.  A state's rank is its first field: the
+    walk prepends _Nodes with _child, the split engine half-word _States with _grow."""
     stack = [start]
     while stack:
         state = stack.pop()
@@ -260,21 +242,15 @@ def _prepend(start: _State, stop: int, n: int) -> Iterable[_State]:
             yield state
             continue
         if state[0] + 2 <= n:
-            stack.append(_grow(state, 2, n))
-        stack.append(_grow(state, 1, n))
-
-
-def _pi_parts(x) -> tuple[int, int]:
-    """pi(x) as (product of G - 1, product of G) over the g-values G > 1 of x."""
-    gs = [G for G in g_all(x) if G > 1]
-    return prod(G - 1 for G in gs), prod(gs)
+            stack.append(grow(state, 2))
+        stack.append(grow(state, 1))
 
 
 def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
     """The state of the chain node s = suffix_of_infinite(w, L), with f taken at
     z = L: X[i] = d(empty, s) i! (rho - i)! f(s, i, L) for i <= rho = rank(s)
     and d(empty, s) i! f(1^(i - rho) + s, i, L) above."""
-    rho, (pi_num, d) = sum(s), _pi_parts(s)
+    rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
     vec = []
     for i, F in enumerate(_f_row(s, L)):
         value, remainder = divmod(F, comb(rho, i))
@@ -296,7 +272,7 @@ def _right_halves(w: TailOnesWord, n: int, k: int) -> Iterable[tuple[int, _State
             yield n, chain
         digit = 3 - w.digit_from_right(L)
         if chain[0] + digit <= n:
-            for state in _prepend(_grow(chain, digit, n), k, n):
+            for state in _prepend(_grow(chain, digit), k, n, _grow):
                 yield chain[0], state
         s = (w.digit_from_right(L),) + s
         L += 1
@@ -374,9 +350,9 @@ def _split_sums(w: TailOnesWord, n: int, weights: Sequence[Sequence[int]],
     sums = [0] * len(bins)
     for r, (by_h_rank, by_pi) in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-        roots = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n)
+        roots = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, _grow)
         lefts = (state for i, root in enumerate(roots) if i % parts == part
-                 for state in _prepend(root, n, n))
+                 for state in _prepend(root, n, n, _grow))
         total, buckets = _left_sums(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
         # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
@@ -423,15 +399,11 @@ class ConcentrationReport:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["mode", "core", "beta", "param", "n", "tail", "head", "arithmetic"])
         core = self.w.core.text if len(self.w.core) else "eps"
-        for row in self.rows:
-            writer.writerow([self.mode, core, format_rational(self.beta), str(self.parameter),
+        return _csv_rows([["mode", "core", "beta", "param", "n", "tail", "head", "arithmetic"]]
+                         + [[self.mode, core, format_rational(self.beta), str(self.parameter),
                              str(row.n), format_rational(row.tail), format_rational(row.head),
-                             "exact"])
-        return buf.getvalue()
+                             "exact"] for row in self.rows])
 
     def to_text(self) -> str:
         lines = [f"mode={self.mode} core={self.w.core.text or 'eps'} "
@@ -549,13 +521,9 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["identity", "instances", "status", "first_counterexample"])
-        for r in self.results:
-            writer.writerow([r.name, str(r.instances), "pass" if r.passed else "FAIL",
-                             r.first_counterexample or ""])
-        return buf.getvalue()
+        return _csv_rows([["identity", "instances", "status", "first_counterexample"]]
+                         + [[r.name, str(r.instances), "pass" if r.passed else "FAIL",
+                             r.first_counterexample or ""] for r in self.results])
 
     def to_text(self) -> str:
         lines = []
@@ -714,13 +682,15 @@ def _check_razbivaem(ctx, rec):
 
 
 def _check_meexy(ctx, rec):
-    """pi(v) = pi(head + 1^y) * pi(tail) across every rank split, cross-multiplied on _pi_parts."""
+    """pi(v) = pi(head + 1^y) * pi(tail) across every rank split, cross-multiplied on
+    harmonic._g_ratio_parts."""
     for v in _all_words(ctx.max_rank):
-        num, den = _pi_parts(v)
+        num, den = _g_ratio_parts(v, 1)
         for i in range(len(v) + 1):
             head, tail = prefix(v, i), suffix(v, i)
             y = sum(tail)
-            (head_num, head_den), (tail_num, tail_den) = _pi_parts(head + (1,) * y), _pi_parts(tail)
+            head_num, head_den = _g_ratio_parts(head + (1,) * y, 1)
+            tail_num, tail_den = _g_ratio_parts(tail, 1)
             rec.check(num * head_den * tail_den == head_num * tail_num * den,
                       lambda v=v, y=y: f"v={v.text} y={y}")
 
@@ -968,10 +938,9 @@ class _SuiteContext:
         return lru_cache(maxsize=None)(divide)
 
 
-def identity_suite(max_rank: int,
-                   beta_grid: Sequence[Fraction] = DEFAULT_BETA_GRID,
-                   w_list: Sequence[TailOnesWord] = None) -> SuiteReport:
-    """Run every identity exhaustively up to max_rank over the beta/w grids.
+def identity_suite(max_rank: int) -> SuiteReport:
+    """Run every identity exhaustively up to max_rank over DEFAULT_BETA_GRID and
+    the tail-ones words of DEFAULT_CORES.
 
     Failures become report rows, not exceptions, each with a concrete witness.
     Every f value comes from one memo of harmonic._f_row per run, one row per
@@ -980,9 +949,8 @@ def identity_suite(max_rank: int,
     """
     if not 0 <= max_rank <= MAX_SUITE_RANK:
         raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")
-    if w_list is None:
-        w_list = tuple(TailOnesWord.parse(c) for c in DEFAULT_CORES)
-    ctx = _SuiteContext(max_rank, tuple(beta_grid), tuple(w_list))
+    ctx = _SuiteContext(max_rank, DEFAULT_BETA_GRID,
+                        tuple(TailOnesWord.parse(c) for c in DEFAULT_CORES))
     results = []
     for name, check in IDENTITY_CHECKS:
         rec = _Recorder()

@@ -43,15 +43,19 @@ whole row [R! f(x, y, z) for y = 0..R], needs no factorial and no per-entry
 split search; it serves ``d_beta`` (z = 0), the kernel d'_beta (z = h), the
 walk, the sweeps and the identity suite, and the path-count formula reads
 the splits directly.  ``_scaled_f`` is the single-entry path.  Only the
-public ``f`` makes Fractions, memoized per triple in a memo perfbench reads.
+public ``f``, memoized per triple in a memo perfbench reads, and ``d_beta``,
+one per coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one
+each from the int products of ``_g_ratio_parts``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Optional, Sequence, Union
 
 from .words import YFWord, split_by_rank, suffix_ranks
@@ -196,25 +200,22 @@ def q(x: YFWord) -> Fraction:
     return Fraction(1, den)
 
 
-def _g_ratio_product(x, k: int) -> Fraction:
-    """Product of (g-k)/g over the g-values of x exceeding k; empty product 1."""
-    out = Fraction(1)
-    for G in g_all(x):
-        if G > k:
-            out *= Fraction(G - k, G)
-    return out
+def _g_ratio_parts(x, k: int) -> tuple[int, int]:
+    """(product of G - k, product of G) over the g-values G of x exceeding k."""
+    gs = [G for G in g_all(x) if G > k]
+    return prod(G - k for G in gs), prod(gs)
 
 
 def pi(x) -> Fraction:
     """Product of (g-1)/g over the g-values of x exceeding 1; empty product 1."""
-    return _g_ratio_product(x, 1)
+    return Fraction(*_g_ratio_parts(x, 1))
 
 
 def pi_k(x, k: int) -> Fraction:
     """Product of (g-k)/g over the g-values of x exceeding k."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return _g_ratio_product(x, k)
+    return Fraction(*_g_ratio_parts(x, k))
 
 
 def pi_split(v: YFWord, y: int) -> Optional[tuple[Fraction, Fraction]]:
@@ -279,6 +280,13 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _csv_rows(rows: Sequence[Sequence[str]]) -> str:
+    """The rows as CSV text, one line each, ending in newlines."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def parse_rational(text: str) -> Fraction:

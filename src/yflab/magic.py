@@ -34,8 +34,6 @@ row, column and total bounds are inequalities and are checked at each beta.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,7 +41,7 @@ from math import factorial, prod
 from typing import Iterator, Optional
 
 from .boundary import TailOnesWord, _kernel_terms, d1_prime
-from .harmonic import format_rational, g_all, q
+from .harmonic import _csv_rows, format_rational, g_all, q
 from .pathcount import d_from_empty
 from .words import Level, YFWord, enumerate_level, split_by_rank, suffix_ranks
 
@@ -115,27 +113,28 @@ class MagicTable:
         """Sum of all entries; at most 1 + 1/beta (identity `lehamed`)."""
         return sum((sum(row, Fraction(0)) for row in self.entries), Fraction(0))
 
-    def to_csv(self, symbolic: bool = False) -> str:
-        """CSV with header word,0..n; cells as exact rationals.
+    def to_csv(self) -> str:
+        """CSV with header word,0..n; cells as exact rationals."""
+        return _csv_rows([["word"] + [str(y) for y in range(self.n + 1)]]
+                         + [[v.text or "eps"] + [format_rational(c) for c in row]
+                            for v, row in zip(self.level.words, self.entries)])
 
-        In symbolic mode nonzero cells render as
-        (coeff;tail;beta_exp;one_minus_beta2_exp) and zero cells are empty.
-        """
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["word"] + [str(y) for y in range(self.n + 1)])
-        for i, v in enumerate(self.level.words):
-            if symbolic:
-                row = [""] * (self.n + 1)
-                d_eps = d_from_empty(v)
-                for k, tail, head_product in _splits(v):
-                    y = sum(tail)
-                    row[y] = (f"({format_rational(Fraction(d_eps, head_product))};"
-                              f"{YFWord(tail).text or 'eps'};{y};{k})")
-            else:
-                row = [format_rational(c) for c in self.entries[i]]
-            writer.writerow([v.text if len(v) else "eps"] + row)
-        return buf.getvalue()
+
+def symbolic_csv(n: int) -> str:
+    """The rank-n table in factored form as CSV with header word,0..n: nonzero
+    cells render as symbolic_entry's (coeff;tail;beta_exp;one_minus_beta2_exp)
+    and zero cells are empty.  The cells depend on neither w nor beta, so no
+    kernel or table is built; each row takes one pass over its splits."""
+    rows = [["word"] + [str(y) for y in range(n + 1)]]
+    for v in enumerate_level(n):
+        row = [""] * (n + 1)
+        d_eps = d_from_empty(v)
+        for k, tail, head_product in _splits(v):
+            y = sum(tail)
+            row[y] = (f"({format_rational(Fraction(d_eps, head_product))};"
+                      f"{YFWord(tail).text or 'eps'};{y};{k})")
+        rows.append([v.text or "eps"] + row)
+    return _csv_rows(rows)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ Edges down are the inverses:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
@@ -200,9 +201,15 @@ def _level_words(n: int) -> tuple[YFWord, ...]:
 
 
 def enumerate_level(n: int) -> Level:
-    """All words of rank n, 1-branch before 2-branch recursively; count Fib(n+1)."""
+    """All words of rank n, 1-branch before 2-branch recursively; count Fib(n+1).
+
+    Ranks n >= 92 are refused before anything is built: no tuple holds
+    Fib(93) > sys.maxsize words.  Ranks 35..91 pass this check but run out
+    of memory; bounding them needs a measured limit."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
+    if fibonacci(n + 1) > sys.maxsize:
+        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
     words = _level_words(n)
     assert len(words) == fibonacci(n + 1)
     return Level(n, words)

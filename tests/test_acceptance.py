@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from yflab import harmonic
+from yflab import experiments, harmonic
 from yflab.boundary import (TailOnesWord, d1_prime, h_infinite, level_distribution, mu,
                             suffix_of_infinite)
 from yflab.experiments import identity_suite, sweep_many
@@ -127,8 +127,8 @@ def test_criterion_5_exact_stabilization():
 def test_criterion_6_identity_suite():
     """All 23 identities hold exhaustively at max rank 9 over the beta/w grids, under 5 min."""
     start = time.perf_counter()
-    report = identity_suite(9, beta_grid=BETA_GRID,
-                            w_list=tuple(TailOnesWord.parse(c) for c in MEASURE_CORES))
+    assert (experiments.DEFAULT_BETA_GRID, experiments.DEFAULT_CORES) == (BETA_GRID, MEASURE_CORES)
+    report = identity_suite(9)
     elapsed = time.perf_counter() - start
     failures = [f"{r.name}: {r.first_counterexample}" for r in report.results if not r.passed]
     expected = {"evtuh5", "evtuh7", "evtuh11", "evtuh12", "evtuh91", "evtuh92",

@@ -171,6 +171,19 @@ def test_pointwise_oracles_match_goldens(capsys):
         == golden("dcount.txt")
 
 
+def test_symbolic_magic_builds_no_table(capsys, monkeypatch):
+    # the factored cells depend on neither w nor beta: no kernel or table is needed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic table built a kernel or a table")
+
+    for target in ("yflab.cli.build_table", "yflab.magic.factored_table",
+                   "yflab.boundary._kernel_terms", "yflab.magic._kernel_terms"):
+        monkeypatch.setattr(target, refuse)
+    code, out, _ = run(capsys, "magic", "--w", "212", "--beta", "3/7", "--n", "9", "--symbolic")
+    assert code == 0
+    assert out == (POINTWISE_GOLDENS / "magic-symbolic-9.csv").read_bytes().decode()
+
+
 def test_verify_exit_code_on_failure(capsys, monkeypatch):
     failing = SuiteReport(3, (IdentityResult("evtuh5", 4, 1, "x=21"),))
     monkeypatch.setattr("yflab.cli.identity_suite", lambda max_rank: failing)
@@ -195,6 +208,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--max-rank", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("yflab: error: ")
+    # levels from rank 92 on cannot be held; they are refused before any is built
+    for argv in (["level", "92"], ["level", "1500"],
+                 ["measure", "--w", "2", "--beta", "1/2", "--n", "1500"],
+                 ["magic", "--w", "212", "--beta", "3/2", "--n", "5", "--symbolic"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("yflab: error: "), argv
     for argv in (["no-such-command"],
                  ["sweep", "--mode", "suffix", "--w", "22", "--beta", "1/2", "--l", "2",
                   "--n", "4", "--float"]):  # float mode was removed; the flag is unknown

@@ -21,7 +21,6 @@ from yflab.experiments import (
     q_sets,
     r_sets,
     sweep_many,
-    walk_level_masses,
 )
 from yflab.harmonic import d_beta, f, pi, q
 from yflab.magic import column_sum_closed_form, magic_entry
@@ -89,7 +88,11 @@ def test_walk_matches_direct_measure():
     for w in CORES:
         for beta in (Fr(1, 2), Fr(1)):
             for n in range(9):
-                assert walk_level_masses(w, beta, n) == level_distribution(w, beta, n).masses
+                weights, den = mass_weights(w, beta, n)
+                walked = {YFWord(leaf.digits): Fr(experiments.node_mass(leaf, weights),
+                                                  factorial(n) * den)
+                          for leaf in experiments._iter_nodes(n, w)}
+                assert walked == level_distribution(w, beta, n).masses
 
 
 @st.composite

@@ -10,6 +10,7 @@ from yflab.magic import (
     factored_table,
     level_product,
     magic_entry,
+    symbolic_csv,
     symbolic_entry,
 )
 from yflab.pathcount import d_from_empty
@@ -157,7 +158,7 @@ def test_csv_export():
     assert lines[0] == "word,0,1,2,3"
     assert len(lines) == 4
     assert table.to_csv() == numeric  # deterministic
-    symbolic = build_table(W22, HALF, 5).to_csv(symbolic=True)
+    symbolic = symbolic_csv(5)
     row122 = next(line for line in symbolic.splitlines() if line.startswith("122,"))
     assert "(3/40;eps;0;3)" in row122
     assert "(1/2;2;2;2)" in row122  # 3/6 in lowest terms
@@ -223,4 +224,4 @@ SYMBOLIC_CSV_W2_HALF_5 = (
 def test_csv_bytes_unchanged():
     table = build_table(W2, HALF, 5)
     assert table.to_csv() == CSV_W2_HALF_5
-    assert table.to_csv(symbolic=True) == SYMBOLIC_CSV_W2_HALF_5
+    assert symbolic_csv(5) == SYMBOLIC_CSV_W2_HALF_5
