@@ -12,7 +12,7 @@ over the shared denominator D of boundary.mass_weights (weights W_i).  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
 check sweeps against, and it shares one stack loop (_prepend) with them.
 
-Sweeps split each word instead (_split_sums).  Let s_L be the chain node
+Sweeps sum whole classes of words instead.  Let s_L be the chain node
 suffix_of_infinite(w, L).  Fix z = L and give a word x + s_L of rank R the
 vector of n + 1 ints
 
@@ -31,39 +31,38 @@ v = u + b with h(v, w) = h(b), then X(v)[i] = X(b)[i] Y_u[i] with
 
 sigma the rank of the suffix of u that starts at the 2; likewise
 d(empty, v) = d(empty, b) e_u, with e_u the product of the G, and
-pi(v) = pi(b) prod (G - 1)/G over the G > 1.  For i <= r = rank(b), Y_u[i] is
-the factorial form e_u ((n - i)! / (r - i)!) / prod_{sigma in SR(u)} (r + sigma - i),
-SR(u) the suffix ranks of u: the factors r + sigma - i fill the integers in
-(r - i, n - i] except the G - i, one per 2.  Above r it is the same as
-(-1)^(len(u2) - j) e_u (j! / P(u2)) ((n - r - j)! / Q(u1)) for i = r + j and
-u = u1 + u2 with rank(u2) = j, and 0 when no suffix of u has rank j (a 2
-straddles it and its factor G - i is 0); P and Q, the prefix-rank product of
-u2 and the suffix-rank product of u1, are products of distinct integers up
-to j and n - r - j, so they divide the factorials.
+pi(v) = pi(b) prod (G - 1)/G over the G > 1.
 
-Each word v of rank n is cut as v = u + b, with b the shortest suffix of v of
-rank >= k = n // 2 that is not a chain node, or b = v for the chain node of
-rank n.  The b are the non-chain rank-k words, the non-chain rank-(k+1)
-words that begin with 2, and b_L = (3 - w.digit_from_right(L)) + s_L with
-rank(s_L) >= k; h(v, w) = h(b), and u runs over all words of rank n -
-rank(b).  The right halves b are grown from each b_L by prepending, their X
-from the chain node's (_chain_state), and held in memory; the left halves u
-are streamed, Y_u grown from all ones.  Suffix and total bins then take,
-per right-half rank, one inner product of the selected b's X sum with the
-u's Y sum, weighted by C(n, i) W_i.  A pi bin outside (lo, hi) sorts the b
-of each rank by pi(b), adds each Y_u to the bucket of the number of keys at
-most lo / pi(u) and of the number below hi / pi(u), and dots each bucket with
-the running X sum of the keys below it, in one pass over the keys.  Each
-level so costs about Fib(n / 2) vectors per side.
+The classes (_classes): with b_L = (3 - w.digit_from_right(L)) + s_L, every
+rank-n word but the chain node of rank n is u + b_L for exactly one L (b_L is
+its shortest suffix that is not a chain node) and any u of rank n - rank(b_L).
+A class never straddles a suffix bin (common-suffix rank < l): its words all
+have h(v, w) = L and common-suffix rank rank(s_L), and the chain node of rank
+n is a class alone.  The X sum of a class is X(b_L)[i] S_i(rank(b_L)), with
+S_i(r) the sum of Y_u[i] over the u of rank n - r; split by u's last digit,
 
-Besides harmonic._unwind's own, the engine's only division is the chain
+    S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
+
+one pass of O(n^2) int products per rank for all classes (_class_masses).
+
+Pi tails need every word, as pi(v) is almost unique per word: the split
+engine (_split_sums) cuts each rank-n word as v = u + b, b its shortest
+suffix of rank >= k = n // 2 that contains its class root (b = v for the
+chain node of rank n).  The right halves b are grown from the roots and held
+in memory; the left halves u are streamed, Y_u grown from all ones.  A pi bin
+outside (lo, hi) sorts the b of each rank by pi(b), adds each Y_u to the
+bucket of the number of keys at most lo / pi(u) and of the number below
+hi / pi(u), and dots each bucket with the running X sum of the keys below
+it, in one pass over the keys.  This costs about Fib(n / 2) vectors per side.
+
+Besides harmonic._unwind's own, the engines' only division is the chain
 node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), F = harmonic._f_row(s, L),
 asserted exact: f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product
 of distinct integers up to rho - i, which divides (rho - i)!, and
 i! f(tail, i, L) an integer (harmonic._unwind).  Every sum is an int over
-n! D; sweep_many asserts each rank's total to be n! D and builds one
-Fraction per (beta, bin, rank).  A call with jobs > 1 opens one fork pool of
-min(jobs, os.cpu_count()) workers for all its ranks and uses it from rank
+n! D; sweep_many asserts each engine's total to be n! D at every rank and
+builds one Fraction per (beta, bin, rank).  With pi bins and jobs > 1 it
+opens one fork pool of min(jobs, os.cpu_count()) workers from rank
 _POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
@@ -203,12 +202,12 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Split-sum engine
+# Class sums and the split-sum engine
 # ---------------------------------------------------------------------------
 
-# A half-word state (rank, X, d, pi_num): the rank the word has reached, its
-# vector X of n + 1 ints, and the products of G and of G - 1 over the g-values
-# G > 1 of the 2s that X carries.
+# A class root or half-word state (rank, X, d, pi_num): the rank the word has
+# reached, its vector X of n + 1 ints, and the products of G and of G - 1 over
+# the g-values G > 1 of the 2s that X carries.
 _State = tuple[int, list[int], int, int]
 
 
@@ -261,27 +260,38 @@ def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
     return rho, vec, d, pi_num
 
 
-def _right_halves(w: TailOnesWord, n: int, k: int) -> Iterable[tuple[int, _State]]:
-    """(h_rank, state) for every right half b at split rank k: the chain node of
-    rank n, if any, and the shortest suffixes of rank >= k that are not chain
-    nodes, grown from each b_L = mismatched digit + s_L."""
-    L, s = 0, ()  # s = s_L, the last L digits of w
+def _classes(w: TailOnesWord, n: int) -> list[tuple[int, _State]]:
+    """(common-suffix rank, root state) for each class of rank-n words: the chain
+    node of rank n, if any, alone, and for each b_L = mismatched digit + s_L of
+    rank <= n the words u + b_L, rooted at b_L with the rank of s_L."""
+    roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
     while sum(s) <= n:
         chain = _chain_state(s, L, n)
         if chain[0] == n:
-            yield n, chain
+            roots.append((n, chain))
         digit = 3 - w.digit_from_right(L)
         if chain[0] + digit <= n:
-            for state in _prepend(_grow(chain, digit), k, n, _grow):
-                yield chain[0], state
+            roots.append((chain[0], _grow(chain, digit)))
         s = (w.digit_from_right(L),) + s
         L += 1
+    return roots
 
 
-def _pi_key(pi_num: int, d: int) -> tuple[int, int]:
-    """pi = pi_num / d in lowest terms, as a hashable (numerator, denominator)."""
-    g = gcd(pi_num, d)
-    return pi_num // g, d // g
+def _class_masses(roots: Sequence[tuple[int, _State]], n: int,
+                  scaled: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """(common-suffix rank, [n! D_b mu(class) for each beta b]) per class of roots,
+    scaled[b][i] = C(n, i) W_i: a root (r, X) gives sum_i scaled[b][i] X[i] S_i(r),
+    S_i(r) the sum of Y_u[i] over the u of rank n - r.  Split by u's last digit,
+
+        S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
+
+    so one pass of O(n^2) int products serves every class of the rank."""
+    factors = _g_factors(n)
+    sums = [[0] * (n + 1), [1] * (n + 1)]  # S(n + 1) = 0 and S(n), then S(r) down to S(0)
+    for G in range(n, 0, -1):
+        sums.append([a + c * b for a, b, c in zip(sums[-1], sums[-2], factors[G])])
+    return [(h_rank, [_dot(cw, vec, sums[n + 1 - r]) for cw in scaled])
+            for h_rank, (r, vec, _, _) in roots]
 
 
 def _add_into(groups: dict, key, vec: list[int]) -> None:
@@ -292,16 +302,16 @@ def _add_into(groups: dict, key, vec: list[int]) -> None:
 
 
 def _left_sums(lefts: Iterable[_State], n: int, keys: Sequence[tuple[int, int]],
-               cuts: Sequence[tuple[Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
+               cuts: Sequence[tuple[int, Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
     """Sums over the left-half states lefts (all of one right-half rank): of their
-    vectors, and for each cut (lo, hi) of pi(v), two dicts m -> sum of the
+    vectors, and for each cut (b, lo, hi) of pi(v), two dicts m -> sum of the
     vectors of the u with m right-half keys (the ascending pi keys) at most
     lo / pi(u), or below hi / pi(u), respectively."""
     total = [0] * (n + 1)
     buckets = [({}, {}) for _ in cuts]
     for _, vec, d, pi_num in lefts:
         total = [a + v for a, v in zip(total, vec)]
-        for (lo, hi), (at_most, below) in zip(cuts, buckets):
+        for (_, lo, hi), (at_most, below) in zip(cuts, buckets):
             # pi(b) <= lo / pi(u) = tn / td iff pi_b.num * td - tn * pi_b.den <= 0
             tn, td = lo.numerator * d, lo.denominator * pi_num
             _add_into(at_most, bisect_right(keys, 0, key=lambda b: b[0] * td - tn * b[1]), vec)
@@ -315,44 +325,38 @@ def _dot(*vectors: Sequence[int]) -> int:
     return sum(map(prod, zip(*vectors)))
 
 
-# A sweep with jobs > 1 sums ranks >= _POOL_RANK in its pool: worker p of P
+# A sweep with pi bins and jobs > 1 sums ranks >= _POOL_RANK in its pool:
+# worker p of P grows the right halves from the class roots it is sent and
 # takes the left halves above the states _TASK_DEPTH above each right half
-# whose index is p mod P, and builds the right halves itself.  The crossover,
-# timed on a 2-vCPU VM (Python 3.11) for the three cores eps, 22 and 212 and
-# the six (beta, parameter) pairs of criterion 8, medians of 7 alternated
-# runs: serial against 2 workers 0.14 s / 0.17 s at rank 28, 0.24 s / 0.24 s
-# at rank 30, 0.39 s / 0.33 s at rank 32 and 0.64 s / 0.52 s at rank 34.
+# whose index is p mod P.  Pi-only sweeps of cores eps, 22 and 212 over the
+# two pi pairs of criterion 8, medians of 7 alternated runs on a 2-vCPU VM
+# (Python 3.11), serial against 2 workers: 0.21 / 0.22 s at rank 28, 0.36 /
+# 0.34 s at 30, 0.68 / 0.52 s at 32 and 1.03 / 0.84 s at 34.
 _POOL_RANK = 32
 _TASK_DEPTH = 6
 
 
-def _split_sums(w: TailOnesWord, n: int, weights: Sequence[Sequence[int]],
-                bins: Sequence[tuple[int, str, object]], share: tuple[int, int] = (0, 1),
+def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
+                cuts: Sequence[tuple[int, Fraction, Fraction]], share: tuple[int, int] = (0, 1),
                 split: Optional[int] = None) -> list[int]:
-    """Sums of n! * D * mu(v) with weights[b] over the rank-n words v, one per bin
-    (b, kind, param): every word for "total", common-suffix rank < param for
-    "suffix", pi(v) outside the open interval (lo, hi) for "pi" with
-    param = (lo, hi) two Fractions.  Words split at rank split (default n // 2)
-    as in the module docstring; share = (p, P) restricts the sums to part p of
-    P of the left halves, and the P parts add up to the whole.
-    """
+    """Sums of n! D_b mu(v) over the rank-n words v, scaled[b][i] = C(n, i) W_i: all
+    words, one sum per beta b, then per cut (b, lo, hi) those with pi(v) outside
+    the open interval (lo, hi).  Right halves grow from the class roots to rank
+    split (default n // 2), as in the module docstring; share = (p, P) keeps
+    part p of P of the left halves, and the P parts add up to the whole."""
     k = n // 2 if split is None else split
-    cuts = [param for _, kind, param in bins if kind == "pi"]
-    right: dict[int, tuple[dict, dict]] = {}  # r -> (sums by h_rank, sums by pi key)
-    for h_rank, (r, vec, d, pi_num) in _right_halves(w, n, k):
-        by_h_rank, by_pi = right.setdefault(r, ({}, {}))
-        _add_into(by_h_rank, h_rank, vec)
-        if cuts:
-            _add_into(by_pi, _pi_key(pi_num, d), vec)
-    scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector in weights]
-    pi_bins = [(j, scaled[b]) for j, (b, kind, _) in enumerate(bins) if kind == "pi"]
+    right: dict[int, dict] = {}  # r -> X sums by pi key, pi(b) = pi_num / d in lowest terms
+    for _, root in roots:
+        for r, vec, d, pi_num in _prepend(root, k, n, _grow):
+            g = gcd(pi_num, d)
+            _add_into(right.setdefault(r, {}), (pi_num // g, d // g), vec)
     part, parts = share
-    sums = [0] * len(bins)
-    for r, (by_h_rank, by_pi) in right.items():
+    sums = [0] * (len(scaled) + len(cuts))
+    for r, by_pi in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-        roots = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, _grow)
-        lefts = (state for i, root in enumerate(roots) if i % parts == part
-                 for state in _prepend(root, n, n, _grow))
+        tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, _grow)
+        lefts = (state for i, task in enumerate(tasks) if i % parts == part
+                 for state in _prepend(task, n, n, _grow))
         total, buckets = _left_sums(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
         # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
@@ -360,20 +364,13 @@ def _split_sums(w: TailOnesWord, n: int, weights: Sequence[Sequence[int]],
         for m in range(len(keys) + 1):
             if m:
                 running = [a + v for a, v in zip(running, by_pi[keys[m - 1]])]
-            for (j, cw), (at_most, below) in zip(pi_bins, buckets):
+            for j, ((b, _, _), (at_most, below)) in enumerate(zip(cuts, buckets), len(scaled)):
                 if m in at_most:
-                    sums[j] += _dot(cw, running, at_most[m])
+                    sums[j] += _dot(scaled[b], running, at_most[m])
                 if m in below:
-                    sums[j] -= _dot(cw, running, below[m])
-        for j, cw in pi_bins:
-            sums[j] += _dot(cw, running, total)
-        for j, (b, kind, param) in enumerate(bins):
-            if kind != "pi":
-                x = [0] * (n + 1)
-                for h_rank, vec in by_h_rank.items():
-                    if kind == "total" or h_rank < param:
-                        x = [a + v for a, v in zip(x, vec)]
-                sums[j] += _dot(scaled[b], x, total)
+                    sums[j] -= _dot(scaled[b], running, below[m])
+        for j, b in enumerate([*range(len(scaled)), *(b for b, _, _ in cuts)]):
+            sums[j] += _dot(scaled[b], running, total)
     return sums
 
 
@@ -417,16 +414,17 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                suffix_params: Sequence[tuple[Fraction, int]] = (),
                pi_params: Sequence[tuple[Fraction, Fraction]] = (),
                jobs: int = 1) -> dict[tuple[Mode, Fraction, Param, int], Fraction]:
-    """Tail masses for many (mode, beta, parameter) pairs in one split sum per rank.
+    """Tail masses for many (mode, beta, parameter) pairs, one pass per engine and rank.
 
-    Returns a map (mode, beta, parameter, n) -> tail mass.  Each rank's sums
-    are integers over n! * D_b (D_b the shared weight denominator of beta b),
-    from _split_sums; each rank's total is asserted to equal n! * D_b exactly,
-    and each tail becomes one Fraction.  jobs is clamped to the CPU count.  With
-    more than one worker, the call opens one fork pool when some rank is at
-    least _POOL_RANK (32) and shares those ranks' left halves among its
-    workers; lower ranks, where a pool costs more than it saves, and every
-    rank on one CPU, run in-process.  Results are identical for every jobs.
+    Returns a map (mode, beta, parameter, n) -> tail mass.  Each rank's sums are
+    integers over n! * D_b (D_b the shared weight denominator of beta b): suffix
+    tails from the class masses (_class_masses), pi tails from _split_sums.  The
+    total of each engine used is asserted to equal n! * D_b at every rank, and
+    each tail becomes one Fraction.  jobs is clamped to the CPU count.  With pi
+    parameters and more than one worker, the call opens one fork pool when some
+    rank is at least _POOL_RANK (32) and shares those ranks' left halves among
+    its workers; suffix tails, lower ranks and one CPU run in-process.  Results
+    are identical for every jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -443,32 +441,34 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     if any(e <= 0 for _, e in pi_params):
         raise ValueError("eps must be positive")
     piw = pi(w)
-    # One total bin per beta first, then one bin per requested tail.
-    bins = [(b, "total", None) for b in range(len(betas))]
-    keys = []
-    for beta, l in suffix_params:
-        bins.append((betas.index(beta), "suffix", l))
-        keys.append(("suffix", beta, l))
-    for beta, e in pi_params:
-        bins.append((betas.index(beta), "pi", (piw * (beta - e), piw * (beta + e))))
-        keys.append(("pi", beta, e))
+    cuts = [(betas.index(beta), piw * (beta - e), piw * (beta + e)) for beta, e in pi_params]
     workers = min(jobs, os.cpu_count() or 1)
-    pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 else []
+    pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 and cuts else []
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]
-            vectors = [vector for vector, _ in weights]
+            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
+            scales = [factorial(n) * den for _, den in weights]
+            roots = _classes(w, n)
+            masses = _class_masses(roots, n, scaled)
+            assert [sum(column) for column in zip(*(m for _, m in masses))] == scales, \
+                f"level {n} class masses do not sum to 1"
+            for beta, l in suffix_params:
+                b = betas.index(beta)
+                results["suffix", beta, l, n] = Fraction(sum(m[b] for h, m in masses if h < l),
+                                                         scales[b])
+            if not cuts:
+                continue
             if n in pooled:
-                parts = pool.starmap(_split_sums, [(w, n, vectors, bins, (p, workers))
+                parts = pool.starmap(_split_sums, [(roots, n, scaled, cuts, (p, workers))
                                                    for p in range(workers)])
             else:
-                parts = [_split_sums(w, n, vectors, bins)]
+                parts = [_split_sums(roots, n, scaled, cuts)]
             sums = [sum(column) for column in zip(*parts)]
-            scales = [factorial(n) * den for _, den in weights]
-            assert sums[:len(betas)] == scales, f"level {n} masses do not sum to 1"
-            for key, (b, _, _), total in zip(keys, bins[len(betas):], sums[len(betas):]):
-                results[key + (n,)] = Fraction(total, scales[b])
+            assert sums[:len(betas)] == scales, f"level {n} split masses do not sum to 1"
+            for (beta, e), (b, _, _), total in zip(pi_params, cuts, sums[len(betas):]):
+                results["pi", beta, e, n] = Fraction(total, scales[b])
     return results
 
 
@@ -476,8 +476,8 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
                         n_list: Sequence[int], jobs: int = 1) -> ConcentrationReport:
     """Exact tail mass outside the concentration set, for each rank in n_list.
 
-    jobs is passed to sweep_many: it changes no result, and only ranks from 32
-    on use a pool.
+    jobs is passed to sweep_many: it changes no result, and only pi sweeps use a
+    pool, from rank 32 on.
     """
     if mode not in ("suffix", "pi"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -171,6 +171,14 @@ def test_pointwise_oracles_match_goldens(capsys):
         == golden("dcount.txt")
 
 
+def test_suffix_sweep_matches_golden(capsys):
+    # pinned from the split engine; the class sums print the same bytes
+    code, out, _ = run(capsys, "sweep", "--mode", "suffix", "--w", "212", "--beta", "3/7",
+                       "--l", "2", "--n", "8..40..8", "--format", "csv")
+    assert code == 0
+    assert out == (POINTWISE_GOLDENS / "sweep-suffix-212-3_7-2.csv").read_bytes().decode()
+
+
 def test_symbolic_magic_builds_no_table(capsys, monkeypatch):
     # the factored cells depend on neither w nor beta: no kernel or table is needed
     def refuse(*args, **kwargs):

@@ -123,41 +123,52 @@ def test_walk_masses_match_direct_measure_at_high_rank(v):
             assert walked == mu(w, beta, v), (v.text, core, beta)
 
 
-def _walk_sums(w, n, weights, bins):
-    """The bin sums of _split_sums taken word by word over the walk, with node_mass."""
-    sums = [0] * len(bins)
+def _walk_sums(w, n, weights, cuts):
+    """Word by word over the walk, with node_mass: the masses of each common-suffix
+    rank (one per beta), and the sums of _split_sums (every word, one per beta,
+    then the words with pi(v) outside each cut (b, lo, hi))."""
+    by_h_rank = {}
+    sums = [0] * (len(weights) + len(cuts))
     for leaf in experiments._iter_nodes(n, w):
-        for j, (b, kind, param) in enumerate(bins):
-            if kind == "suffix" and leaf.h_rank >= param:
-                continue
-            if kind == "pi" and param[0] < Fr(leaf.pi_num, leaf.d_eps) < param[1]:
-                continue
-            sums[j] += experiments.node_mass(leaf, weights[b])
-    return sums
+        masses = [experiments.node_mass(leaf, vector) for vector in weights]
+        acc = by_h_rank.setdefault(leaf.h_rank, [0] * len(weights))
+        for b, mass in enumerate(masses):
+            acc[b] += mass
+            sums[b] += mass
+        for j, (b, lo, hi) in enumerate(cuts, len(weights)):
+            if not lo < Fr(leaf.pi_num, leaf.d_eps) < hi:
+                sums[j] += masses[b]
+    return by_h_rank, sums
 
 
-def _gate_bins(w, betas):
+def _gate_cuts(w, betas):
     piw = pi(w)
-    return ([(b, "total", None) for b in range(len(betas))]
-            + [(b, "suffix", l) for b in range(len(betas)) for l in (0, 1, 2, 3, 5)]
-            + [(b, "pi", (piw * (beta - eps), piw * (beta + eps)))
-               for b, beta in enumerate(betas) for eps in (Fr(1, 4), Fr(1, 10))])
+    return [(b, piw * (beta - eps), piw * (beta + eps))
+            for b, beta in enumerate(betas) for eps in (Fr(1, 4), Fr(1, 10))]
 
 
 def test_split_sums_equal_the_walk():
-    # every split rank k up to rank 10, the default split up to rank 18
+    # the class masses per common-suffix rank, and the split sums at every split
+    # rank k up to rank 10 and the default split up to rank 18
     betas = (Fr(1, 2), Fr(3, 7), Fr(1))
     for core in ("eps", "2", "22", "212", "2122"):
         w = TailOnesWord.parse(core)
-        bins = _gate_bins(w, betas)
+        cuts = _gate_cuts(w, betas)
         for n in range(19):
-            weights = [mass_weights(w, beta, n)[0] for beta in betas]
-            expected = _walk_sums(w, n, weights, bins)
-            assert expected[:len(betas)] == [factorial(n) * mass_weights(w, beta, n)[1]
-                                             for beta in betas]
+            weights = [mass_weights(w, beta, n) for beta in betas]
+            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
+            by_h_rank, expected = _walk_sums(w, n, [vector for vector, _ in weights], cuts)
+            assert expected[:len(betas)] == [factorial(n) * den for _, den in weights]
+            roots = experiments._classes(w, n)
+            classes = {}
+            for h_rank, masses in experiments._class_masses(roots, n, scaled):
+                acc = classes.setdefault(h_rank, [0] * len(betas))
+                for b, mass in enumerate(masses):
+                    acc[b] += mass
+            assert classes == by_h_rank, (core, n)
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
-                assert experiments._split_sums(w, n, weights, bins, split=k) == expected, (core, n, k)
+                assert experiments._split_sums(roots, n, scaled, cuts, split=k) == expected, (core, n, k)
 
 
 def test_sweep_at_rank_40():
@@ -223,11 +234,31 @@ def test_sweep_many_agrees_with_single_sweeps():
         assert combos[("pi", Fr(1, 2), Fr(1, 4), row.n)] == row.tail
 
 
+def test_suffix_sweep_at_rank_100():
+    # sweep_many asserts that the class masses sum to exactly 1 at each beta
+    tails = sweep_many(CORES[2], [100], suffix_params=[(Fr(1, 2), 2), (Fr(3, 7), 0)])
+    assert tails["suffix", Fr(3, 7), 0, 100] == 0
+    assert 0 < tails["suffix", Fr(1, 2), 2, 100] < 1
+
+
+def test_suffix_sweep_splits_no_word_and_opens_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suffix-only sweep split words or opened a pool")
+
+    ranks = [experiments._POOL_RANK, experiments._POOL_RANK + 2]
+    params = dict(suffix_params=[(Fr(1, 2), 2), (Fr(3, 7), 3)])
+    expected = sweep_many(CORES[3], ranks, **params)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+    monkeypatch.setattr(experiments, "_split_sums", refuse)
+    assert sweep_many(CORES[3], ranks, jobs=2, **params) == expected
+
+
 def test_parallel_sweep_matches_serial(monkeypatch):
     monkeypatch.setattr(experiments, "_POOL_RANK", 10)  # rank 11 takes the pooled path
     w = CORES[2]
-    serial = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=1)
-    parallel = concentration_sweep("suffix", w, Fr(1, 2), 2, [11], jobs=2)
+    serial = concentration_sweep("pi", w, Fr(1, 2), Fr(1, 4), [11], jobs=1)
+    parallel = concentration_sweep("pi", w, Fr(1, 2), Fr(1, 4), [11], jobs=2)
     assert serial.rows == parallel.rows
 
 
