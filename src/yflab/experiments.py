@@ -35,7 +35,7 @@ pi(v) = pi(b) prod (G - 1)/G over the G > 1.
 
 The classes (_classes): with b_L = (3 - w.digit_from_right(L)) + s_L, every
 rank-n word but the chain node of rank n is u + b_L for exactly one L (b_L is
-its shortest suffix that is not a chain node) and any u of rank n - rank(b_L).
+its shortest suffix that is not a chain node), and class L is every such u + b_L.
 A class never straddles a suffix bin (common-suffix rank < l): its words all
 have h(v, w) = L and common-suffix rank rank(s_L), and the chain node of rank
 n is a class alone.  The X sum of a class is X(b_L)[i] S_i(rank(b_L)), with
