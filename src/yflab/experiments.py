@@ -13,18 +13,19 @@ walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
 check sweeps against, and it shares one stack loop (_prepend) with them.
 
 Sweeps sum whole classes of words instead.  Let s_L be the chain node
-suffix_of_infinite(w, L).  Fix z = L and give a word x + s_L of rank R the
-vector of n + 1 ints
+suffix_of_infinite(w, L).  Fix z = L and give a word v = x + s_L of rank R <= n
+the vector of n + 1 ints
 
-    X[i] = d(empty, x + s_L) i! (R - i)! f(x + s_L, i, L)       for i <= R,
-    X[i] = d(empty, x + s_L) i! f(1^(i - R) + x + s_L, i, L)    for i > R.
+    X[i] = d(empty, v) i! (n - i)! f(1^(n - R) + v, i, L),    i = 0..n,
 
-A word v of rank n with h(v, w) = L is x + s_L, and n! D mu(v) is
-sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X unchanged, and prepending a
-2 of g-value G = R + 1 multiplies X[i] by G (G - i): below R + 1 by the
-left-extension law, and above because the unwind of f(1^j + 2 + c, top, L)
-never reaches the 2 and every base value of it is -(j + 1) times that of
-1^(j+2) + c (the prefix-rank products differ by the factor j + 1).  So if
+d(empty, v) i! (R - i)! f(v, i, L) for i <= R; by the prepend law no X[i]
+depends on n, so one chain built at a sweep's top rank serves every rank, cut
+to n + 1 entries (_roots_at).  A word v of rank n with h(v, w) = L is x + s_L,
+and n! D mu(v) is sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X unchanged,
+as the padded word stays the same, and prepending a 2 of g-value G = R + 1
+multiplies X[i] by G (G - i): below R + 1 by the left-extension law, and above
+because the unwind of f(1^j + 2 + v, i, L) never reaches the 2 and its base
+values are -(i - R - 1) times those of 1^(j + 2) + v.  So if
 v = u + b with h(v, w) = h(b), then X(v)[i] = X(b)[i] Y_u[i] with
 
     Y_u[i] = prod over the 2s of u of G (G - i),  G = rank(b) + sigma - 1,
@@ -56,14 +57,14 @@ hi / pi(u), and dots each bucket with the running X sum of the keys below
 it, in one pass over the keys.  This costs about Fib(n / 2) vectors per side.
 
 Besides harmonic._unwind's own, the engines' only division is the chain
-node's F_i / C(rho, i) = i! (rho - i)! f(s, i, L), F = harmonic._f_row(s, L),
-asserted exact: f(s, i, L) = f(tail, i, L) / H(head) with H(head) a product
-of distinct integers up to rho - i, which divides (rho - i)!, and
-i! f(tail, i, L) an integer (harmonic._unwind).  Every sum is an int over
-n! D; sweep_many asserts each engine's total to be n! D at every rank and
-builds one Fraction per (beta, bin, rank).  With pi bins and jobs > 1 it
-opens one fork pool of min(jobs, os.cpu_count()) workers from rank
-_POOL_RANK on, each worker taking a share of the left halves.
+node's F_i / C(n, i) = X[i] / d(empty, s), F = harmonic._f_row(p, L) for the
+padded p = 1^(n - rank(s)) + s, asserted exact: f(p, i, L) = f(tail, i, L) /
+H(head) with H(head) a product of distinct integers up to n - i, which
+divides (n - i)!, and i! f(tail, i, L) an integer (harmonic._unwind).  Every
+sum is an int over n! D; sweep_many asserts each engine's total to be n! D
+at every rank and builds one Fraction per (beta, bin, rank).  With pi bins
+and jobs > 1 it opens one fork pool of min(jobs, os.cpu_count()) workers
+from rank _POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  It reads
@@ -211,7 +212,7 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
 _State = tuple[int, list[int], int, int]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
     """Row G is (G (G - i) for i = 0..n): a prepended 2 of g-value G multiplies
     entry i of a half-word vector by it."""
@@ -245,36 +246,39 @@ def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
         stack.append(grow(state, 1))
 
 
-def _chain_state(s: tuple[int, ...], L: int, n: int) -> _State:
-    """The state of the chain node s = suffix_of_infinite(w, L), with f taken at
-    z = L: X[i] = d(empty, s) i! (rho - i)! f(s, i, L) for i <= rho = rank(s)
-    and d(empty, s) i! f(1^(i - rho) + s, i, L) above."""
+def _chain_state(s: tuple[int, ...], L: int, top: int) -> _State:
+    """The state of the chain node s = suffix_of_infinite(w, L) of rank rho: for i = 0..top,
+    X[i] = d(empty, s) i! (top - i)! f(1^(top - rho) + s, i, L), the padded row over C(top, i)."""
     rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
     vec = []
-    for i, F in enumerate(_f_row(s, L)):
-        value, remainder = divmod(F, comb(rho, i))
+    for i, F in enumerate(_f_row((1,) * (top - rho) + s, L)):
+        value, remainder = divmod(F, comb(top, i))
         assert remainder == 0, f"chain node {s}: inexact at i={i}"
         vec.append(d * value)
-    for i in range(rho + 1, n + 1):
-        vec.append(d * _scaled_f((1,) * (i - rho) + s, i, L))
     return rho, vec, d, pi_num
 
 
-def _classes(w: TailOnesWord, n: int) -> list[tuple[int, _State]]:
-    """(common-suffix rank, root state) for each class of rank-n words: the chain
-    node of rank n, if any, alone, and for each b_L = mismatched digit + s_L of
-    rank <= n the words u + b_L, rooted at b_L with the rank of s_L."""
+def _classes(w: TailOnesWord, top: int) -> list[tuple[int, _State]]:
+    """(common-suffix rank, root state) for every chain node s_L and every b_L =
+    mismatched digit + s_L of rank <= top, with top + 1 entries: one chain, built
+    once per sweep, serves every rank up to top (_roots_at)."""
     roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
-    while sum(s) <= n:
-        chain = _chain_state(s, L, n)
-        if chain[0] == n:
-            roots.append((n, chain))
+    while sum(s) <= top:
+        chain = _chain_state(s, L, top)
+        roots.append((chain[0], chain))
         digit = 3 - w.digit_from_right(L)
-        if chain[0] + digit <= n:
+        if chain[0] + digit <= top:
             roots.append((chain[0], _grow(chain, digit)))
         s = (w.digit_from_right(L),) + s
         L += 1
     return roots
+
+
+def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, _State]]:
+    """The rank-n class roots in _classes(w, top >= n): the chain node of rank n (its rank
+    is its common-suffix rank) and every b_L of rank <= n, vectors cut to n + 1 entries."""
+    return [(h, (r, vec[:n + 1], d, pi_num)) for h, (r, vec, d, pi_num) in classes
+            if r == n or h < r <= n]
 
 
 def _class_masses(roots: Sequence[tuple[int, _State]], n: int,
@@ -416,26 +420,25 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                jobs: int = 1) -> dict[tuple[Mode, Fraction, Param, int], Fraction]:
     """Tail masses for many (mode, beta, parameter) pairs, one pass per engine and rank.
 
-    Returns a map (mode, beta, parameter, n) -> tail mass.  Each rank's sums are
-    integers over n! * D_b (D_b the shared weight denominator of beta b): suffix
-    tails from the class masses (_class_masses), pi tails from _split_sums.  The
-    total of each engine used is asserted to equal n! * D_b at every rank, and
-    each tail becomes one Fraction.  jobs is clamped to the CPU count.  With pi
-    parameters and more than one worker, the call opens one fork pool when some
-    rank is at least _POOL_RANK (32) and shares those ranks' left halves among
-    its workers; suffix tails, lower ranks and one CPU run in-process.  Results
-    are identical for every jobs.
+    Returns a map (mode, beta, parameter, n) -> tail mass.  One chain of class
+    roots is built per call, at the top rank (_classes), and each rank takes its
+    roots from it (_roots_at).  Each rank's sums are ints over n! * D_b (D_b the
+    shared weight denominator of beta b): suffix tails from the class masses
+    (_class_masses), pi tails from _split_sums.  The total of each engine used
+    is asserted to equal n! * D_b at every rank, and each tail becomes one
+    Fraction.  jobs is clamped to the CPU count.  With pi parameters and more
+    than one worker, one fork pool opens when some rank is at least _POOL_RANK
+    (32) and shares those ranks' left halves among its workers; suffix tails,
+    lower ranks and one CPU run in-process.  Results are identical for every jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(n < 0 for n in n_list):
         raise ValueError(f"ranks must be nonnegative, got {list(n_list)}")
-    betas: list[Fraction] = []
-    for beta, _ in tuple(suffix_params) + tuple(pi_params):
+    betas = list(dict.fromkeys(beta for beta, _ in (*suffix_params, *pi_params)))
+    for beta in betas:
         if not 0 < beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
-        if beta not in betas:
-            betas.append(beta)
     if any(l < 0 for _, l in suffix_params):
         raise ValueError("l must be nonnegative")
     if any(e <= 0 for _, e in pi_params):
@@ -445,12 +448,13 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     workers = min(jobs, os.cpu_count() or 1)
     pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 and cuts else []
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
+    classes = _classes(w, max(n_list, default=0))
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]
             scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
             scales = [factorial(n) * den for _, den in weights]
-            roots = _classes(w, n)
+            roots = _roots_at(classes, n)
             masses = _class_masses(roots, n, scaled)
             assert [sum(column) for column in zip(*(m for _, m in masses))] == scales, \
                 f"level {n} class masses do not sum to 1"
@@ -484,15 +488,11 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and strictly ascending")
-    if mode == "suffix":
-        tails = sweep_many(w, n_list, suffix_params=[(beta, int(parameter))], jobs=jobs)
-        key = ("suffix", beta, int(parameter))
-    else:
-        eps = Fraction(parameter)
-        tails = sweep_many(w, n_list, pi_params=[(beta, eps)], jobs=jobs)
-        key = ("pi", beta, eps)
+    param = int(parameter) if mode == "suffix" else Fraction(parameter)
+    tails = sweep_many(w, n_list, jobs=jobs, **{f"{mode}_params": [(beta, param)]})
+    key = (mode, beta, param)
     rows = tuple(SweepRow(n, tails[key + (n,)], 1 - tails[key + (n,)]) for n in n_list)
-    return ConcentrationReport(mode, w, Fraction(beta), key[2], rows)
+    return ConcentrationReport(mode, w, Fraction(beta), param, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -172,11 +172,14 @@ def test_pointwise_oracles_match_goldens(capsys):
 
 
 def test_suffix_sweep_matches_golden(capsys):
-    # pinned from the split engine; the class sums print the same bytes
-    code, out, _ = run(capsys, "sweep", "--mode", "suffix", "--w", "212", "--beta", "3/7",
-                       "--l", "2", "--n", "8..40..8", "--format", "csv")
-    assert code == 0
-    assert out == (POINTWISE_GOLDENS / "sweep-suffix-212-3_7-2.csv").read_bytes().decode()
+    # the 212 sweep was pinned from the split engine, the 22 sweep from chain states
+    # built per rank; the class sums of one chain print the same bytes
+    for core, beta, ranks, name in (("212", "3/7", "8..40..8", "sweep-suffix-212-3_7-2.csv"),
+                                    ("22", "1/2", "40..200..40", "sweep-suffix-22-1_2-2.csv")):
+        code, out, _ = run(capsys, "sweep", "--mode", "suffix", "--w", core, "--beta", beta,
+                           "--l", "2", "--n", ranks, "--format", "csv")
+        assert code == 0
+        assert out == (POINTWISE_GOLDENS / name).read_bytes().decode(), name
 
 
 def test_symbolic_magic_builds_no_table(capsys, monkeypatch):

@@ -149,23 +149,25 @@ def _gate_cuts(w, betas):
 
 def test_split_sums_equal_the_walk():
     # the class masses per common-suffix rank, and the split sums at every split
-    # rank k up to rank 10 and the default split up to rank 18
+    # rank k up to rank 10 and the default split up to rank 18; every rank's roots
+    # are cut from one chain built at rank 18
     betas = (Fr(1, 2), Fr(3, 7), Fr(1))
     for core in ("eps", "2", "22", "212", "2122"):
         w = TailOnesWord.parse(core)
         cuts = _gate_cuts(w, betas)
+        classes = experiments._classes(w, 18)
         for n in range(19):
             weights = [mass_weights(w, beta, n) for beta in betas]
             scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
             by_h_rank, expected = _walk_sums(w, n, [vector for vector, _ in weights], cuts)
             assert expected[:len(betas)] == [factorial(n) * den for _, den in weights]
-            roots = experiments._classes(w, n)
-            classes = {}
+            roots = experiments._roots_at(classes, n)
+            summed = {}
             for h_rank, masses in experiments._class_masses(roots, n, scaled):
-                acc = classes.setdefault(h_rank, [0] * len(betas))
+                acc = summed.setdefault(h_rank, [0] * len(betas))
                 for b, mass in enumerate(masses):
                     acc[b] += mass
-            assert classes == by_h_rank, (core, n)
+            assert summed == by_h_rank, (core, n)
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
                 assert experiments._split_sums(roots, n, scaled, cuts, split=k) == expected, (core, n, k)
@@ -220,7 +222,7 @@ def test_sweep_rejects_bad_input():
             sweep_many(CORES[2], [4], pi_params=[(Fr(1, 2), eps)])
 
 
-def test_sweep_many_agrees_with_single_sweeps():
+def test_sweep_many_agrees_with_single_sweeps(monkeypatch):
     w = CORES[3]
     combos = sweep_many(w, [5, 7],
                         suffix_params=[(Fr(1, 2), 1), (Fr(1), 2)],
@@ -232,6 +234,28 @@ def test_sweep_many_agrees_with_single_sweeps():
     single = concentration_sweep("pi", w, Fr(1, 2), Fr(1, 4), [5, 7])
     for row in single.rows:
         assert combos[("pi", Fr(1, 2), Fr(1, 4), row.n)] == row.tail
+    # a suffix-only sweep cuts every rank's roots from one chain built at its top rank
+    ranks, params = [8, 60, 100], dict(suffix_params=[(Fr(1, 2), 2), (Fr(3, 7), 5)])
+    singles = {}
+    for n in ranks:
+        singles.update(sweep_many(w, [n], **params))
+    calls = []
+    original = experiments._classes
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "_classes", counting)
+    assert sweep_many(w, ranks, **params) == singles
+    assert len(calls) == 1
+    assert sweep_many(w, []) == {}
+
+
+def test_sweep_many_keeps_one_factor_table():
+    params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1, 2), Fr(1, 4))])
+    sweep_many(CORES[2], [10, 14, 18, 22], **params)
+    assert experiments._g_factors.cache_info().currsize <= 1
 
 
 def test_suffix_sweep_at_rank_100():
