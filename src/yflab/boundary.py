@@ -19,8 +19,12 @@ The kernel is one polynomial in beta, built without beta by _kernel_terms:
 int coefficients T_i = rank(x)! f(x, i, h) prod_j (g(w, j) - i), with
 rank(x)! f(x, i, h) the row harmonic._f_row(x, h), over rank(x)! prod_j g(w, j).
 d_beta_prime evaluates it at beta = p/q in ints (_scaled_value) and builds
-one Fraction; d1_prime sums it.  Nothing here is memoized: the identity
-suite holds one kernel per (x, w) for a run.
+one Fraction; d1_prime sums it.  mu and d_beta_prime stay the pointwise
+route.  level_distribution shares one weight vector across its level: it
+builds (W, D) = mass_weights(w, beta, n) once, and each mass is
+d(empty, v) * sum_i F_i W_i over n! D, with F the row _f_row(v, h).
+Nothing here is memoized: the identity suite holds one kernel per (x, w)
+for a run.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .harmonic import _f_row, g_all
@@ -194,5 +199,10 @@ def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribu
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    masses = {v: mu(w, beta, v) for v in enumerate_level(n)}
+    weights, den = mass_weights(w, Fraction(beta), n)
+    den *= factorial(n)
+    masses = {}
+    for v in enumerate_level(n):
+        row = _f_row(v, h_infinite(v, w).length)
+        masses[v] = Fraction(d_from_empty(v) * sum(map(mul, row, weights)), den)
     return LevelDistribution(n, w, Fraction(beta), masses)

@@ -40,9 +40,12 @@ R! / H is a multiple of y! and P divides y!; the (1 - y) divisors are
 divided out once at the end, also exactly.  ``_f_splits(x, z)`` runs one
 pass over the suffix splits of x, so ``_f_row(x, z)``, the one builder of a
 whole row [R! f(x, y, z) for y = 0..R], needs no factorial and no per-entry
-split search; it serves ``d_beta`` (z = 0), the kernel d'_beta (z = h), the
-walk, the sweeps and the identity suite, and the path-count formula reads
-the splits directly.  ``_scaled_f`` is the single-entry path.  Only the
+split search; it serves ``d_beta`` (z = 0), the kernel d'_beta and the
+measure's levels (z = h), the walk, the sweeps and the identity suite.  The
+path-count formula takes the split values of x at z = h through a bounded
+memo of its own, per (x, h) (``pathcount``); ``_f_splits`` and ``_f_row``
+keep no memo, since the sweeps build padded rows of rank 200 and more
+through them.  ``_scaled_f`` is the single-entry path.  Only the
 public ``f``, memoized per triple in a memo perfbench reads, and ``d_beta``,
 one per coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one
 each from the int products of ``_g_ratio_parts``.

@@ -12,8 +12,19 @@ plain ints: f(x, i, h) vanishes unless x has a suffix of rank i, and
 harmonic._f_splits gives rank(x)! * f(x, i, h) at each of those splits from
 the product form C(rank(x), i) prod |g(x, j) - i| of its base value and the
 integer unwind of the recursion.  The sum is divided by rank(x)! once, with
-the division asserted exact.  The DP shares no code with it and stays the
-independent route.  The two must agree everywhere; tests enforce this.
+the division asserted exact.
+
+x enters the formula only through those split values at z = h, so
+_split_values keeps them in one memo keyed by (x, h) and bounded at 4,096
+entries, each a tuple of ints; the split ranks i are x's suffix ranks,
+recovered in the loop.  The memo is per pair, not a batch form: every
+caller (dcount, the all-pairs acceptance check, the oracles benchmark) asks
+for one pair at a time, so a batch form would serve none of them, while
+across an all-pairs loop the same (x, h) recurs (12,672 calls for 898 keys
+to rank 9).  The product over g(y, j) and the exact division stay per call.
+
+The DP shares no code with the formula and stays the independent route.
+The two must agree everywhere; tests enforce this.
 All counts are exact arbitrary-precision integers (n! overflows 64 bits at
 n = 21).
 """
@@ -21,6 +32,7 @@ n = 21).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import factorial
 from typing import Iterator
@@ -59,16 +71,25 @@ def descent_counts(y: YFWord) -> dict[YFWord, int]:
     return out
 
 
+@lru_cache(maxsize=4096)
+def _split_values(x: tuple[int, ...], h: int) -> tuple[int, ...]:
+    """rank(x)! f(x, i, h) at the suffix ranks i = 0, ..., rank(x) of x, in that order."""
+    return tuple(value for _, value in _f_splits(x, h))
+
+
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
     if sum(y) < sum(x):
         raise ValueError("formula requires rank(y) >= rank(x)")
     gs = g_all(y)
-    total = 0
-    for i, term in _f_splits(x, common_suffix_len(x, y)):
+    total, i, j = 0, 0, len(x)
+    for term in _split_values(x, common_suffix_len(x, y)):
         for G in gs:
             term *= G - i
         total += term
+        if j:  # the next split rank is the suffix rank one digit further left
+            j -= 1
+            i += x[j]
     fac = factorial(sum(x))
     count, remainder = divmod(total, fac)
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"

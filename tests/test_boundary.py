@@ -159,6 +159,17 @@ def test_level_distribution_sums_to_one():
                 assert all(m >= 0 for m in dist.masses.values())
 
 
+def test_level_distribution_equals_pointwise_mu():
+    # the level's one shared weight vector against the pointwise kernel, word by word
+    for w in CORES:
+        for beta in (Fr(1, 2), Fr(3, 7), Fr(1)):
+            for n in range(11):
+                masses = level_distribution(w, beta, n).masses
+                assert list(masses) == list(enumerate_level(n))
+                for v, mass in masses.items():
+                    assert mass == mu(w, beta, v), (w, beta, v)
+
+
 def test_level_distribution_beta_one_is_point_mass():
     # A word beginning with 1 has one lower cover, so at beta = 1 every level
     # of mu_w carries all its mass on 1^(n - rank(core)) + core.

@@ -153,8 +153,9 @@ DCOUNT_PAIRS = (("212", "2212122"), ("2212", "22122122"), ("eps", "2221221"),
 
 
 def test_pointwise_oracles_match_goldens(capsys):
-    # the measure, magic table, d_beta and both path-count routes print the bytes
-    # pinned before the f rows took their product form
+    # the measures, magic table, d_beta and both path-count routes print the bytes
+    # pinned before the f rows took their product form (the rank-13 measure: before
+    # each level shared one weight vector)
     def stdout(*argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
@@ -165,6 +166,8 @@ def test_pointwise_oracles_match_goldens(capsys):
 
     assert stdout("measure", "--w", "212", "--beta", "3/7", "--n", "10", "--format", "csv") \
         == golden("measure-212-3_7-10.csv")
+    assert stdout("measure", "--w", "22", "--beta", "5/7", "--n", "13", "--format", "csv") \
+        == golden("measure-22-5_7-13.csv")
     assert stdout("magic", "--w", "22", "--beta", "4/7", "--n", "7") == golden("magic-22-4_7-7.txt")
     assert "".join(stdout("dbeta", w) for w in DBETA_WORDS) == golden("dbeta.txt")
     assert "".join(stdout("dcount", x, y, "--method", "both") for x, y in DCOUNT_PAIRS) \

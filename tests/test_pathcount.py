@@ -4,13 +4,15 @@ from math import factorial
 import pytest
 
 from yflab.pathcount import (
+    _split_values,
     d_from_empty,
     d_paths_dp,
     d_paths_formula,
     descent_counts,
     plancherel,
 )
-from yflab.words import EPSILON, down_neighbors, enumerate_level, ones_word, parse, prefix, suffix
+from yflab.words import (EPSILON, YFWord, down_neighbors, enumerate_level, ones_word, parse, prefix,
+                         suffix)
 
 
 def enumerate_paths(x, y):
@@ -58,14 +60,44 @@ def test_formula_examples():
     assert d_paths_formula(parse("21"), parse("21221")) == d_paths_dp(parse("21"), parse("21221"))
 
 
-def test_formula_equals_dp_to_rank_8():
-    # acceptance pushes this to rank 11; keep the unit version quick
-    for ny in range(9):
+def all_pairs(rank):
+    """Every (x, y) with rank(x) <= rank(y) <= rank, y-major as the acceptance check walks them."""
+    for ny in range(rank + 1):
         for y in enumerate_level(ny):
-            counts = descent_counts(y)
             for nx in range(ny + 1):
                 for x in enumerate_level(nx):
-                    assert d_paths_formula(x, y) == counts.get(x, 0)
+                    yield x, y
+
+
+def test_formula_equals_dp_to_rank_8():
+    # acceptance pushes this to rank 11; keep the unit version quick.  The first
+    # pass starts from an empty split memo, the second reads every split from it.
+    counts = {y: descent_counts(y) for n in range(9) for y in enumerate_level(n)}
+    _split_values.cache_clear()
+    for _ in ("cold", "warm"):
+        for x, y in all_pairs(8):
+            assert d_paths_formula(x, y) == counts[y].get(x, 0)
+    assert _split_values.cache_info().hits > 0
+
+
+def test_split_memo_stays_bounded():
+    for x, y in all_pairs(10):
+        d_paths_formula(x, y)
+    info = _split_values.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_formula_takes_plain_tuples():
+    # a plain tuple and the equal YFWord share one memo key and one count, in either order
+    pairs = [(parse("21"), parse("21221")), (EPSILON, parse("2212")),
+             (parse("121"), parse("22121")), (parse("2"), parse("1112"))]
+    for first in (tuple, YFWord):
+        _split_values.cache_clear()
+        for x, y in pairs:
+            expected = d_paths_dp(x, y)
+            assert d_paths_formula(first(x), y) == expected
+            assert d_paths_formula(YFWord(x) if first is tuple else tuple(x), y) == expected
 
 
 def test_d_from_empty():
