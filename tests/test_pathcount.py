@@ -92,12 +92,12 @@ def test_formula_takes_plain_tuples():
     # a plain tuple and the equal YFWord share one memo key and one count, in either order
     pairs = [(parse("21"), parse("21221")), (EPSILON, parse("2212")),
              (parse("121"), parse("22121")), (parse("2"), parse("1112"))]
-    for first in (tuple, YFWord):
+    for forms in ((tuple, YFWord), (YFWord, tuple)):
         _split_values.cache_clear()
         for x, y in pairs:
             expected = d_paths_dp(x, y)
-            assert d_paths_formula(first(x), y) == expected
-            assert d_paths_formula(YFWord(x) if first is tuple else tuple(x), y) == expected
+            for form in forms:
+                assert d_paths_formula(form(x), y) == expected
 
 
 def test_d_from_empty():
