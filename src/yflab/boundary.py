@@ -16,14 +16,17 @@ where
 Masses over one rank always sum to exactly 1.
 
 The kernel is one polynomial in beta, built without beta by _kernel_terms:
-int coefficients T_i = rank(x)! f(x, i, h) prod_j (g(w, j) - i), with
-rank(x)! f(x, i, h) the row harmonic._f_row(x, h), over rank(x)! prod_j g(w, j).
-d_beta_prime evaluates it at beta = p/q in ints (_scaled_value) and builds
-one Fraction; d1_prime sums it.  mu and d_beta_prime stay the pointwise
-route.  level_distribution shares one weight vector across its level: it
-builds (W, D) = mass_weights(w, beta, n) once, and each mass is
+int coefficients T_i = rank(x)! f(x, i, h) P_i, with rank(x)! f(x, i, h) the
+row harmonic._f_row(x, h) and P_i = prod_j (g(w, j) - i) the shared vector
+harmonic._g_products(core, rank(x)), over rank(x)! P_0.  So every x of one
+rank reads one vector, held in that function's bounded memo.  d_beta_prime
+evaluates the kernel at beta = p/q in ints (_scaled_value) and builds one
+Fraction; d1_prime sums it.  mu and d_beta_prime stay the pointwise route.
+mass_weights scales the same vector by the powers of p and q, and
+level_distribution shares its result across a level: it builds
+(W, D) = mass_weights(w, beta, n) once, and each mass is
 d(empty, v) * sum_i F_i W_i over n! D, with F the row _f_row(v, h).
-Nothing here is memoized: the identity suite holds one kernel per (x, w)
+No kernel is memoized here: the identity suite holds one kernel per (x, w)
 for a run.
 """
 
@@ -35,7 +38,7 @@ from math import factorial
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .harmonic import _f_row, g_all
+from .harmonic import _f_row, _g_products
 from .pathcount import d_from_empty, d_paths_dp
 from .words import EPSILON, YFWord, enumerate_level
 
@@ -114,30 +117,22 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
     """Integer weights over one shared denominator, for i = 0..top.
 
     For beta = p/q returns (W, D) with W[i] = p^i q^(top-i) prod_j (g(w,j) - i)
-    and D = q^top prod_j g(w,j), so W[i] / D = beta^i prod_j (g(w,j) - i)/g(w,j).
+    and D = q^top prod_j g(w,j), so W[i] / D = beta^i prod_j (g(w,j) - i)/g(w,j);
+    the products are the vector harmonic._g_products(core, top).
     """
     p, q = beta.numerator, beta.denominator
-    gs = g_all(w.core)
-    den = q ** top
-    for G in gs:
-        den *= G
-    out = []
-    for i in range(top + 1):
-        weight = p ** i * q ** (top - i)
-        for G in gs:
-            weight *= G - i
-        out.append(weight)
-    return out, den
+    products = _g_products(w.core, top)
+    return [p ** i * q ** (top - i) * P for i, P in enumerate(products)], q ** top * products[0]
 
 
 def _kernel_terms(x, w: TailOnesWord, f_row=_f_row) -> tuple[list[int], int]:
     """The int coefficients T_0..T_rank of d'_beta(x, w) as a polynomial in beta, and
     their shared denominator: the row f_row(x, h) (harmonic._f_row or a memo of
-    it) times the weights of mass_weights at beta = 1, over rank! times theirs."""
+    it) times the g-products of w's core, over rank! prod_j g(w, j)."""
     rank = sum(x)
-    weights, den = mass_weights(w, Fraction(1), rank)
+    products = _g_products(w.core, rank)
     row = f_row(x, h_infinite(x, w).length)
-    return [F * weight for F, weight in zip(row, weights)], factorial(rank) * den
+    return [F * P for F, P in zip(row, products)], factorial(rank) * products[0]
 
 
 def _scaled_value(coeffs: Sequence[int], t: Fraction, degree: int) -> int:

@@ -6,22 +6,27 @@ invocations produce byte-identical output: fixed level order, lowest-terms
 rationals, no timestamps.
 
 Exit status: 0 on success, 1 when ``verify`` finds an exact-identity
-failure, 2 on usage errors.
+failure, 2 on usage errors.  A reader that closes stdout early (``yflab level
+30 | head``) ends the command quietly, with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
+from typing import Iterator, TextIO
 
 from .boundary import TailOnesWord, d_beta_prime, level_distribution
 from .experiments import concentration_sweep, identity_suite
 from .harmonic import _csv_rows, d_beta, f, format_rational, g_all, parse_rational, pi, q
 from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
-from .words import YFWord, enumerate_level
+from .words import YFWord, enumerate_level, iter_level
 
 OUTPUT_DIR_ENV = "YFLAB_OUTPUT_DIR"
 MAGIC_DEFAULT_CAP = 16
@@ -55,28 +60,36 @@ def _n_range(text: str) -> list[int]:
     raise ValueError(f"bad range {text!r}; expected N, A..B or A..B..STEP")
 
 
-def _emit(text: str, args) -> None:
+@contextmanager
+def _output(args) -> Iterator[TextIO]:
+    """The stream a command writes to: stdout, or the --output file."""
     path = getattr(args, "output", None)
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         path = os.path.join(base, path)
     try:
         with open(path, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _emit(text: str, args) -> None:
+    with _output(args) as out:
+        out.write(text)
+
+
 def _cmd_level(args) -> int:
-    level = enumerate_level(args.n)
-    names = [v.text if len(v) else "eps" for v in level]
-    if args.format == "csv":
-        _emit(_csv_rows([["word"]] + [[name] for name in names]), args)
-    else:
-        _emit("\n".join(names) + "\n", args)
+    # streamed word by word: a level can hold more words than fit in memory
+    names = (v.text if len(v) else "eps" for v in iter_level(args.n))
+    with _output(args) as out:
+        if args.format == "csv":
+            csv.writer(out, lineterminator="\n").writerows(chain([["word"]], zip(names)))
+        else:
+            out.writelines(f"{name}\n" for name in names)
     return 0
 
 
@@ -255,7 +268,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`yflab level 30 | head`): stop without a
+        # traceback, and send what is still buffered to devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

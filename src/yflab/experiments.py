@@ -90,7 +90,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -215,18 +215,20 @@ _State = tuple[int, list[int], int, int]
 @lru_cache(maxsize=1)
 def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
     """Row G is (G (G - i) for i = 0..n): a prepended 2 of g-value G multiplies
-    entry i of a half-word vector by it."""
+    entry i of a half-word vector by it.  One table, built at a sweep's top
+    rank, serves every rank of the sweep: its consumers read a row through
+    zip with a shorter vector, which truncates it."""
     return tuple(tuple(G * (G - i) for i in range(n + 1)) for G in range(n + 1))
 
 
-def _grow(state: _State, digit: int) -> _State:
+def _grow(state: _State, digit: int, factors: Sequence[Sequence[int]]) -> _State:
     """The state of digit + word from that of word: a 1 changes nothing but the
-    rank; a 2 has g-value G = rank + 1."""
+    rank; a 2 has g-value G = rank + 1.  factors is _g_factors(top), top >= G."""
     rank, vec, d, pi_num = state
     if digit == 1:
         return rank + 1, vec, d, pi_num
     G = rank + 1
-    return (rank + 2, [v * c for v, c in zip(vec, _g_factors(len(vec) - 1)[G])], d * G,
+    return (rank + 2, [v * c for v, c in zip(vec, factors[G])], d * G,
             pi_num * (G - 1) if G > 1 else pi_num)
 
 
@@ -263,12 +265,13 @@ def _classes(w: TailOnesWord, top: int) -> list[tuple[int, _State]]:
     mismatched digit + s_L of rank <= top, with top + 1 entries: one chain, built
     once per sweep, serves every rank up to top (_roots_at)."""
     roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
+    factors = _g_factors(top)
     while sum(s) <= top:
         chain = _chain_state(s, L, top)
         roots.append((chain[0], chain))
         digit = 3 - w.digit_from_right(L)
         if chain[0] + digit <= top:
-            roots.append((chain[0], _grow(chain, digit)))
+            roots.append((chain[0], _grow(chain, digit, factors)))
         s = (w.digit_from_right(L),) + s
         L += 1
     return roots
@@ -281,16 +284,16 @@ def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, 
             if r == n or h < r <= n]
 
 
-def _class_masses(roots: Sequence[tuple[int, _State]], n: int,
-                  scaled: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+def _class_masses(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
+                  factors: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """(common-suffix rank, [n! D_b mu(class) for each beta b]) per class of roots,
     scaled[b][i] = C(n, i) W_i: a root (r, X) gives sum_i scaled[b][i] X[i] S_i(r),
     S_i(r) the sum of Y_u[i] over the u of rank n - r.  Split by u's last digit,
 
         S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
 
-    so one pass of O(n^2) int products serves every class of the rank."""
-    factors = _g_factors(n)
+    so one pass of O(n^2) int products serves every class of the rank; factors is
+    _g_factors(top) for some top >= n."""
     sums = [[0] * (n + 1), [1] * (n + 1)]  # S(n + 1) = 0 and S(n), then S(r) down to S(0)
     for G in range(n, 0, -1):
         sums.append([a + c * b for a, b, c in zip(sums[-1], sums[-2], factors[G])])
@@ -341,26 +344,28 @@ _TASK_DEPTH = 6
 
 
 def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
-                cuts: Sequence[tuple[int, Fraction, Fraction]], share: tuple[int, int] = (0, 1),
-                split: Optional[int] = None) -> list[int]:
+                factors: Sequence[Sequence[int]], cuts: Sequence[tuple[int, Fraction, Fraction]],
+                share: tuple[int, int] = (0, 1), split: Optional[int] = None) -> list[int]:
     """Sums of n! D_b mu(v) over the rank-n words v, scaled[b][i] = C(n, i) W_i: all
     words, one sum per beta b, then per cut (b, lo, hi) those with pi(v) outside
     the open interval (lo, hi).  Right halves grow from the class roots to rank
     split (default n // 2), as in the module docstring; share = (p, P) keeps
-    part p of P of the left halves, and the P parts add up to the whole."""
+    part p of P of the left halves, and the P parts add up to the whole; factors
+    is _g_factors(top) for some top >= n."""
     k = n // 2 if split is None else split
+    grow = partial(_grow, factors=factors)
     right: dict[int, dict] = {}  # r -> X sums by pi key, pi(b) = pi_num / d in lowest terms
     for _, root in roots:
-        for r, vec, d, pi_num in _prepend(root, k, n, _grow):
+        for r, vec, d, pi_num in _prepend(root, k, n, grow):
             g = gcd(pi_num, d)
             _add_into(right.setdefault(r, {}), (pi_num // g, d // g), vec)
     part, parts = share
     sums = [0] * (len(scaled) + len(cuts))
     for r, by_pi in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
-        tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, _grow)
+        tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, grow)
         lefts = (state for i, task in enumerate(tasks) if i % parts == part
-                 for state in _prepend(task, n, n, _grow))
+                 for state in _prepend(task, n, n, grow))
         total, buckets = _left_sums(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
         # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
@@ -448,14 +453,15 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     workers = min(jobs, os.cpu_count() or 1)
     pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 and cuts else []
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
-    classes = _classes(w, max(n_list, default=0))
+    top = max(n_list, default=0)
+    classes, factors = _classes(w, top), _g_factors(top)
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]
             scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
             scales = [factorial(n) * den for _, den in weights]
             roots = _roots_at(classes, n)
-            masses = _class_masses(roots, n, scaled)
+            masses = _class_masses(roots, n, scaled, factors)
             assert [sum(column) for column in zip(*(m for _, m in masses))] == scales, \
                 f"level {n} class masses do not sum to 1"
             for beta, l in suffix_params:
@@ -465,10 +471,10 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
             if not cuts:
                 continue
             if n in pooled:
-                parts = pool.starmap(_split_sums, [(roots, n, scaled, cuts, (p, workers))
+                parts = pool.starmap(_split_sums, [(roots, n, scaled, factors, cuts, (p, workers))
                                                    for p in range(workers)])
             else:
-                parts = [_split_sums(roots, n, scaled, cuts)]
+                parts = [_split_sums(roots, n, scaled, factors, cuts)]
             sums = [sum(column) for column in zip(*parts)]
             assert sums[:len(betas)] == scales, f"level {n} split masses do not sum to 1"
             for (beta, e), (b, _, _), total in zip(pi_params, cuts, sums[len(betas):]):

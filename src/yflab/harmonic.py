@@ -45,10 +45,13 @@ measure's levels (z = h), the walk, the sweeps and the identity suite.  The
 path-count formula takes the split values of x at z = h through a bounded
 memo of its own, per (x, h) (``pathcount``); ``_f_splits`` and ``_f_row``
 keep no memo, since the sweeps build padded rows of rank 200 and more
-through them.  ``_scaled_f`` is the single-entry path.  Only the
-public ``f``, memoized per triple in a memo perfbench reads, and ``d_beta``,
-one per coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one
-each from the int products of ``_g_ratio_parts``.
+through them.  ``_scaled_f`` is the single-entry path.  ``_g_products(u, top)``
+is the one builder of the vector prod_j (g(u, j) - i), i = 0..top: the
+formula reads it for y, and the kernel d'_beta and the measure's weights read
+it for the core of w.  It is memoized per (u, top), bounded at 4,096 entries.
+Only the public ``f``, memoized per triple in a memo perfbench reads, and
+``d_beta``, one per coefficient, make Fractions from f; ``pi`` and ``pi_k``
+make one each from the int products of ``_g_ratio_parts``.
 """
 
 from __future__ import annotations
@@ -185,6 +188,17 @@ def g_all(x) -> tuple[int, ...]:
         if digits[k] == 2:
             out.append(total - 1)
     return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _g_products(u: tuple[int, ...], top: int) -> tuple[int, ...]:
+    """(prod_j (g(u, j) - i) for i = 0..top), the one g-product vector of a word u.
+
+    The path-count formula reads it for y at top = rank(y), the kernel d'_beta
+    and the measure's weights for the core of w at the rank asked for.  The
+    memo is bounded by entry count; each entry is top + 1 ints."""
+    gs = g_all(u)
+    return tuple(prod(G - i for G in gs) for i in range(top + 1))
 
 
 def g(x, j: int) -> int:

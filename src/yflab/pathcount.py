@@ -17,11 +17,15 @@ the division asserted exact.
 x enters the formula only through those split values at z = h, so
 _split_values keeps them in one memo keyed by (x, h) and bounded at 4,096
 entries, each a tuple of ints; the split ranks i are x's suffix ranks,
-recovered in the loop.  The memo is per pair, not a batch form: every
-caller (dcount, the all-pairs acceptance check, the oracles benchmark) asks
-for one pair at a time, so a batch form would serve none of them, while
-across an all-pairs loop the same (x, h) recurs (12,672 calls for 898 keys
-to rank 9).  The product over g(y, j) and the exact division stay per call.
+recovered in the loop.  y enters only through the vector
+P_y[i] = prod_j (g(y, j) - i), which harmonic._g_products builds once per
+(y, rank(y)) in its own memo, also bounded by count.  A pair is then the
+dot product of x's split values with P_y at x's split ranks, and the exact
+division.  The memos serve single pairs, not a batch form: every caller
+(dcount, the all-pairs acceptance check, the oracles benchmark) asks for
+one pair at a time, so a batch form would serve none of them, while across
+an all-pairs loop the same (x, h) and the same y recur (12,672 calls for
+898 keys (x, h) and 143 words y to rank 9).
 
 The DP shares no code with the formula and stays the independent route.
 The two must agree everywhere; tests enforce this.
@@ -37,7 +41,7 @@ from itertools import islice
 from math import factorial
 from typing import Iterator
 
-from .harmonic import _f_splits, g_all
+from .harmonic import _f_splits, _g_products, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
@@ -81,12 +85,10 @@ def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
     if sum(y) < sum(x):
         raise ValueError("formula requires rank(y) >= rank(x)")
-    gs = g_all(y)
+    products = _g_products(y, sum(y))
     total, i, j = 0, 0, len(x)
     for term in _split_values(x, common_suffix_len(x, y)):
-        for G in gs:
-            term *= G - i
-        total += term
+        total += term * products[i]
         if j:  # the next split rank is the suffix rank one digit further left
             j -= 1
             i += x[j]

@@ -200,19 +200,48 @@ def _level_words(n: int) -> tuple[YFWord, ...]:
     return ones + twos
 
 
+def _refuse_unlistable(n: int) -> None:
+    """Reject a negative rank, and ranks n >= 92: Fib(93) > sys.maxsize words."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if fibonacci(n + 1) > sys.maxsize:
+        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
+
+
 def enumerate_level(n: int) -> Level:
     """All words of rank n, 1-branch before 2-branch recursively; count Fib(n+1).
 
     Ranks n >= 92 are refused before anything is built: no tuple holds
     Fib(93) > sys.maxsize words.  Ranks 35..91 pass this check but run out
     of memory; bounding them needs a measured limit."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if fibonacci(n + 1) > sys.maxsize:
-        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
+    _refuse_unlistable(n)
     words = _level_words(n)
     assert len(words) == fibonacci(n + 1)
     return Level(n, words)
+
+
+def iter_level(n: int) -> Iterator[YFWord]:
+    """The words of enumerate_level(n), in its order, one at a time and uncached.
+
+    That order is lexicographic with 1 before 2, so each word follows from the
+    one before by digits alone: its rightmost 1 that has digits after it becomes
+    a 2, and those digits become 1s of one less total rank.  Memory stays O(n).
+    Ranks n >= 92 are refused as by enumerate_level, before the first word."""
+    _refuse_unlistable(n)
+
+    def stream() -> Iterator[YFWord]:
+        digits = [1] * n
+        while True:
+            yield YFWord(digits)
+            tail = 0  # rank of the digits popped; the last digit always goes
+            while digits and (tail == 0 or digits[-1] == 2):
+                tail += digits.pop()
+            if not digits:
+                return
+            digits[-1] = 2
+            digits.extend([1] * (tail - 1))
+
+    return stream()
 
 
 @lru_cache(maxsize=None)

@@ -9,11 +9,13 @@ from yflab.boundary import (
     d_beta_prime,
     h_infinite,
     level_distribution,
+    mass_weights,
     mu,
     mu_prelimit,
     suffix_of_infinite,
 )
-from yflab.harmonic import d_beta, f, g_all
+from yflab.harmonic import _g_products, d_beta, f, g_all
+from yflab.magic import build_table
 from yflab.pathcount import d_from_empty, descent_counts
 from yflab.words import EPSILON, enumerate_level, parse, prefix, suffix
 
@@ -189,3 +191,33 @@ def test_level_distribution_rejects_bad_beta():
 def test_level_distribution_invariant_enforced():
     with pytest.raises(AssertionError):
         LevelDistribution(1, CORES[0], Fr(1, 2), {parse("1"): Fr(1, 2)})
+
+
+def mass_weights_by_loop(w, beta, top):
+    """(W, D) of mass_weights, each weight multiplied out over the g-values of w."""
+    p, q = beta.numerator, beta.denominator
+    gs = g_all(w.core)
+    den = q ** top
+    for G in gs:
+        den *= G
+    out = []
+    for i in range(top + 1):
+        weight = p ** i * q ** (top - i)
+        for G in gs:
+            weight *= G - i
+        out.append(weight)
+    return out, den
+
+
+def test_mass_weights_equal_the_loop():
+    for w in [*CORES, TailOnesWord.parse("2122")]:
+        for beta in (Fr(1, 2), Fr(3, 7), Fr(5, 7), Fr(1)):
+            for top in range(21):
+                assert mass_weights(w, beta, top) == mass_weights_by_loop(w, beta, top)
+
+
+def test_table_builds_one_g_product_vector_per_rank():
+    # the kernel of every tail of one rank reads one vector of w's g-products
+    _g_products.cache_clear()
+    build_table(TailOnesWord.parse("22"), Fr(3, 7), 12)
+    assert _g_products.cache_info().misses <= 13

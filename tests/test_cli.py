@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
 from math import factorial
 from pathlib import Path
@@ -8,7 +11,8 @@ from yflab.cli import main
 from yflab.experiments import IdentityResult, SuiteReport
 from yflab.harmonic import f, format_rational
 from yflab.pathcount import d_paths_formula
-from yflab.words import YFWord
+from yflab import words
+from yflab.words import YFWord, enumerate_level
 
 
 def run(capsys, *argv):
@@ -48,6 +52,39 @@ def test_level(capsys):
     assert out == "11\n2\n"
     code, out, _ = run(capsys, "level", "0", "--format", "csv")
     assert out == "word\neps\n"
+
+
+def test_level_streams_the_bytes_of_the_tuple(capsys):
+    # the streamed words against the names of the cached tuple of enumerate_level
+    for n in range(21):
+        names = [v.text if len(v) else "eps" for v in enumerate_level(n)]
+        assert run(capsys, "level", str(n)) == (0, "".join(f"{a}\n" for a in names), "")
+        csv_text = "".join(f"{a}\n" for a in ["word", *names])
+        assert run(capsys, "level", str(n), "--format", "csv") == (0, csv_text, "")
+
+
+def test_level_builds_no_tuple(capsys, monkeypatch):
+    expected = "".join(f"{v.text}\n" for v in enumerate_level(20))
+
+    def refuse(n):
+        raise AssertionError("level built a tuple of words")
+
+    monkeypatch.setattr(words, "_level_words", refuse)
+    assert run(capsys, "level", "20") == (0, expected, "")
+
+
+def test_level_stops_quietly_when_the_reader_closes():
+    # as in `yflab level 25 | head -1`: the stream meets a closed pipe, not a traceback
+    path = [str(Path(words.__file__).parents[1])]
+    path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.Popen([sys.executable, "-m", "yflab.cli", "level", "25"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"1" * 25 + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_scalar_commands(capsys):

@@ -150,12 +150,12 @@ def _gate_cuts(w, betas):
 def test_split_sums_equal_the_walk():
     # the class masses per common-suffix rank, and the split sums at every split
     # rank k up to rank 10 and the default split up to rank 18; every rank's roots
-    # are cut from one chain built at rank 18
+    # are cut from one chain built at rank 18, and every rank reads the rank-18 factor table
     betas = (Fr(1, 2), Fr(3, 7), Fr(1))
     for core in ("eps", "2", "22", "212", "2122"):
         w = TailOnesWord.parse(core)
         cuts = _gate_cuts(w, betas)
-        classes = experiments._classes(w, 18)
+        classes, factors = experiments._classes(w, 18), experiments._g_factors(18)
         for n in range(19):
             weights = [mass_weights(w, beta, n) for beta in betas]
             scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
@@ -163,14 +163,14 @@ def test_split_sums_equal_the_walk():
             assert expected[:len(betas)] == [factorial(n) * den for _, den in weights]
             roots = experiments._roots_at(classes, n)
             summed = {}
-            for h_rank, masses in experiments._class_masses(roots, n, scaled):
+            for h_rank, masses in experiments._class_masses(roots, n, scaled, factors):
                 acc = summed.setdefault(h_rank, [0] * len(betas))
                 for b, mass in enumerate(masses):
                     acc[b] += mass
             assert summed == by_h_rank, (core, n)
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
-                assert experiments._split_sums(roots, n, scaled, cuts, split=k) == expected, (core, n, k)
+                assert experiments._split_sums(roots, n, scaled, factors, cuts, split=k) == expected, (core, n, k)
 
 
 def test_sweep_at_rank_40():
@@ -253,9 +253,13 @@ def test_sweep_many_agrees_with_single_sweeps(monkeypatch):
 
 
 def test_sweep_many_keeps_one_factor_table():
+    # every rank reads the one table built at the sweep's top rank
     params = dict(suffix_params=[(Fr(1, 2), 2)], pi_params=[(Fr(1, 2), Fr(1, 4))])
+    experiments._g_factors.cache_clear()
     sweep_many(CORES[2], [10, 14, 18, 22], **params)
-    assert experiments._g_factors.cache_info().currsize <= 1
+    info = experiments._g_factors.cache_info()
+    assert info.currsize <= 1
+    assert info.misses == 1
 
 
 def test_suffix_sweep_at_rank_100():

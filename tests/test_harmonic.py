@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from yflab.harmonic import (
     BetaPolynomial,
     _f_row,
+    _g_products,
     d_beta,
     d_beta_eval,
     f,
@@ -141,6 +142,21 @@ def test_g_all_matches_runs_formula(x):
     # runs[k]: length of the maximal run of 1s just right of the (k+1)-th 2 from the right
     runs = [len(run) for run in reversed(x.text.split("2"))][:x.count(2)]
     assert g_all(x) == tuple(sum(runs[:j]) + 2 * j - 1 for j in range(1, len(runs) + 1))
+
+
+def test_g_products_equal_the_direct_loop():
+    # the one g-product vector against prod_j (g(u, j) - i), multiplied out factor by factor
+    cores = [parse(c) for c in ("", "2", "22", "212", "2122")]
+    for u in [*cores, *all_words(12)]:
+        expected = []
+        for i in range(21):
+            value = 1
+            for G in g_all(u):
+                value *= G - i
+            expected.append(value)
+        for top in range(21):
+            assert _g_products(u, top) == tuple(expected[:top + 1]), (u, top)
+    assert _g_products.cache_info().maxsize is not None
 
 
 def test_g_accepts_tail_ones_words():

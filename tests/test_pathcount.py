@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from yflab.harmonic import _g_products
 from yflab.pathcount import (
     _split_values,
     d_from_empty,
@@ -71,13 +72,16 @@ def all_pairs(rank):
 
 def test_formula_equals_dp_to_rank_8():
     # acceptance pushes this to rank 11; keep the unit version quick.  The first
-    # pass starts from an empty split memo, the second reads every split from it.
+    # pass starts from empty split and g-product memos, the second reads every
+    # split and every vector from them.
     counts = {y: descent_counts(y) for n in range(9) for y in enumerate_level(n)}
     _split_values.cache_clear()
+    _g_products.cache_clear()
     for _ in ("cold", "warm"):
         for x, y in all_pairs(8):
             assert d_paths_formula(x, y) == counts[y].get(x, 0)
     assert _split_values.cache_info().hits > 0
+    assert _g_products.cache_info().hits > 0
 
 
 def test_split_memo_stays_bounded():
