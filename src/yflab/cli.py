@@ -7,7 +7,9 @@ rationals, no timestamps.
 
 Exit status: 0 on success, 1 when ``verify`` finds an exact-identity
 failure, 2 on usage errors.  A reader that closes stdout early (``yflab level
-30 | head``) ends the command quietly, with status 0.
+30 | head``) ends the command quietly, with status 0; when only the final
+flush meets the closed pipe, the status the command returned is kept (1 for
+a failed ``verify``).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .experiments import concentration_sweep, identity_suite
 from .harmonic import _csv_rows, d_beta, f, format_rational, g_all, parse_rational, pi, q
 from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
-from .words import YFWord, enumerate_level, iter_level
+from .words import YFWord, iter_level
 
 OUTPUT_DIR_ENV = "YFLAB_OUTPUT_DIR"
 MAGIC_DEFAULT_CAP = 16
@@ -143,8 +145,8 @@ def _cmd_measure(args) -> int:
     w = TailOnesWord.parse(args.w)
     dist = level_distribution(w, _beta(args.beta), args.n)
     rows = [["word", "mass"]]
-    for v in enumerate_level(args.n):
-        rows.append([v.text if len(v) else "eps", format_rational(dist.masses[v])])
+    for v, mass in dist.masses.items():  # in level order
+        rows.append([v.text if len(v) else "eps", format_rational(mass)])
     if args.format == "csv":
         _emit(_csv_rows(rows), args)
     else:
@@ -268,14 +270,15 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
+    code = 0
     try:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`yflab level 30 | head`): stop without a
-        # traceback, and send what is still buffered to devnull for the flush at exit
+        # traceback, and send what is still buffered to devnull for the flush at exit;
+        # a status main() returned before the final flush failed is kept
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 0
     sys.exit(code)
 
 

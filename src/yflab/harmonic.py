@@ -37,21 +37,21 @@ the tail, and the head's suffix ranks are 1..R-y less the rank g - y of each
 2 in the head (``_base``).  ``_unwind`` carries that value down the chain: a
 1-step multiplies it by y and a 2-step divides it by y - 1, exactly, since
 R! / H is a multiple of y! and P divides y!; the (1 - y) divisors are
-divided out once at the end, also exactly.  ``_f_splits(x, z)`` runs one
-pass over the suffix splits of x, so ``_f_row(x, z)``, the one builder of a
-whole row [R! f(x, y, z) for y = 0..R], needs no factorial and no per-entry
-split search; it serves ``d_beta`` (z = 0), the kernel d'_beta and the
-measure's levels (z = h), the walk, the sweeps and the identity suite.  The
-path-count formula takes the split values of x at z = h through a bounded
-memo of its own, per (x, h) (``pathcount``); ``_f_splits`` and ``_f_row``
-keep no memo, since the sweeps build padded rows of rank 200 and more
-through them.  ``_scaled_f`` is the single-entry path.  ``_g_products(u, top)``
-is the one builder of the vector prod_j (g(u, j) - i), i = 0..top: the
-formula reads it for y, and the kernel d'_beta and the measure's weights read
-it for the core of w.  It is memoized per (u, top), bounded at 4,096 entries.
-Only the public ``f``, memoized per triple in a memo perfbench reads, and
-``d_beta``, one per coefficient, make Fractions from f; ``pi`` and ``pi_k``
-make one each from the int products of ``_g_ratio_parts``.
+divided out once at the end, also exactly.  ``_f_row(x, z)``, the one
+builder of a whole row [R! f(x, y, z) for y = 0..R], fills it in one pass
+over the suffix splits of x, with no factorial and no per-entry split
+search; it serves ``d_beta`` (z = 0), the kernel d'_beta and the measure's
+levels (z = h), the path-count formula (z = h, through a bounded memo of its
+own per (x, h) in ``pathcount``), the walk, the sweeps and the identity
+suite.  ``_f_row`` keeps no memo, since the sweeps build padded rows of rank
+200 and more through it.  ``_scaled_f`` is the single-entry path.
+``_g_products(u, top)`` is the one builder of the vector
+prod_j (g(u, j) - i), i = 0..top: the formula reads it for y, and the kernel
+d'_beta and the measure's weights read it for the core of w.  It is
+memoized per (u, top), bounded at 4,096 entries.  Only the public ``f``,
+memoized per triple in a memo perfbench reads, and ``d_beta``, one per
+coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one each from
+the int products of ``_g_ratio_parts``.
 """
 
 from __future__ import annotations
@@ -123,19 +123,6 @@ def _unwind(x: Sequence[int], y: int, z: int, base: int) -> int:
     return value
 
 
-def _f_splits(x: Sequence[int], z: int) -> list[tuple[int, int]]:
-    """[(y, rank(x)! f(x, y, z))] for the suffix ranks y = 0, ..., rank(x) of x,
-    one pair per split; f vanishes at every other y."""
-    gs, rank = g_all(x), sum(x)
-    out, y, sign = [(0, _base(rank, 0, gs))], 0, 1
-    for digit in reversed(x):
-        y += digit
-        sign = -sign  # each tail digit negates its running sum
-        base = sign * _base(rank, y, gs)
-        out.append((y, _unwind(x, y, z, base) if z else base))
-    return out
-
-
 def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
     """rank(x)! f(x, y, z) as an exact int: zero unless x has a suffix of rank y."""
     s, total = len(x), 0
@@ -149,11 +136,18 @@ def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
 
 
 def _f_row(x: Sequence[int], z: int) -> list[int]:
-    """[rank(x)! f(x, y, z) for y = 0..rank(x)] as exact ints; at z = 0 these are
+    """[rank(x)! f(x, y, z) for y = 0..rank(x)] as exact ints, filled in one pass
+    over the suffix splits of x; f vanishes at every other y.  At z = 0 these are
     the coefficients of d_beta(x) over rank(x)! (Goodman-Kerov's product formula)."""
-    row = [0] * (sum(x) + 1)
-    for y, value in _f_splits(x, z):
-        row[y] = value
+    gs, rank = g_all(x), sum(x)
+    row = [0] * (rank + 1)
+    row[0] = _base(rank, 0, gs)
+    y, sign = 0, 1
+    for digit in reversed(x):
+        y += digit
+        sign = -sign  # each tail digit negates its running sum
+        base = sign * _base(rank, y, gs)
+        row[y] = _unwind(x, y, z, base) if z else base
     return row
 
 

@@ -8,24 +8,22 @@ The second is the closed formula
               f(x, i, h(x, y)) * product over j of (g(y, j) - i)
 
 with h(x, y) the length of the longest common suffix.  The formula runs in
-plain ints: f(x, i, h) vanishes unless x has a suffix of rank i, and
-harmonic._f_splits gives rank(x)! * f(x, i, h) at each of those splits from
-the product form C(rank(x), i) prod |g(x, j) - i| of its base value and the
-integer unwind of the recursion.  The sum is divided by rank(x)! once, with
+plain ints: harmonic._f_row(x, h) is the row of rank(x)! * f(x, i, h) for
+i = 0..rank(x), built from the product form C(rank(x), i) prod |g(x, j) - i|
+of its base values and the integer unwind of the recursion; it vanishes
+unless x has a suffix of rank i.  The sum is divided by rank(x)! once, with
 the division asserted exact.
 
-x enters the formula only through those split values at z = h, so
-_split_values keeps them in one memo keyed by (x, h) and bounded at 4,096
-entries, each a tuple of ints; the split ranks i are x's suffix ranks,
-recovered in the loop.  y enters only through the vector
-P_y[i] = prod_j (g(y, j) - i), which harmonic._g_products builds once per
-(y, rank(y)) in its own memo, also bounded by count.  A pair is then the
-dot product of x's split values with P_y at x's split ranks, and the exact
-division.  The memos serve single pairs, not a batch form: every caller
-(dcount, the all-pairs acceptance check, the oracles benchmark) asks for
-one pair at a time, so a batch form would serve none of them, while across
-an all-pairs loop the same (x, h) and the same y recur (12,672 calls for
-898 keys (x, h) and 143 words y to rank 9).
+x enters the formula only through that row, so _formula_rows keeps the rows
+in one memo keyed by (x, h) and bounded at 4,096 entries.  y enters only
+through the vector P_y[i] = prod_j (g(y, j) - i), which harmonic._g_products
+builds once per (y, rank(y)) in its own memo, also bounded by count.  A pair
+is then the dot product of x's row with P_y, and the exact division.  The
+memos serve single pairs, not a batch form: every caller (dcount, the
+all-pairs acceptance check, the oracles benchmark) asks for one pair at a
+time, so a batch form would serve none of them, while across an all-pairs
+loop the same (x, h) and the same y recur (12,672 calls for 898 keys (x, h)
+and 143 words y to rank 9).
 
 The DP shares no code with the formula and stays the independent route.
 The two must agree everywhere; tests enforce this.
@@ -39,9 +37,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import factorial
+from operator import mul
 from typing import Iterator
 
-from .harmonic import _f_splits, _g_products, g_all
+from .harmonic import _f_row, _g_products, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
@@ -75,25 +74,17 @@ def descent_counts(y: YFWord) -> dict[YFWord, int]:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _split_values(x: tuple[int, ...], h: int) -> tuple[int, ...]:
-    """rank(x)! f(x, i, h) at the suffix ranks i = 0, ..., rank(x) of x, in that order."""
-    return tuple(value for _, value in _f_splits(x, h))
+# the rows are only read, never changed, so the memo may hand out the same list
+_formula_rows = lru_cache(maxsize=4096)(_f_row)
 
 
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
     if sum(y) < sum(x):
         raise ValueError("formula requires rank(y) >= rank(x)")
-    products = _g_products(y, sum(y))
-    total, i, j = 0, 0, len(x)
-    for term in _split_values(x, common_suffix_len(x, y)):
-        total += term * products[i]
-        if j:  # the next split rank is the suffix rank one digit further left
-            j -= 1
-            i += x[j]
-    fac = factorial(sum(x))
-    count, remainder = divmod(total, fac)
+    row = _formula_rows(x, common_suffix_len(x, y))
+    total = sum(map(mul, row, _g_products(y, sum(y))))
+    count, remainder = divmod(total, factorial(sum(x)))
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count
 

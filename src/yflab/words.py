@@ -13,6 +13,10 @@ Edges up from a word x:
 Edges down are the inverses:
   * turn any 2 of the maximal leading run of 2s into a 1;
   * delete the leftmost 1 (if any).
+
+The words of one rank have one generator, iter_level, which steps from each
+word to the next in lexicographic order (1 before 2); enumerate_level holds
+its words in one cached tuple per rank.
 """
 
 from __future__ import annotations
@@ -177,7 +181,7 @@ def down_neighbors(y: YFWord) -> set[YFWord]:
 
 @dataclass(frozen=True)
 class Level:
-    """All words of one rank, in the canonical generation order."""
+    """All words of one rank, in lexicographic order with 1 before 2."""
 
     n: int
     words: tuple[YFWord, ...]
@@ -191,31 +195,21 @@ class Level:
 
 @lru_cache(maxsize=None)
 def _level_words(n: int) -> tuple[YFWord, ...]:
-    if n == 0:
-        return (EPSILON,)
-    if n == 1:
-        return (YFWord((1,)),)
-    ones = tuple(YFWord((1,) + w) for w in _level_words(n - 1))
-    twos = tuple(YFWord((2,) + w) for w in _level_words(n - 2))
-    return ones + twos
-
-
-def _refuse_unlistable(n: int) -> None:
-    """Reject a negative rank, and ranks n >= 92: Fib(93) > sys.maxsize words."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if fibonacci(n + 1) > sys.maxsize:
-        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
+    return tuple(iter_level(n))
 
 
 def enumerate_level(n: int) -> Level:
-    """All words of rank n, 1-branch before 2-branch recursively; count Fib(n+1).
+    """All words of rank n in lexicographic order, 1 before 2; count Fib(n+1).
 
-    Ranks n >= 92 are refused before anything is built: no tuple holds
+    The words are iter_level's, held in one cached tuple per rank.  Ranks
+    n >= 92 are refused before anything is built: no tuple holds
     Fib(93) > sys.maxsize words.  Ranks 35..91 pass this check but run out
-    of memory; bounding them needs a measured limit."""
-    _refuse_unlistable(n)
+    of memory: a level takes about 210 bytes a word at rank 26, and rank 35
+    has Fib(36) = 14,930,352 words.  Bounding them needs a measured limit;
+    ``yflab level`` streams any of them instead."""
     words = _level_words(n)
+    # the count is the recursive definition's (1-branch then 2-branch), so
+    # this checks iter_level's successor rule at every rank it builds
     assert len(words) == fibonacci(n + 1)
     return Level(n, words)
 
@@ -226,13 +220,17 @@ def iter_level(n: int) -> Iterator[YFWord]:
     That order is lexicographic with 1 before 2, so each word follows from the
     one before by digits alone: its rightmost 1 that has digits after it becomes
     a 2, and those digits become 1s of one less total rank.  Memory stays O(n).
-    Ranks n >= 92 are refused as by enumerate_level, before the first word."""
-    _refuse_unlistable(n)
+    A negative rank, and ranks n >= 92 (Fib(93) > sys.maxsize words), are
+    refused before the first word."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if fibonacci(n + 1) > sys.maxsize:
+        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
 
     def stream() -> Iterator[YFWord]:
         digits = [1] * n
         while True:
-            yield YFWord(digits)
+            yield tuple.__new__(YFWord, digits)  # only 1s and 2s: YFWord's check is moot
             tail = 0  # rank of the digits popped; the last digit always goes
             while digits and (tail == 0 or digits[-1] == 2):
                 tail += digits.pop()

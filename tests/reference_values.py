@@ -7,7 +7,9 @@ factored cells of the rank-5 table: word -> list over y = 0..5 of either
 None (no suffix of that rank) or (coeff, tail_text, beta_exp,
 one_minus_beta2_exp), with coeff = d(empty, word) * q(head) in lowest
 terms.  f_by_recursion transcribes the definition of f literally, as an
-oracle independent of the library's integer unwind.
+oracle independent of the library's integer unwind, and level_by_recursion
+the definition of a level's order, as an oracle independent of the library's
+successor rule.
 """
 
 from fractions import Fraction as Fr
@@ -41,6 +43,17 @@ def f_by_recursion(x: tuple, y: int, z: int) -> Fr:
     if y == 1:
         return Fr(0)
     return f_by_recursion(x[:-1] + (1, 1), y, z + 1) / (1 - y)
+
+
+@lru_cache(maxsize=None)
+def level_by_recursion(n: int) -> tuple:
+    """The rank-n words as digit tuples, 1-branch before 2-branch: 1 + each word
+    of rank n - 1, then 2 + each word of rank n - 2."""
+    if n < 2:
+        return ((1,) * n,)
+    return (tuple((1,) + w for w in level_by_recursion(n - 1))
+            + tuple((2,) + w for w in level_by_recursion(n - 2)))
+
 
 F_TABLE_21221 = [Fr(1, 720), Fr(-1, 280), Fr(0), Fr(1, 180), Fr(0),
                  Fr(-1, 120), Fr(1, 180), Fr(0), Fr(-1, 1680)]

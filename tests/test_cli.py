@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
+from reference_values import level_by_recursion
 from yflab.cli import main
 from yflab.experiments import IdentityResult, SuiteReport
 from yflab.harmonic import f, format_rational
 from yflab.pathcount import d_paths_formula
 from yflab import words
-from yflab.words import YFWord, enumerate_level
+from yflab.words import YFWord
 
 
 def run(capsys, *argv):
@@ -55,16 +56,16 @@ def test_level(capsys):
 
 
 def test_level_streams_the_bytes_of_the_tuple(capsys):
-    # the streamed words against the names of the cached tuple of enumerate_level
+    # the streamed words against the recursive definition of a level's order
     for n in range(21):
-        names = [v.text if len(v) else "eps" for v in enumerate_level(n)]
+        names = [YFWord(v).text or "eps" for v in level_by_recursion(n)]
         assert run(capsys, "level", str(n)) == (0, "".join(f"{a}\n" for a in names), "")
         csv_text = "".join(f"{a}\n" for a in ["word", *names])
         assert run(capsys, "level", str(n), "--format", "csv") == (0, csv_text, "")
 
 
 def test_level_builds_no_tuple(capsys, monkeypatch):
-    expected = "".join(f"{v.text}\n" for v in enumerate_level(20))
+    expected = "".join(f"{YFWord(v).text}\n" for v in level_by_recursion(20))
 
     def refuse(n):
         raise AssertionError("level built a tuple of words")
@@ -73,18 +74,46 @@ def test_level_builds_no_tuple(capsys, monkeypatch):
     assert run(capsys, "level", "20") == (0, expected, "")
 
 
-def test_level_stops_quietly_when_the_reader_closes():
-    # as in `yflab level 25 | head -1`: the stream meets a closed pipe, not a traceback
+def child_env():
+    """The environment of a child Python that imports this checkout's yflab."""
     path = [str(Path(words.__file__).parents[1])]
     path += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.Popen([sys.executable, "-m", "yflab.cli", "level", "25"], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_level_stops_quietly_when_the_reader_closes():
+    # as in `yflab level 25 | head -1`: the stream meets a closed pipe, not a traceback
+    proc = subprocess.Popen([sys.executable, "-m", "yflab.cli", "level", "25"], env=child_env(),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"1" * 25 + b"\n"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_verify_failure_survives_a_closed_pipe():
+    # as in `yflab verify --max-rank 6 | true`: the report sits in stdout's buffer when
+    # main() returns 1, and only the final flush meets the closed pipe
+    script = "\n".join([
+        "import sys",
+        "from yflab import cli",
+        "from yflab.experiments import IdentityResult, SuiteReport",
+        "failing = SuiteReport(3, (IdentityResult('evtuh5', 4, 1, 'x=21'),))",
+        "cli.identity_suite = lambda max_rank: failing",
+        "sys.stdin.read()  # wait until the reader has closed stdout",
+        "sys.argv = ['yflab', 'verify', '--max-rank', '3']",
+        "cli.entry_point()",
+    ])
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as a shell pipe gives
+    proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    proc.stdin.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_scalar_commands(capsys):

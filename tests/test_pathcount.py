@@ -5,7 +5,7 @@ import pytest
 
 from yflab.harmonic import _g_products
 from yflab.pathcount import (
-    _split_values,
+    _formula_rows,
     d_from_empty,
     d_paths_dp,
     d_paths_formula,
@@ -72,22 +72,22 @@ def all_pairs(rank):
 
 def test_formula_equals_dp_to_rank_8():
     # acceptance pushes this to rank 11; keep the unit version quick.  The first
-    # pass starts from empty split and g-product memos, the second reads every
-    # split and every vector from them.
+    # pass starts from empty f-row and g-product memos, the second reads every
+    # row and every vector from them.
     counts = {y: descent_counts(y) for n in range(9) for y in enumerate_level(n)}
-    _split_values.cache_clear()
+    _formula_rows.cache_clear()
     _g_products.cache_clear()
     for _ in ("cold", "warm"):
         for x, y in all_pairs(8):
             assert d_paths_formula(x, y) == counts[y].get(x, 0)
-    assert _split_values.cache_info().hits > 0
+    assert _formula_rows.cache_info().hits > 0
     assert _g_products.cache_info().hits > 0
 
 
 def test_split_memo_stays_bounded():
     for x, y in all_pairs(10):
         d_paths_formula(x, y)
-    info = _split_values.cache_info()
+    info = _formula_rows.cache_info()
     assert info.maxsize is not None
     assert 0 < info.currsize <= info.maxsize
 
@@ -97,7 +97,7 @@ def test_formula_takes_plain_tuples():
     pairs = [(parse("21"), parse("21221")), (EPSILON, parse("2212")),
              (parse("121"), parse("22121")), (parse("2"), parse("1112"))]
     for forms in ((tuple, YFWord), (YFWord, tuple)):
-        _split_values.cache_clear()
+        _formula_rows.cache_clear()
         for x, y in pairs:
             expected = d_paths_dp(x, y)
             for form in forms:

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from reference_values import level_by_recursion
 from yflab.words import (
     EPSILON,
     YFWord,
@@ -155,6 +156,12 @@ def test_enumerate_level_small():
     assert list(enumerate_level(0)) == [EPSILON]
     assert list(enumerate_level(2)) == [parse("11"), parse("2")]
     assert len(enumerate_level(5)) == 8
+
+
+def test_enumerate_level_follows_the_recursive_definition_to_rank_20():
+    # the successor rule against the 1-branch-before-2-branch definition, word by word
+    for n in range(21):
+        assert enumerate_level(n).words == level_by_recursion(n), n
 
 
 def test_level_sizes_are_fibonacci():
