@@ -22,25 +22,81 @@ harmonic._g_products(core, rank(x)), over rank(x)! P_0.  So every x of one
 rank reads one vector, held in that function's bounded memo.  d_beta_prime
 evaluates the kernel at beta = p/q in ints (_scaled_value) and builds one
 Fraction; d1_prime sums it.  mu and d_beta_prime stay the pointwise route.
-mass_weights scales the same vector by the powers of p and q, and
-level_distribution shares its result across a level: it builds
-(W, D) = mass_weights(w, beta, n) once, and each mass is
-d(empty, v) * sum_i F_i W_i over n! D, with F the row _f_row(v, h).
-No kernel is memoized here: the identity suite holds one kernel per (x, w)
-for a run.
+mass_weights scales the same vector by the powers of p and q: (W, D), one
+pair per level.  No kernel is memoized here: the identity suite holds one
+kernel per (x, w) for a run.
+
+The class engine gives the masses of whole levels.  Let s_L be the chain
+node suffix_of_infinite(w, L).  Fix z = L and give a word v = x + s_L of rank
+R <= n the vector of n + 1 ints
+
+    X[i] = d(empty, v) i! (n - i)! f(1^(n - R) + v, i, L),    i = 0..n,
+
+d(empty, v) i! (R - i)! f(v, i, L) for i <= R; by the prepend law no X[i]
+depends on n, so one chain built at a top rank serves every rank up to it,
+cut to n + 1 entries (_roots_at).  A word v of rank n with h(v, w) = L is
+x + s_L, and n! D mu(v) is sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X
+unchanged, as the padded word stays the same, and prepending a 2 of g-value
+G = R + 1 multiplies X[i] by G (G - i) (_grow): below R + 1 by the
+left-extension law, and above because the unwind of f(1^j + 2 + v, i, L)
+never reaches the 2 and its base values are -(i - R - 1) times those of
+1^(j + 2) + v.  So if v = u + b with h(v, w) = h(b), then
+X(v)[i] = X(b)[i] Y_u[i] with
+
+    Y_u[i] = prod over the 2s of u of G (G - i),  G = rank(b) + sigma - 1,
+
+sigma the rank of the suffix of u that starts at the 2; likewise
+d(empty, v) = d(empty, b) e_u, with e_u the product of the G, and
+pi(v) = pi(b) prod (G - 1)/G over the G > 1.  A state (_State) carries
+X with the products of the G and of the G - 1.
+
+The classes (_classes): with b_L = (3 - w.digit_from_right(L)) + s_L, every
+rank-n word but the chain node of rank n is u + b_L for exactly one L (b_L is
+its shortest suffix that is not a chain node), and class L is every such
+u + b_L.  Its words all have h(v, w) = L and common-suffix rank rank(s_L), and
+the chain node of rank n is a class alone.  level_distribution grows every
+root of rank <= n to rank n (_prepend), one int product per prepended 2 and
+one dot product per word; the sweeps of experiments sum whole classes.
+
+A chain node inside the core (L <= len(core)) takes its vector from one
+padded row (_chain_state): X[i] = d(empty, s) F_i / C(n, i), F the row
+harmonic._f_row(1^(n - rho) + s, L), rho = rank(s).  The division is asserted
+exact: f(p, i, L) = f(tail, i, L) / H(head) with H(head) a product of
+distinct integers up to n - i, which divides (n - i)!, and i! f(tail, i, L)
+an integer (harmonic._unwind).  Past the core, s_{L+1} = 1 + s_L pads to the
+same word and only z moves from L to L + 1, so each node follows from the
+one before by a closed-form correction (_next_chain_state).  With
+rho = rank(s_L), d = d(empty, s_L), t the number of 2s of s_L and, for each
+2, r_2 the rank of s_L from its left end through that 2,
+
+    X_{L+1}[i] = X_L[i]                                                 for i <= rho,
+    X_{L+1}[rho+1+j] = X_L[rho+1+j] + d (-1)^(j+t) (rho+1+j)! / (j! prod_2 (j + r_2)).
+
+The first line is the prepend law with f(1x, y, length(x)) =
+f(1x, y, length(1x)) for y <= rank(x) (evtuh7 and evtuh92).  For the second,
+i = rho + 1 + j: the prepend law leaves i! f(1^(j+1) + s_L, i, z), and its
+unwinds at z = L + 1 and at z = L take the same steps through s_L.  At
+z = L + 1 one step remains, f(1^(j+1), j+1, 1) = f(1^(j+1), j+1, 0) +
+f(1^j, j, 0), so the two differ by (-1)^j / j! over the 2-step divisors
+1 - (j + 1 + r_2), one per 2.  (rho+1+j)! / j! is the product of
+j + 1..j + rho + 1, of which the j + r_2 are distinct factors, so each
+correction is an int; its running quotient is asserted exact.  A chain to
+top rank 400 costs O(top^2) int steps this way, not a padded row per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from itertools import accumulate
+from math import comb, factorial, prod
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .harmonic import _f_row, _g_products
+from .harmonic import _f_row, _g_products, _g_ratio_parts
 from .pathcount import d_from_empty, d_paths_dp
-from .words import EPSILON, YFWord, enumerate_level
+from .words import EPSILON, YFWord, check_level_rank
 
 
 @dataclass(frozen=True)
@@ -171,6 +227,107 @@ def mu_prelimit(wseq_m: YFWord, v: YFWord) -> Fraction:
     return Fraction(d_from_empty(v) * d_paths_dp(v, wseq_m), d_from_empty(wseq_m))
 
 
+# A class root or half-word state (rank, X, d, pi_num): the rank the word has
+# reached, its vector X of n + 1 ints, and the products of G and of G - 1 over
+# the g-values G > 1 of the 2s that X carries.
+_State = tuple[int, list[int], int, int]
+
+
+@lru_cache(maxsize=1)
+def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row G is (G (G - i) for i = 0..n): a prepended 2 of g-value G multiplies
+    entry i of a half-word vector by it.  One table, built at a sweep's top
+    rank (a level's rank), serves every rank of the sweep: its consumers read
+    a row through zip with a shorter vector, which truncates it."""
+    return tuple(tuple(G * (G - i) for i in range(n + 1)) for G in range(n + 1))
+
+
+def _grow(state: _State, digit: int, factors: Sequence[Sequence[int]]) -> _State:
+    """The state of digit + word from that of word: a 1 changes nothing but the
+    rank; a 2 has g-value G = rank + 1.  factors is _g_factors(top), top >= G."""
+    rank, vec, d, pi_num = state
+    if digit == 1:
+        return rank + 1, vec, d, pi_num
+    G = rank + 1
+    return (rank + 2, [v * c for v, c in zip(vec, factors[G])], d * G,
+            pi_num * (G - 1) if G > 1 else pi_num)
+
+
+def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
+    """The states grow makes of x + start over the words x with rank(x + start) the
+    first rank >= stop (and <= n) met while prepending digits; stop = n gives
+    every x with rank(x + start) = n.  A state's rank is its first field: the
+    walk prepends its nodes, the class engine and the split engine states with _grow."""
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        if state[0] >= stop:
+            yield state
+            continue
+        if state[0] + 2 <= n:
+            stack.append(grow(state, 2))
+        stack.append(grow(state, 1))
+
+
+def _chain_state(s: tuple[int, ...], L: int, top: int) -> _State:
+    """The state of the chain node s = suffix_of_infinite(w, L) of rank rho: for i = 0..top,
+    X[i] = d(empty, s) i! (top - i)! f(1^(top - rho) + s, i, L), the padded row over C(top, i)."""
+    rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
+    vec = []
+    for i, F in enumerate(_f_row((1,) * (top - rho) + s, L)):
+        value, remainder = divmod(F, comb(top, i))
+        assert remainder == 0, f"chain node {s}: inexact at i={i}"
+        vec.append(d * value)
+    return rho, vec, d, pi_num
+
+
+def _next_chain_state(state: _State, s: tuple[int, ...]) -> _State:
+    """The state of the chain node 1 + s from that of s = s_L past the core, by the
+    closed-form law of the module docstring: entries above rho = rank(s) gain
+    d (-1)^(j+t) Q_j, Q_j = (rho+1+j)! / (j! prod_2 (j + r_2)), stepped in j with
+    each quotient asserted exact."""
+    rho, vec, d, pi_num = state
+    r2 = [r for r, digit in zip(accumulate(s), s) if digit == 2]
+    below = prod(r2)
+    Q, remainder = divmod(factorial(rho + 1), below)
+    assert remainder == 0, f"chain node 1 + {s}: inexact at j=0"
+    out = vec[:rho + 1]
+    step = -d if len(r2) % 2 else d  # d (-1)^(j+t) at j = 0
+    for j, X in enumerate(vec[rho + 1:]):
+        out.append(X + step * Q)
+        step = -step
+        above = prod(j + 1 + r for r in r2)
+        Q, remainder = divmod(Q * (j + rho + 2) * below, (j + 1) * above)
+        assert remainder == 0, f"chain node 1 + {s}: inexact at j={j + 1}"
+        below = above
+    return rho + 1, out, d, pi_num
+
+
+def _classes(w: TailOnesWord, top: int) -> list[tuple[int, _State]]:
+    """(common-suffix rank, root state) for every chain node s_L and every b_L =
+    mismatched digit + s_L of rank <= top, with top + 1 entries: one chain, built
+    once per sweep, serves every rank up to top (_roots_at).  Nodes inside the core
+    come from padded rows, the rest from the node before by the chain law."""
+    roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
+    factors = _g_factors(top)
+    while sum(s) <= top:
+        chain = _chain_state(s, L, top) if L <= len(w.core) else _next_chain_state(chain, s[1:])
+        roots.append((chain[0], chain))
+        digit = 3 - w.digit_from_right(L)
+        if chain[0] + digit <= top:
+            roots.append((chain[0], _grow(chain, digit, factors)))
+        s = (w.digit_from_right(L),) + s
+        L += 1
+    return roots
+
+
+def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, _State]]:
+    """The rank-n class roots in _classes(w, top >= n): the chain node of rank n (its rank
+    is its common-suffix rank) and every b_L of rank <= n, vectors cut to n + 1 entries."""
+    return [(h, (r, vec[:n + 1], d, pi_num)) for h, (r, vec, d, pi_num) in classes
+            if r == n or h < r <= n]
+
+
 @dataclass(frozen=True)
 class LevelDistribution:
     """The boundary measure restricted to one rank; masses sum to exactly 1."""
@@ -189,15 +346,38 @@ class LevelDistribution:
 
 
 def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribution:
-    """Masses mu_{w,beta}(v) over all rank-n words, in level order."""
+    """Masses mu_{w,beta}(v) over all rank-n words, in level order, read from the class
+    roots: each root of _roots_at(_classes(w, n), n) is grown to rank n with its
+    digits carried beside the state, and n! D mu(v) is sum_i C(n, i) W_i X[i] for
+    (W, D) = mass_weights(w, beta, n).  The ints are asserted to sum to n! D before
+    one Fraction is built per word.  Words of one rank sort as tuples in level
+    order, so no level is enumerated or cached."""
     if not 0 < beta <= 1:
         raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
+    check_level_rank(n)
     weights, den = mass_weights(w, Fraction(beta), n)
     den *= factorial(n)
+    scaled = [comb(n, i) * W for i, W in enumerate(weights)]
+    factors = _g_factors(n)
+
+    def grow(item, digit):
+        rank, state, digits = item
+        return rank + digit, _grow(state, digit, factors), (digit,) + digits
+
+    chain, s = {0: ()}, ()  # common-suffix rank -> the chain node s_L of that rank
+    while sum(s) < n:
+        s = (w.digit_from_right(len(s)),) + s
+        chain[sum(s)] = s
+    items = []
+    for h, root in _roots_at(_classes(w, n), n):
+        digits = chain[h] if root[0] == h else (root[0] - h,) + chain[h]
+        for _, (_, vec, _, _), digits in _prepend((root[0], root, digits), n, n, grow):
+            # only 1s and 2s: YFWord's check is moot
+            items.append((tuple.__new__(YFWord, digits), sum(map(mul, scaled, vec))))
+    assert sum(mass for _, mass in items) == den, f"level {n} masses do not sum to 1"
+    items.sort(reverse=True)
     masses = {}
-    for v in enumerate_level(n):
-        row = _f_row(v, h_infinite(v, w).length)
-        masses[v] = Fraction(d_from_empty(v) * sum(map(mul, row, weights)), den)
+    while items:  # each int is dropped as its Fraction is made
+        v, mass = items.pop()
+        masses[v] = Fraction(mass, den)
     return LevelDistribution(n, w, Fraction(beta), masses)

@@ -7,9 +7,9 @@ rationals, no timestamps.
 
 Exit status: 0 on success, 1 when ``verify`` finds an exact-identity
 failure, 2 on usage errors.  A reader that closes stdout early (``yflab level
-30 | head``) ends the command quietly, with status 0; when only the final
-flush meets the closed pipe, the status the command returned is kept (1 for
-a failed ``verify``).
+30 | head``) ends the command quietly, with status 0; a failed ``verify``
+keeps status 1 whether its own write or only the final flush meets the
+closed pipe.
 """
 
 from __future__ import annotations
@@ -28,10 +28,18 @@ from .experiments import concentration_sweep, identity_suite
 from .harmonic import _csv_rows, d_beta, f, format_rational, g_all, parse_rational, pi, q
 from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
-from .words import YFWord, iter_level
+from .words import YFWord, fibonacci, iter_level
 
 OUTPUT_DIR_ENV = "YFLAB_OUTPUT_DIR"
 MAGIC_DEFAULT_CAP = 16
+# measure holds every mass of its level until it prints: peak RSS grew from
+# 26.8 to 40.5 MiB between ranks 20 and 22 (core 221, beta 4/7, CSV output,
+# fresh processes, Python 3.11), about 810 bytes a word.  The default cap is
+# the highest rank whose words fit in MEASURE_BUDGET at that rate (rank 27).
+MEASURE_BYTES_PER_WORD = 810
+MEASURE_BUDGET = 256 * 2 ** 20
+MEASURE_DEFAULT_CAP = max(n for n in range(92)
+                          if fibonacci(n + 1) * MEASURE_BYTES_PER_WORD <= MEASURE_BUDGET)
 
 
 def _word(text: str) -> YFWord:
@@ -142,6 +150,10 @@ def _cmd_dprime(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    if args.n > args.cap:
+        raise ValueError(f"n={args.n} exceeds the measure cap {args.cap}: its {fibonacci(args.n + 1)} "
+                         f"masses are held at about {MEASURE_BYTES_PER_WORD} bytes each; "
+                         f"raise it with --cap if the whole level is intended")
     w = TailOnesWord.parse(args.w)
     dist = level_distribution(w, _beta(args.beta), args.n)
     rows = [["word", "mass"]]
@@ -180,8 +192,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = identity_suite(args.max_rank)
-    _emit(report.to_csv() if args.format == "csv" else report.to_text(), args)
-    return 0 if report.all_passed else 1
+    status = 0 if report.all_passed else 1  # decided before the write, which may fail
+    try:
+        _emit(report.to_csv() if args.format == "csv" else report.to_text(), args)
+    except BrokenPipeError as exc:
+        exc.status = status  # entry_point exits with it
+        raise
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,6 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--cap", type=int, default=MEASURE_DEFAULT_CAP,
+                   help="refuse levels beyond this rank, as they are held in memory")
 
     p = add("magic", _cmd_magic, "the dense table for (w, beta, n) as CSV")
     p.add_argument("--w", required=True)
@@ -274,10 +293,12 @@ def entry_point() -> None:
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
+    except BrokenPipeError as exc:
         # the reader closed stdout early (`yflab level 30 | head`): stop without a
         # traceback, and send what is still buffered to devnull for the flush at exit;
-        # a status main() returned before the final flush failed is kept
+        # a status main() returned before the final flush failed is kept, and so is
+        # one a command decided before its own write failed (a failed `verify`)
+        code = getattr(exc, "status", code)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 

@@ -12,35 +12,15 @@ over the shared denominator D of boundary.mass_weights (weights W_i).  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
 check sweeps against, and it shares one stack loop (_prepend) with them.
 
-Sweeps sum whole classes of words instead.  Let s_L be the chain node
-suffix_of_infinite(w, L).  Fix z = L and give a word v = x + s_L of rank R <= n
-the vector of n + 1 ints
-
-    X[i] = d(empty, v) i! (n - i)! f(1^(n - R) + v, i, L),    i = 0..n,
-
-d(empty, v) i! (R - i)! f(v, i, L) for i <= R; by the prepend law no X[i]
-depends on n, so one chain built at a sweep's top rank serves every rank, cut
-to n + 1 entries (_roots_at).  A word v of rank n with h(v, w) = L is x + s_L,
-and n! D mu(v) is sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X unchanged,
-as the padded word stays the same, and prepending a 2 of g-value G = R + 1
-multiplies X[i] by G (G - i): below R + 1 by the left-extension law, and above
-because the unwind of f(1^j + 2 + v, i, L) never reaches the 2 and its base
-values are -(i - R - 1) times those of 1^(j + 2) + v.  So if
-v = u + b with h(v, w) = h(b), then X(v)[i] = X(b)[i] Y_u[i] with
-
-    Y_u[i] = prod over the 2s of u of G (G - i),  G = rank(b) + sigma - 1,
-
-sigma the rank of the suffix of u that starts at the 2; likewise
-d(empty, v) = d(empty, b) e_u, with e_u the product of the G, and
-pi(v) = pi(b) prod (G - 1)/G over the G > 1.
-
-The classes (_classes): with b_L = (3 - w.digit_from_right(L)) + s_L, every
-rank-n word but the chain node of rank n is u + b_L for exactly one L (b_L is
-its shortest suffix that is not a chain node), and class L is every such u + b_L.
-A class never straddles a suffix bin (common-suffix rank < l): its words all
-have h(v, w) = L and common-suffix rank rank(s_L), and the chain node of rank
-n is a class alone.  The X sum of a class is X(b_L)[i] S_i(rank(b_L)), with
-S_i(r) the sum of Y_u[i] over the u of rank n - r; split by u's last digit,
+Sweeps sum whole classes of words instead.  The class engine lives in
+boundary, whose docstring defines it: the chain nodes s_L, the vectors X of
+n + 1 ints with n! D mu(v) = sum_i C(n, i) W_i X[i], the 2-factors
+Y_u[i] = prod G (G - i) of a prepended u, the class roots b_L (_classes,
+_roots_at) and the closed-form law that builds the chain past the core.  All
+words of a class share their common suffix with w, so a class never
+straddles a suffix bin (common-suffix rank < l).  The X sum of a class is
+X(b_L)[i] S_i(rank(b_L)), with S_i(r) the sum of Y_u[i] over the u of rank
+n - r; split by u's last digit,
 
     S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
 
@@ -56,15 +36,12 @@ bucket of the number of keys at most lo / pi(u) and of the number below
 hi / pi(u), and dots each bucket with the running X sum of the keys below
 it, in one pass over the keys.  This costs about Fib(n / 2) vectors per side.
 
-Besides harmonic._unwind's own, the engines' only division is the chain
-node's F_i / C(n, i) = X[i] / d(empty, s), F = harmonic._f_row(p, L) for the
-padded p = 1^(n - rank(s)) + s, asserted exact: f(p, i, L) = f(tail, i, L) /
-H(head) with H(head) a product of distinct integers up to n - i, which
-divides (n - i)!, and i! f(tail, i, L) an integer (harmonic._unwind).  Every
-sum is an int over n! D; sweep_many asserts each engine's total to be n! D
-at every rank and builds one Fraction per (beta, bin, rank).  With pi bins
-and jobs > 1 it opens one fork pool of min(jobs, os.cpu_count()) workers
-from rank _POOL_RANK on, each worker taking a share of the left halves.
+The engines divide only where the chain is built (boundary), each division
+asserted exact.  Every sum is an int over n! D; sweep_many asserts each
+engine's total to be n! D at every rank and builds one Fraction per
+(beta, bin, rank).  With pi bins and jobs > 1 it opens one fork pool of
+min(jobs, os.cpu_count()) workers from rank _POOL_RANK on, each worker
+taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  It reads
@@ -94,7 +71,8 @@ from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import comb, factorial, gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .boundary import TailOnesWord, _kernel_terms, _scaled_value, h_infinite, mass_weights
+from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
+                       _roots_at, _scaled_value, h_infinite, mass_weights)
 from .harmonic import _csv_rows, _f_row, _g_ratio_parts, _scaled_f, format_rational, pi, q
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
@@ -205,84 +183,6 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Class sums and the split-sum engine
 # ---------------------------------------------------------------------------
-
-# A class root or half-word state (rank, X, d, pi_num): the rank the word has
-# reached, its vector X of n + 1 ints, and the products of G and of G - 1 over
-# the g-values G > 1 of the 2s that X carries.
-_State = tuple[int, list[int], int, int]
-
-
-@lru_cache(maxsize=1)
-def _g_factors(n: int) -> tuple[tuple[int, ...], ...]:
-    """Row G is (G (G - i) for i = 0..n): a prepended 2 of g-value G multiplies
-    entry i of a half-word vector by it.  One table, built at a sweep's top
-    rank, serves every rank of the sweep: its consumers read a row through
-    zip with a shorter vector, which truncates it."""
-    return tuple(tuple(G * (G - i) for i in range(n + 1)) for G in range(n + 1))
-
-
-def _grow(state: _State, digit: int, factors: Sequence[Sequence[int]]) -> _State:
-    """The state of digit + word from that of word: a 1 changes nothing but the
-    rank; a 2 has g-value G = rank + 1.  factors is _g_factors(top), top >= G."""
-    rank, vec, d, pi_num = state
-    if digit == 1:
-        return rank + 1, vec, d, pi_num
-    G = rank + 1
-    return (rank + 2, [v * c for v, c in zip(vec, factors[G])], d * G,
-            pi_num * (G - 1) if G > 1 else pi_num)
-
-
-def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
-    """The states grow makes of x + start over the words x with rank(x + start) the
-    first rank >= stop (and <= n) met while prepending digits; stop = n gives
-    every x with rank(x + start) = n.  A state's rank is its first field: the
-    walk prepends _Nodes with _child, the split engine half-word _States with _grow."""
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        if state[0] >= stop:
-            yield state
-            continue
-        if state[0] + 2 <= n:
-            stack.append(grow(state, 2))
-        stack.append(grow(state, 1))
-
-
-def _chain_state(s: tuple[int, ...], L: int, top: int) -> _State:
-    """The state of the chain node s = suffix_of_infinite(w, L) of rank rho: for i = 0..top,
-    X[i] = d(empty, s) i! (top - i)! f(1^(top - rho) + s, i, L), the padded row over C(top, i)."""
-    rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
-    vec = []
-    for i, F in enumerate(_f_row((1,) * (top - rho) + s, L)):
-        value, remainder = divmod(F, comb(top, i))
-        assert remainder == 0, f"chain node {s}: inexact at i={i}"
-        vec.append(d * value)
-    return rho, vec, d, pi_num
-
-
-def _classes(w: TailOnesWord, top: int) -> list[tuple[int, _State]]:
-    """(common-suffix rank, root state) for every chain node s_L and every b_L =
-    mismatched digit + s_L of rank <= top, with top + 1 entries: one chain, built
-    once per sweep, serves every rank up to top (_roots_at)."""
-    roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
-    factors = _g_factors(top)
-    while sum(s) <= top:
-        chain = _chain_state(s, L, top)
-        roots.append((chain[0], chain))
-        digit = 3 - w.digit_from_right(L)
-        if chain[0] + digit <= top:
-            roots.append((chain[0], _grow(chain, digit, factors)))
-        s = (w.digit_from_right(L),) + s
-        L += 1
-    return roots
-
-
-def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, _State]]:
-    """The rank-n class roots in _classes(w, top >= n): the chain node of rank n (its rank
-    is its common-suffix rank) and every b_L of rank <= n, vectors cut to n + 1 entries."""
-    return [(h, (r, vec[:n + 1], d, pi_num)) for h, (r, vec, d, pi_num) in classes
-            if r == n or h < r <= n]
-
 
 def _class_masses(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
                   factors: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:

@@ -222,10 +222,7 @@ def iter_level(n: int) -> Iterator[YFWord]:
     a 2, and those digits become 1s of one less total rank.  Memory stays O(n).
     A negative rank, and ranks n >= 92 (Fib(93) > sys.maxsize words), are
     refused before the first word."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if fibonacci(n + 1) > sys.maxsize:
-        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
+    check_level_rank(n)
 
     def stream() -> Iterator[YFWord]:
         digits = [1] * n
@@ -240,6 +237,14 @@ def iter_level(n: int) -> Iterator[YFWord]:
             digits.extend([1] * (tail - 1))
 
     return stream()
+
+
+def check_level_rank(n: int) -> None:
+    """Refuse a negative rank, and ranks n >= 92 (Fib(93) > sys.maxsize words)."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    if fibonacci(n + 1) > sys.maxsize:
+        raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
 
 
 @lru_cache(maxsize=None)

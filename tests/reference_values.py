@@ -9,11 +9,17 @@ one_minus_beta2_exp), with coeff = d(empty, word) * q(head) in lowest
 terms.  f_by_recursion transcribes the definition of f literally, as an
 oracle independent of the library's integer unwind, and level_by_recursion
 the definition of a level's order, as an oracle independent of the library's
-successor rule.
+successor rule.  classes_by_padded_row builds every chain node of a sweep from
+its own padded f row, as the class engine did before it took the nodes past
+the core from the closed-form law.
 """
 
 from fractions import Fraction as Fr
 from functools import lru_cache
+from math import comb
+
+from yflab.boundary import _g_factors, _grow
+from yflab.harmonic import _f_row, _g_ratio_parts
 
 
 @lru_cache(maxsize=None)
@@ -53,6 +59,28 @@ def level_by_recursion(n: int) -> tuple:
         return ((1,) * n,)
     return (tuple((1,) + w for w in level_by_recursion(n - 1))
             + tuple((2,) + w for w in level_by_recursion(n - 2)))
+
+
+def classes_by_padded_row(w, top: int) -> list:
+    """boundary._classes(w, top), each chain node s = s_L of rank rho from the row
+    _f_row(1^(top - rho) + s, L) divided by C(top, i), whatever L is."""
+    roots, L, s = [], 0, ()
+    factors = _g_factors(top)
+    while sum(s) <= top:
+        rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
+        vec = []
+        for i, F in enumerate(_f_row((1,) * (top - rho) + s, L)):
+            value, remainder = divmod(F, comb(top, i))
+            assert remainder == 0, (s, i)
+            vec.append(d * value)
+        chain = (rho, vec, d, pi_num)
+        roots.append((rho, chain))
+        digit = 3 - w.digit_from_right(L)
+        if rho + digit <= top:
+            roots.append((rho, _grow(chain, digit, factors)))
+        s = (w.digit_from_right(L),) + s
+        L += 1
+    return roots
 
 
 F_TABLE_21221 = [Fr(1, 720), Fr(-1, 280), Fr(0), Fr(1, 180), Fr(0),

@@ -2,9 +2,11 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from yflab import words
 from yflab.boundary import (
     LevelDistribution,
     TailOnesWord,
+    _classes,
     d1_prime,
     d_beta_prime,
     h_infinite,
@@ -17,9 +19,9 @@ from yflab.boundary import (
 from yflab.harmonic import _g_products, d_beta, f, g_all
 from yflab.magic import build_table
 from yflab.pathcount import d_from_empty, descent_counts
-from yflab.words import EPSILON, enumerate_level, parse, prefix, suffix
+from yflab.words import EPSILON, enumerate_level, fibonacci, parse, prefix, suffix
 
-from reference_values import f_by_recursion
+from reference_values import classes_by_padded_row, f_by_recursion
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 BETAS = [Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1)]
@@ -162,14 +164,32 @@ def test_level_distribution_sums_to_one():
 
 
 def test_level_distribution_equals_pointwise_mu():
-    # the level's one shared weight vector against the pointwise kernel, word by word
-    for w in CORES:
-        for beta in (Fr(1, 2), Fr(3, 7), Fr(1)):
+    # the masses read from the class roots against the pointwise kernel, word by word;
+    # 221 ends in 1, so its first mismatch is a 2 (b_0 = 2), and 5/7 is the CI golden's beta
+    for w in [*CORES, *(TailOnesWord.parse(c) for c in ("221", "2122"))]:
+        for beta in (Fr(1, 2), Fr(3, 7), Fr(5, 7), Fr(1)):
             for n in range(11):
                 masses = level_distribution(w, beta, n).masses
                 assert list(masses) == list(enumerate_level(n))
                 for v, mass in masses.items():
                     assert mass == mu(w, beta, v), (w, beta, v)
+
+
+def test_level_distribution_caches_no_level():
+    # the words come from the class roots, in level order by sorting: no level is enumerated
+    words._level_words.cache_clear()
+    masses = level_distribution(TailOnesWord.parse("221"), Fr(4, 7), 14).masses
+    assert len(masses) == fibonacci(15)
+    assert words._level_words.cache_info().currsize == 0
+    assert list(masses) == list(enumerate_level(14))
+
+
+def test_classes_equal_the_padded_rows():
+    # chain nodes past the core by the closed-form law, against a padded f row per node
+    for core in ("eps", "2", "22", "212", "2122", "221"):
+        w = TailOnesWord.parse(core)
+        for top in (*range(8), 17, 40, 60):
+            assert _classes(w, top) == classes_by_padded_row(w, top), (core, top)
 
 
 def test_level_distribution_beta_one_is_point_mass():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from reference_values import level_by_recursion
+from yflab import cli
 from yflab.cli import main
 from yflab.experiments import IdentityResult, SuiteReport
 from yflab.harmonic import f, format_rational
@@ -92,9 +93,9 @@ def test_level_stops_quietly_when_the_reader_closes():
     assert (proc.wait(timeout=60), err) == (0, b"")
 
 
-def test_verify_failure_survives_a_closed_pipe():
-    # as in `yflab verify --max-rank 6 | true`: the report sits in stdout's buffer when
-    # main() returns 1, and only the final flush meets the closed pipe
+def verify_failure_behind_a_closed_pipe(env) -> tuple[int, bytes]:
+    """Exit status and stderr of a child `yflab verify` whose suite fails and whose
+    reader has closed stdout before the report is written."""
     script = "\n".join([
         "import sys",
         "from yflab import cli",
@@ -105,15 +106,28 @@ def test_verify_failure_survives_a_closed_pipe():
         "sys.argv = ['yflab', 'verify', '--max-rank', '3']",
         "cli.entry_point()",
     ])
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as a shell pipe gives
     proc = subprocess.Popen([sys.executable, "-c", script], env=env, stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     proc.stdout.close()
     proc.stdin.close()
     err = proc.stderr.read()
     proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    return proc.wait(timeout=60), err
+
+
+def test_verify_failure_survives_a_closed_pipe():
+    # as in `yflab verify --max-rank 6 | true`: the report sits in stdout's buffer when
+    # main() returns 1, and only the final flush meets the closed pipe
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as a shell pipe gives
+    assert verify_failure_behind_a_closed_pipe(env) == (1, b"")
+
+
+def test_unbuffered_verify_failure_survives_a_closed_pipe():
+    # with stdout unbuffered the report's own write meets the closed pipe inside
+    # main(), before it returns; the status decided before that write is kept
+    env = dict(child_env(), PYTHONUNBUFFERED="1")
+    assert verify_failure_behind_a_closed_pipe(env) == (1, b"")
 
 
 def test_scalar_commands(capsys):
@@ -152,6 +166,22 @@ def test_magic_cap(capsys):
                        "--cap", "18")
     assert code == 0
     assert len(out.splitlines()) == 1 + 2584  # fibonacci(18) rows
+
+
+def test_measure_cap_refuses_before_building(capsys, monkeypatch):
+    # a level's masses are all held at once: ranks above the cap exit 2 before any is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("measure built a level above its cap")
+
+    monkeypatch.setattr("yflab.cli.level_distribution", refuse)
+    for argv in (["--n", "40"], ["--n", str(cli.MEASURE_DEFAULT_CAP + 1)], ["--n", "6", "--cap", "5"]):
+        code, out, err = run(capsys, "measure", "--w", "221", "--beta", "4/7", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("yflab: error: ") and "--cap" in err, argv
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "measure", "--w", "221", "--beta", "4/7", "--n", "6", "--cap", "6")
+    assert code == 0
+    assert len(out.splitlines()) == 13  # fibonacci(7) words
 
 
 def test_sweep(capsys):
