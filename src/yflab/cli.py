@@ -151,9 +151,9 @@ def _cmd_dprime(args) -> int:
 
 def _cmd_measure(args) -> int:
     if args.n > args.cap:
-        raise ValueError(f"n={args.n} exceeds the measure cap {args.cap}: its {fibonacci(args.n + 1)} "
-                         f"masses are held at about {MEASURE_BYTES_PER_WORD} bytes each; "
-                         f"raise it with --cap if the whole level is intended")
+        raise ValueError(f"n={args.n} exceeds the measure cap {args.cap}: its "
+                         f"{fibonacci(args.n + 1)} masses are held at about "
+                         f"{MEASURE_BYTES_PER_WORD} bytes each; raise it with --cap if intended")
     w = TailOnesWord.parse(args.w)
     dist = level_distribution(w, _beta(args.beta), args.n)
     rows = [["word", "mass"]]

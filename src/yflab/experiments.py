@@ -12,15 +12,11 @@ over the shared denominator D of boundary.mass_weights (weights W_i).  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
 check sweeps against, and it shares one stack loop (_prepend) with them.
 
-Sweeps sum whole classes of words instead.  The class engine lives in
-boundary, whose docstring defines it: the chain nodes s_L, the vectors X of
-n + 1 ints with n! D mu(v) = sum_i C(n, i) W_i X[i], the 2-factors
-Y_u[i] = prod G (G - i) of a prepended u, the class roots b_L (_classes,
-_roots_at) and the closed-form law that builds the chain past the core.  All
-words of a class share their common suffix with w, so a class never
-straddles a suffix bin (common-suffix rank < l).  The X sum of a class is
-X(b_L)[i] S_i(rank(b_L)), with S_i(r) the sum of Y_u[i] over the u of rank
-n - r; split by u's last digit,
+Sweeps sum whole classes of words instead, from the class engine of
+boundary (its docstring defines the vectors X, the 2-factors Y_u, the class
+roots b_L and the chain law).  A class never straddles a suffix bin
+(common-suffix rank < l), and its X sum is X(b_L)[i] S_i(rank(b_L)), with
+S_i(r) the sum of Y_u[i] over the u of rank n - r; split by u's last digit,
 
     S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
 

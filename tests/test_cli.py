@@ -174,7 +174,8 @@ def test_measure_cap_refuses_before_building(capsys, monkeypatch):
         raise AssertionError("measure built a level above its cap")
 
     monkeypatch.setattr("yflab.cli.level_distribution", refuse)
-    for argv in (["--n", "40"], ["--n", str(cli.MEASURE_DEFAULT_CAP + 1)], ["--n", "6", "--cap", "5"]):
+    for argv in (["--n", "40"], ["--n", str(cli.MEASURE_DEFAULT_CAP + 1)],
+                 ["--n", "6", "--cap", "5"]):
         code, out, err = run(capsys, "measure", "--w", "221", "--beta", "4/7", *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("yflab: error: ") and "--cap" in err, argv
