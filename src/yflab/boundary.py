@@ -58,16 +58,19 @@ the chain node of rank n is a class alone.  level_distribution grows every
 root of rank <= n to rank n (_prepend), one int product per prepended 2 and
 one dot product per word; the sweeps of experiments sum whole classes.
 
-A chain node inside the core (L <= len(core)) takes its vector from one
-padded row (_chain_state): X[i] = d(empty, s) F_i / C(n, i), F the row
-harmonic._f_row(1^(n - rho) + s, L), rho = rank(s).  The division is asserted
-exact: f(p, i, L) = f(tail, i, L) / H(head) with H(head) a product of
-distinct integers up to n - i, which divides (n - i)!, and i! f(tail, i, L)
-an integer (harmonic._unwind).  Past the core, s_{L+1} = 1 + s_L pads to the
-same word and only z moves from L to L + 1, so each node follows from the
-one before by a closed-form correction (_next_chain_state).  With
-rho = rank(s_L), d = d(empty, s_L), t the number of 2s of s_L and, for each
-2, r_2 the rank of s_L from its left end through that 2,
+The chain (_classes) starts at the empty word, of state (0, [(-1)^i], 1, 1)
+as X[i] = i! (n - i)! f(1^n, i, 0) = (-1)^i, and takes s_{L+1} from s_L by
+the digit it prepends.  Let rho = rank(s_L), d = d(empty, s_L) and p the
+padded word of s_{L+1}, read at z = L + 1.  A 2: _grow gives the vector of p
+at z = L, and f(p, i, L + 1) = f(p, i, L).  For i <= rho + 2 that is evtuh91,
+f(2x, y, length(x)) = f(2x, y, length(2x)), carried to p by the prepend law.
+For i = rho + y, y >= 3, the unwinds at z = L + 1 and at z = L take the same
+steps through s_L and end at f(1^k + 2, y, 1) = (f(1^(k+2), y, 0) +
+f(1^(k+1), y-1, 0) + f(1^k, y-2, 0)) / (1 - y) = (-1)^(y-1) (y - 1) /
+(y! (k + 2 - y)!) and at f(1^k + 2, y, 0), which is the same.  A 1: p is
+s_L's padded word and only z moves, so the node follows by a closed-form
+correction (_next_chain_state).  With t the number of 2s of s_L and r_2, for
+each 2, the rank of s_L from its left end through that 2,
 
     X_{L+1}[i] = X_L[i]                                                 for i <= rho,
     X_{L+1}[rho+1+j] = X_L[rho+1+j] + d (-1)^(j+t) (rho+1+j)! / (j! prod_2 (j + r_2)).
@@ -78,10 +81,10 @@ i = rho + 1 + j: the prepend law leaves i! f(1^(j+1) + s_L, i, z), and its
 unwinds at z = L + 1 and at z = L take the same steps through s_L.  At
 z = L + 1 one step remains, f(1^(j+1), j+1, 1) = f(1^(j+1), j+1, 0) +
 f(1^j, j, 0), so the two differ by (-1)^j / j! over the 2-step divisors
-1 - (j + 1 + r_2), one per 2.  (rho+1+j)! / j! is the product of
-j + 1..j + rho + 1, of which the j + r_2 are distinct factors, so each
-correction is an int; its running quotient is asserted exact.  A chain to
-top rank 400 costs O(top^2) int steps this way, not a padded row per node.
+1 - (j + 1 + r_2), one per 2.  Of the factors j + 1..j + rho + 1 of
+(rho+1+j)! / j!, the j + r_2 are distinct, so each correction is an int; its
+running quotient is asserted exact.  A chain to top rank n costs O(n^2) int
+steps; test_classes_equal_the_padded_rows checks every node against its row.
 """
 
 from __future__ import annotations
@@ -90,11 +93,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .harmonic import _f_row, _g_products, _g_ratio_parts
+from .harmonic import _f_row, _g_products
 from .pathcount import d_from_empty, d_paths_dp
 from .words import EPSILON, YFWord, check_level_rank
 
@@ -269,23 +272,10 @@ def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
         stack.append(grow(state, 1))
 
 
-def _chain_state(s: tuple[int, ...], L: int, top: int) -> _State:
-    """The state of the chain node s = suffix_of_infinite(w, L) of rank rho: for i = 0..top,
-    X[i] = d(empty, s) i! (top - i)! f(1^(top - rho) + s, i, L), the padded row over C(top, i)."""
-    rho, (pi_num, d) = sum(s), _g_ratio_parts(s, 1)
-    vec = []
-    for i, F in enumerate(_f_row((1,) * (top - rho) + s, L)):
-        value, remainder = divmod(F, comb(top, i))
-        assert remainder == 0, f"chain node {s}: inexact at i={i}"
-        vec.append(d * value)
-    return rho, vec, d, pi_num
-
-
 def _next_chain_state(state: _State, s: tuple[int, ...]) -> _State:
-    """The state of the chain node 1 + s from that of s = s_L past the core, by the
-    closed-form law of the module docstring: entries above rho = rank(s) gain
-    d (-1)^(j+t) Q_j, Q_j = (rho+1+j)! / (j! prod_2 (j + r_2)), stepped in j with
-    each quotient asserted exact."""
+    """The state of the chain node 1 + s from that of s = s_L by the law of the module
+    docstring: entries above rho = rank(s) gain d (-1)^(j+t) Q_j, with
+    Q_j = (rho+1+j)! / (j! prod_2 (j + r_2)) stepped in j, each quotient asserted exact."""
     rho, vec, d, pi_num = state
     r2 = [r for r, digit in zip(accumulate(s), s) if digit == 2]
     below = prod(r2)
@@ -305,20 +295,21 @@ def _next_chain_state(state: _State, s: tuple[int, ...]) -> _State:
 
 def _classes(w: TailOnesWord, top: int) -> list[tuple[int, _State]]:
     """(common-suffix rank, root state) for every chain node s_L and every b_L =
-    mismatched digit + s_L of rank <= top, with top + 1 entries: one chain, built
-    once per sweep, serves every rank up to top (_roots_at).  Nodes inside the core
-    come from padded rows, the rest from the node before by the chain law."""
-    roots, L, s = [], 0, ()  # s = s_L, the last L digits of w
+    mismatched digit + s_L of rank <= top, with top + 1 entries: one chain serves
+    every rank up to top (_roots_at).  Each node comes from the one before, starting
+    at the empty word: by _grow for a 2, by _next_chain_state for a 1."""
+    roots, s = [], ()  # s = s_L, the last L = len(s) digits of w
     factors = _g_factors(top)
-    while sum(s) <= top:
-        chain = _chain_state(s, L, top) if L <= len(w.core) else _next_chain_state(chain, s[1:])
+    chain = 0, [(-1) ** i for i in range(top + 1)], 1, 1  # s_0, the empty word
+    while True:
         roots.append((chain[0], chain))
-        digit = 3 - w.digit_from_right(L)
-        if chain[0] + digit <= top:
-            roots.append((chain[0], _grow(chain, digit, factors)))
-        s = (w.digit_from_right(L),) + s
-        L += 1
-    return roots
+        digit = w.digit_from_right(len(s))
+        if chain[0] + 3 - digit <= top:
+            roots.append((chain[0], _grow(chain, 3 - digit, factors)))
+        if chain[0] + digit > top:
+            return roots
+        chain = _grow(chain, 2, factors) if digit == 2 else _next_chain_state(chain, s)
+        s = (digit,) + s
 
 
 def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, _State]]:
@@ -338,10 +329,11 @@ class LevelDistribution:
     masses: dict[YFWord, Fraction]
 
     def __post_init__(self):
-        total = sum(self.masses.values(), Fraction(0))
-        if total != 1:
-            raise AssertionError(f"masses sum to {total}, not 1")
-        if any(m < 0 for m in self.masses.values()):
+        den = lcm(*(m.denominator for m in self.masses.values()))
+        total = sum(m.numerator * (den // m.denominator) for m in self.masses.values())
+        if total != den:
+            raise AssertionError(f"masses sum to {Fraction(total, den)}, not 1")
+        if any(m.numerator < 0 for m in self.masses.values()):
             raise AssertionError("negative mass")
 
 

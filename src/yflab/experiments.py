@@ -315,6 +315,15 @@ class ConcentrationReport:
         return "\n".join(lines) + "\n"
 
 
+def _suffix_rank(l: Param) -> int:
+    """A suffix sweep's common-suffix rank l as an int, refused unless it is one and >= 0."""
+    if l != int(l):
+        raise ValueError(f"l must be an integer, got {l}")
+    if l < 0:
+        raise ValueError("l must be nonnegative")
+    return int(l)
+
+
 def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                suffix_params: Sequence[tuple[Fraction, int]] = (),
                pi_params: Sequence[tuple[Fraction, Fraction]] = (),
@@ -340,8 +349,7 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     for beta in betas:
         if not 0 < beta <= 1:
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if any(l < 0 for _, l in suffix_params):
-        raise ValueError("l must be nonnegative")
+    suffix_params = [(beta, _suffix_rank(l)) for beta, l in suffix_params]
     if any(e <= 0 for _, e in pi_params):
         raise ValueError("eps must be positive")
     piw = pi(w)
@@ -390,7 +398,7 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
     n_list = list(n_list)
     if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("n_list must be nonempty and strictly ascending")
-    param = int(parameter) if mode == "suffix" else Fraction(parameter)
+    param = _suffix_rank(parameter) if mode == "suffix" else Fraction(parameter)
     tails = sweep_many(w, n_list, jobs=jobs, **{f"{mode}_params": [(beta, param)]})
     key = (mode, beta, param)
     rows = tuple(SweepRow(n, tails[key + (n,)], 1 - tails[key + (n,)]) for n in n_list)

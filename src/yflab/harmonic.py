@@ -40,11 +40,10 @@ R! / H is a multiple of y! and P divides y!; the (1 - y) divisors are
 divided out once at the end, also exactly.  ``_f_row(x, z)``, the one
 builder of a whole row [R! f(x, y, z) for y = 0..R], fills it in one pass
 over the suffix splits of x, with no factorial and no per-entry split
-search; it serves ``d_beta`` (z = 0), the kernel d'_beta and the measure's
-levels (z = h), the path-count formula (z = h, through a bounded memo of its
-own per (x, h) in ``pathcount``), the walk, the sweeps and the identity
-suite.  ``_f_row`` keeps no memo, since the sweeps build padded rows of rank
-200 and more through it.  ``_scaled_f`` is the single-entry path.
+search; it serves ``d_beta`` (z = 0), the kernel d'_beta (z = h), the
+path-count formula (z = h, through a bounded memo of its own per (x, h) in
+``pathcount``), the walk and the identity suite, but not the measure's
+levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path.
 ``_g_products(u, top)`` is the one builder of the vector
 prod_j (g(u, j) - i), i = 0..top: the formula reads it for y, and the kernel
 d'_beta and the measure's weights read it for the core of w.  It is

@@ -10,8 +10,8 @@ terms.  f_by_recursion transcribes the definition of f literally, as an
 oracle independent of the library's integer unwind, and level_by_recursion
 the definition of a level's order, as an oracle independent of the library's
 successor rule.  classes_by_padded_row builds every chain node of a sweep from
-its own padded f row, as the class engine did before it took the nodes past
-the core from the closed-form law.
+its own padded f row, as an oracle independent of the chain law by which the
+library takes each node from the one before.
 """
 
 from fractions import Fraction as Fr

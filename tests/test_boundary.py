@@ -185,10 +185,11 @@ def test_level_distribution_caches_no_level():
 
 
 def test_classes_equal_the_padded_rows():
-    # chain nodes past the core by the closed-form law, against a padded f row per node
-    for core in ("eps", "2", "22", "212", "2122", "221"):
+    # every chain node, each from the node before starting at the empty word, against
+    # a padded f row per node; 2112, 22122 and 21212122 have 1s inside the core after a 2
+    for core in ("eps", "2", "22", "212", "2122", "221", "2112", "22122", "21212122"):
         w = TailOnesWord.parse(core)
-        for top in (*range(8), 17, 40, 60):
+        for top in (*range(8), 17, 31, 40, 60):
             assert _classes(w, top) == classes_by_padded_row(w, top), (core, top)
 
 
@@ -211,6 +212,8 @@ def test_level_distribution_rejects_bad_beta():
 def test_level_distribution_invariant_enforced():
     with pytest.raises(AssertionError):
         LevelDistribution(1, CORES[0], Fr(1, 2), {parse("1"): Fr(1, 2)})
+    with pytest.raises(AssertionError, match="negative mass"):
+        LevelDistribution(2, CORES[0], Fr(1, 2), {parse("11"): Fr(3, 2), parse("2"): Fr(-1, 2)})
 
 
 def mass_weights_by_loop(w, beta, top):

@@ -217,6 +217,11 @@ def test_sweep_rejects_bad_input():
         concentration_sweep("suffix", CORES[0], Fr(1, 2), -1, [4])
     with pytest.raises(ValueError, match="l must be nonnegative"):
         sweep_many(CORES[2], [6], suffix_params=[(Fr(1, 2), -1)])
+    for l in (Fr(5, 2), 2.9):  # int() would truncate either to 2
+        with pytest.raises(ValueError, match="l must be an integer"):
+            concentration_sweep("suffix", CORES[2], Fr(1, 2), l, [10])
+        with pytest.raises(ValueError, match="l must be an integer"):
+            sweep_many(CORES[2], [10], suffix_params=[(Fr(1, 2), l)])
     for eps in (Fr(0), Fr(-1, 4)):
         with pytest.raises(ValueError):
             sweep_many(CORES[2], [4], pi_params=[(Fr(1, 2), eps)])
