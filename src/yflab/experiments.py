@@ -57,7 +57,6 @@ closed column coefficients, the column bounds, and each word's quotient.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
@@ -87,6 +86,7 @@ def q_sets(w: TailOnesWord, n: int, l: int) -> tuple[set[YFWord], set[YFWord]]:
     """Partition rank-n words by common-suffix rank with w: >= l versus < l."""
     if n < 0 or l < 0:
         raise ValueError("n and l must be nonnegative")
+    l = _suffix_rank(l)
     inside, outside = set(), set()
     for v in enumerate_level(n):
         (inside if h_infinite(v, w).rank >= l else outside).add(v)
@@ -359,6 +359,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
     top = max(n_list, default=0)
     classes, factors = _classes(w, top), _g_factors(top)
+    if pooled:
+        import multiprocessing  # only pooled pi sweeps need it; every command's start-up skips it
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
             weights = [mass_weights(w, beta, n) for beta in betas]

@@ -25,7 +25,12 @@ time, so a batch form would serve none of them, while across an all-pairs
 loop the same (x, h) and the same y recur (12,672 calls for 898 keys (x, h)
 and 143 words y to rank 9).
 
-The DP shares no code with the formula and stays the independent route.
+The DP reads each word's covers from one memo, _covers, which holds
+down_neighbors(w) as a tuple and is bounded at 4,096 entries like the
+formula's memos: an all-pairs loop expands the same words again and again
+(2,211 expansions of 142 words to rank 9), while one DP from a rank-37 y
+visits 60,451 words, so an unbounded memo would grow with the largest y seen.
+The DP still shares no code with the formula and stays the independent route.
 The two must agree everywhere; tests enforce this.
 All counts are exact arbitrary-precision integers (n! overflows 64 bits at
 n = 21).
@@ -44,6 +49,12 @@ from .harmonic import _f_row, _g_products, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
+@lru_cache(maxsize=4096)
+def _covers(w: YFWord) -> tuple[YFWord, ...]:
+    """The words covered by w, built once per word; the DP's only memo."""
+    return tuple(down_neighbors(w))
+
+
 def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
     """The maps {z: d(z, y)} over rank(y), rank(y) - 1, ..., 0, computed lazily."""
     frontier = {YFWord(y): 1}
@@ -51,7 +62,7 @@ def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
     for _ in range(sum(y)):
         nxt: dict[YFWord, int] = {}
         for w, c in frontier.items():
-            for z in down_neighbors(w):
+            for z in _covers(w):
                 nxt[z] = nxt.get(z, 0) + c
         frontier = nxt
         yield frontier
@@ -80,11 +91,12 @@ _formula_rows = lru_cache(maxsize=4096)(_f_row)
 
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
-    if sum(y) < sum(x):
+    rank_x, rank_y = sum(x), sum(y)
+    if rank_y < rank_x:
         raise ValueError("formula requires rank(y) >= rank(x)")
     row = _formula_rows(x, common_suffix_len(x, y))
-    total = sum(map(mul, row, _g_products(y, sum(y))))
-    count, remainder = divmod(total, factorial(sum(x)))
+    total = sum(map(mul, row, _g_products(y, rank_y)))
+    count, remainder = divmod(total, factorial(rank_x))
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count
 

@@ -131,21 +131,18 @@ def split_by_rank(v: YFWord, y: int) -> Optional[tuple[YFWord, YFWord]]:
 
 def common_suffix_len(x, y) -> int:
     """Number of digits in the longest common suffix of x and y."""
-    k = 0
-    for a, b in zip(reversed(x), reversed(y)):
-        if a != b:
-            break
+    k, m = 0, min(len(x), len(y))
+    while k < m and x[~k] == y[~k]:
         k += 1
     return k
 
 
 def common_suffix_rank(x, y) -> int:
     """Digit sum of the longest common suffix of x and y."""
-    total = 0
-    for a, b in zip(reversed(x), reversed(y)):
-        if a != b:
-            break
-        total += a
+    k, m, total = 0, min(len(x), len(y)), 0
+    while k < m and x[~k] == y[~k]:
+        total += x[~k]
+        k += 1
     return total
 
 

@@ -44,6 +44,16 @@ def test_q_sets_all_ones():
     assert outside == {parse("2")}
 
 
+def test_q_sets_refuses_a_non_integral_l():
+    for l in (Fr(5, 2), 2.9):  # h.rank >= l would read either as l = 3
+        with pytest.raises(ValueError, match="l must be an integer"):
+            q_sets(CORES[2], 8, l)
+    for n, l in ((-1, 2), (8, -1), (8, Fr(-5, 2))):
+        with pytest.raises(ValueError, match="n and l must be nonnegative"):
+            q_sets(CORES[2], n, l)
+    assert q_sets(CORES[2], 8, Fr(3)) == q_sets(CORES[2], 8, 3)
+
+
 def test_q_sets_partition_sizes():
     for w in CORES:
         for n in range(8):

@@ -5,6 +5,7 @@ import pytest
 
 from yflab.harmonic import _g_products
 from yflab.pathcount import (
+    _covers,
     _formula_rows,
     d_from_empty,
     d_paths_dp,
@@ -88,6 +89,37 @@ def test_split_memo_stays_bounded():
     for x, y in all_pairs(10):
         d_paths_formula(x, y)
     info = _formula_rows.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.currsize <= info.maxsize
+
+
+def test_descent_counts_match_a_literal_frontier_dp_to_rank_10():
+    def reference(y):
+        counts, frontier = {y: 1}, {y: 1}
+        while frontier:
+            nxt = {}
+            for w, c in frontier.items():
+                for z in down_neighbors(w):
+                    nxt[z] = nxt.get(z, 0) + c
+            counts.update(nxt)
+            frontier = nxt
+        return counts
+
+    expected = {y: reference(y) for n in range(11) for y in enumerate_level(n)}
+    _covers.cache_clear()
+    for _ in ("cold", "warm"):
+        for y, counts in expected.items():
+            got = descent_counts(y)
+            assert got == counts
+            assert all(type(x) is YFWord for x in got)
+    assert _covers.cache_info().hits > 0
+
+
+def test_covers_memo_stays_bounded():
+    for n in range(11):
+        for y in enumerate_level(n):
+            descent_counts(y)
+    info = _covers.cache_info()
     assert info.maxsize is not None
     assert 0 < info.currsize <= info.maxsize
 

@@ -111,6 +111,27 @@ def test_common_suffix():
     assert common_suffix_rank(parse("2"), parse("1")) == 0
 
 
+def test_common_suffix_matches_a_reversed_zip_to_rank_7():
+    def reference(x, y):
+        common = []
+        for a, b in zip(reversed(x), reversed(y)):
+            if a != b:
+                break
+            common.append(a)
+        return len(common), sum(common)
+
+    words = [v for n in range(8) for v in enumerate_level(n)]
+    assert words[0] == EPSILON
+    for x in words:
+        for y in words:
+            expected = reference(x, y)
+            for form in (YFWord, tuple):
+                assert (common_suffix_len(form(x), form(y)),
+                        common_suffix_rank(form(x), form(y))) == expected
+        assert (common_suffix_len(x, x), common_suffix_rank(x, x)) == (len(x), sum(x))
+        assert common_suffix_len(x, tuple(x)) == len(x)
+
+
 @given(words_st, words_st)
 def test_common_suffix_symmetric(x, y):
     assert common_suffix_len(x, y) == common_suffix_len(y, x)
