@@ -54,9 +54,14 @@ The classes (_classes): with b_L = (3 - w.digit_from_right(L)) + s_L, every
 rank-n word but the chain node of rank n is u + b_L for exactly one L (b_L is
 its shortest suffix that is not a chain node), and class L is every such
 u + b_L.  Its words all have h(v, w) = L and common-suffix rank rank(s_L), and
-the chain node of rank n is a class alone.  level_distribution grows every
-root of rank <= n to rank n (_prepend), one int product per prepended 2 and
-one dot product per word; the sweeps of experiments sum whole classes.
+the chain node of rank n is a class alone.  _class_words yields the state
+of every word of rank <= top once, each chain node alone and each u + b_L
+grown from its root, one int product per prepended 2.  level_distribution
+keeps the words of rank n, one dot product each; magic.factored_table reads
+every word's d(empty, v) and kernel sum from them (for a word t of rank r,
+sum_i C(r, i) P_i X[i] = d(empty, t) sum_i r! f(t, i, h) P_i, the sum of
+_kernel_terms(t, w) times d(empty, t)).  The sweeps of experiments sum
+whole classes.
 
 The chain (_classes) starts at the empty word, of state (0, [(-1)^i], 1, 1)
 as X[i] = i! (n - i)! f(1^n, i, 0) = (-1)^i, and takes s_{L+1} from s_L by
@@ -95,7 +100,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .harmonic import _f_row, _g_products
 from .pathcount import d_from_empty, d_paths_dp
@@ -260,7 +265,7 @@ def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
     """The states grow makes of x + start over the words x with rank(x + start) the
     first rank >= stop (and <= n) met while prepending digits; stop = n gives
     every x with rank(x + start) = n.  A state's rank is its first field: the
-    walk prepends its nodes, the class engine and the split engine states with _grow."""
+    walk prepends its nodes, the split engine its states with _grow."""
     stack = [start]
     while stack:
         state = stack.pop()
@@ -319,6 +324,29 @@ def _roots_at(classes: Sequence[tuple[int, _State]], n: int) -> list[tuple[int, 
             if r == n or h < r <= n]
 
 
+def _class_words(w: TailOnesWord, top: int) -> Iterator[tuple[tuple[int, ...], _State]]:
+    """(digits, state) for every word of rank <= top, each once, its vector of top + 1
+    ints from _classes(w, top): each chain node s_L alone, and each u + b_L grown from
+    its root b_L by _grow, one prepended digit at a time."""
+    chain, s = {0: ()}, ()  # common-suffix rank -> the chain node s_L of that rank
+    while sum(s) < top:
+        s = (w.digit_from_right(len(s)),) + s
+        chain[sum(s)] = s
+    factors = _g_factors(top)
+    for h, root in _classes(w, top):
+        if root[0] == h:
+            yield chain[h], root
+            continue
+        stack = [((root[0] - h,) + chain[h], root)]
+        while stack:
+            digits, state = stack.pop()
+            yield digits, state
+            if state[0] + 2 <= top:
+                stack.append(((2,) + digits, _grow(state, 2, factors)))
+            if state[0] < top:
+                stack.append(((1,) + digits, _grow(state, 1, factors)))
+
+
 @dataclass(frozen=True)
 class LevelDistribution:
     """The boundary measure restricted to one rank; masses sum to exactly 1."""
@@ -338,9 +366,8 @@ class LevelDistribution:
 
 
 def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribution:
-    """Masses mu_{w,beta}(v) over all rank-n words, in level order, read from the class
-    roots: each root of _roots_at(_classes(w, n), n) is grown to rank n with its
-    digits carried beside the state, and n! D mu(v) is sum_i C(n, i) W_i X[i] for
+    """Masses mu_{w,beta}(v) over all rank-n words, in level order, read from the
+    rank-n states of _class_words(w, n): n! D mu(v) is sum_i C(n, i) W_i X[i] for
     (W, D) = mass_weights(w, beta, n).  The ints are asserted to sum to n! D before
     one Fraction is built per word.  Words of one rank sort as tuples in level
     order, so no level is enumerated or cached."""
@@ -350,22 +377,8 @@ def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribu
     weights, den = mass_weights(w, Fraction(beta), n)
     den *= factorial(n)
     scaled = [comb(n, i) * W for i, W in enumerate(weights)]
-    factors = _g_factors(n)
-
-    def grow(item, digit):
-        rank, state, digits = item
-        return rank + digit, _grow(state, digit, factors), (digit,) + digits
-
-    chain, s = {0: ()}, ()  # common-suffix rank -> the chain node s_L of that rank
-    while sum(s) < n:
-        s = (w.digit_from_right(len(s)),) + s
-        chain[sum(s)] = s
-    items = []
-    for h, root in _roots_at(_classes(w, n), n):
-        digits = chain[h] if root[0] == h else (root[0] - h,) + chain[h]
-        for _, (_, vec, _, _), digits in _prepend((root[0], root, digits), n, n, grow):
-            # only 1s and 2s: YFWord's check is moot
-            items.append((tuple.__new__(YFWord, digits), sum(map(mul, scaled, vec))))
+    items = [(tuple.__new__(YFWord, digits), sum(map(mul, scaled, vec)))  # only 1s and 2s
+             for digits, (r, vec, _, _) in _class_words(w, n) if r == n]
     assert sum(mass for _, mass in items) == den, f"level {n} masses do not sum to 1"
     items.sort(reverse=True)
     masses = {}

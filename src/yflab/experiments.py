@@ -48,11 +48,14 @@ by (1 - beta)^length(x) (_div_one_minus_beta).  Every polynomial it decides
 is one int coefficient list, compared exactly or evaluated at each beta
 (boundary._scaled_value).  kusok's two sides differ by one int polynomial per (x, w) in beta, the
 column law sum's by one per (w, n, y) in (1 - beta^2), from a magic table
-built once per (w, n) as integer cells (magic.FactoredTable).  stolb,
-lehamed and zabe are decided at each beta on ints over one denominator.
-A _SuiteContext holds, for one suite run, the rows, the kernel coefficients
-per (x, w) (the package's only kernel cache), the factored tables, the
-closed column coefficients, the column bounds, and each word's quotient.
+built once per (w, n) as integer cells (magic.FactoredTable) from the class
+engine.  stolb, lehamed and zabe are decided at each beta on ints over one
+denominator; zabe compares the table's row sums with masses from the
+pointwise kernel of boundary._kernel_terms, so it checks two engines
+against each other.  A _SuiteContext holds, for one suite run, the rows,
+the kernel coefficients per (x, w) (the package's only kernel cache), the
+factored tables, their column sums at each beta, the closed column
+coefficients, the column bounds, and each word's quotient.
 """
 
 from __future__ import annotations
@@ -726,27 +729,31 @@ def _check_sum(ctx, rec):
 
 
 def _check_stolb(ctx, rec):
-    """Every column sum respects the product bound."""
+    """Every column sum respects the product bound, compared as ints: total / den <= b
+    iff total * b.denominator <= b.numerator * den."""
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
-                sums, den = ctx.tables[w, n].column_sums(beta)
+                sums, den = ctx.column_sums[w, beta, n]
                 for y, total in enumerate(sums):
-                    rec.check(Fraction(total, den) <= ctx.column_bounds[beta, n, y],
+                    bound = ctx.column_bounds[beta, n, y]
+                    rec.check(total * bound.denominator <= bound.numerator * den,
                               lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_lehamed(ctx, rec):
-    """Column bounds sum to at most 1 + 1/beta; so does the whole table."""
+    """Column bounds sum to at most 1 + 1/beta; so does the whole table, whose total
+    sum / den at beta = p/q is compared as sum * p <= (p + q) * den."""
     for beta in ctx.betas:
         for n in range(ctx.max_rank + 1):
             bound_total = sum((ctx.column_bounds[beta, n, y] for y in range(n + 1)), Fraction(0))
             rec.check(bound_total <= 1 + 1 / beta, lambda b=beta, n=n: f"beta={b} n={n}")
     for w in ctx.ws:
         for beta in ctx.betas:
+            p, q = beta.numerator, beta.denominator
             for n in range(ctx.max_rank + 1):
-                sums, den = ctx.tables[w, n].column_sums(beta)
-                rec.check(Fraction(sum(sums), den) <= 1 + 1 / beta,
+                sums, den = ctx.column_sums[w, beta, n]
+                rec.check(sum(sums) * p <= (p + q) * den,
                           lambda w=w, b=beta, n=n: _table_witness(w, b, n))
 
 
@@ -756,8 +763,8 @@ def _check_zabe(ctx, rec):
     At beta = p/q, q^(2n) * mu_{w,beta}(v) is d(empty, v) * sum_i T_i p^i q^(2n-i)
     over the denominator of T, with T_i the kernel coefficients of
     boundary._kernel_terms that kusok uses too.  The row sums come from the
-    factored table over its den * q^(2n), so both sides stay ints until the
-    comparison.
+    factored table over its den * q^(2n), built by the class engine, so the
+    check compares two engines and both sides stay ints until the comparison.
     """
     for w in ctx.ws:
         for beta in ctx.betas:
@@ -813,14 +820,21 @@ class _SuiteContext:
     @cached_property
     def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
         """boundary._kernel_terms on self.row, one result per (x, w), held for this
-        suite run; kusok, the tables and zabe share it."""
+        suite run; kusok and zabe share it."""
         return lru_cache(maxsize=None)(lambda x, w: _kernel_terms(x, w, self.row))
 
     @cached_property
     def tables(self) -> dict[tuple[TailOnesWord, int], FactoredTable]:
-        """One factored table per (w, n), built on first use and held for this suite run."""
-        return {(w, n): factored_table(w, n, self.kernel_terms)
-                for w in self.ws for n in range(self.max_rank + 1)}
+        """One factored table per (w, n), from the class engine (magic.factored_table),
+        built on first use and held for this suite run."""
+        return {(w, n): factored_table(w, n) for w in self.ws for n in range(self.max_rank + 1)}
+
+    @cached_property
+    def column_sums(self) -> dict[tuple[TailOnesWord, Fraction, int], tuple[list[int], int]]:
+        """FactoredTable.column_sums(beta) of every table at every beta, held for this
+        suite run; stolb and lehamed share it."""
+        return {(w, beta, n): self.tables[w, n].column_sums(beta)
+                for w in self.ws for beta in self.betas for n in range(self.max_rank + 1)}
 
     @cached_property
     def closed_columns(self) -> dict[tuple[int, int], tuple[int, ...]]:

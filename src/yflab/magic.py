@@ -9,21 +9,29 @@ when v splits as head + tail with rank(tail) == y, and 0 otherwise.  Row
 sums dominate the measure masses; column sums have a closed product form.
 
 Only the last two factors depend on beta, so a table is built once per
-(w, n) as a FactoredTable of integer cells over one denominator.  With
-T(tail) = y! D1 d'_1(tail, w), the sum of the beta-free int kernel
-coefficients of boundary._kernel_terms (D1 = prod_j g(w, j)), and H(head) =
-1 / q(head), the cell of split (head, tail) is the int
+(w, n) as a FactoredTable of integer cells over den = n! D1, with D1 =
+prod_j g(w, j).  With S(tail) = y! D1 d'_1(tail, w), the sum of the
+beta-free int kernel coefficients of boundary._kernel_terms, and H(head) =
+1 / q(head), the cell of split (head, tail) is
 
-    C = d(empty, v) * T(tail) * n! / (H(head) * y!)
+    C = d(empty, v) * S(tail) * n! / (H(head) * y!).
 
-over den = n! D1.  The division is exact: H(head) is a product of
-distinct integers in 1..n-y, so it divides (n-y)!, and y! (n-y)! divides
-n!; factored_table asserts it.  At beta = p/q the entry is
-C p^y (q^2 - p^2)^k q^(2n-y-2k) / (den q^(2n)) with k = length(head), so
-the column sums, row sums and totals at any beta are ints over one
-denominator, and build_table makes one Fraction per cell.  symbolic_entry
-and magic_entry compute one cell on their own and are the pointwise
-oracle the tests compare the tables with.
+By the product form d(empty, x) = rank(x)! q(x) (Goodman-Kerov),
+H(head) = (n - y)! / d(empty, head), so C = C(n, y) d(empty, v)
+d(empty, head) S(tail): a product of ints, with no division.
+factored_table reads d(empty, t) and S(t) of every word t of rank <= n from
+one pass over the class words (boundary._class_words): for t of rank r with
+state vector X, S(t) = sum_i C(r, i) P_i X[i] / d(empty, t) with
+P = harmonic._g_products(core, n), a division asserted exact.
+
+At beta = p/q the entry is C p^y (q^2 - p^2)^k q^(2n-y-2k) / (den q^(2n))
+with k = length(head), so the column sums, row sums and totals at any beta
+are ints over one denominator, and build_table makes one Fraction per cell.
+The powers of p and q depend on neither w nor the cells; one bounded memo
+(_beta_weights) holds them per (n, beta).  symbolic_entry and magic_entry
+compute one cell on their own, magic_entry from the pointwise kernel of
+boundary._kernel_terms; they are the oracle the tests compare the tables
+with, so the comparison crosses two engines.
 
 As polynomials in (1 - beta^2), times beta^y, the column sums of every w
 and their closed form have int coefficients over den and over (n - y)!
@@ -36,12 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, prod
+from functools import cached_property, lru_cache
+from math import comb, factorial, prod
+from operator import mul
 from typing import Iterator, Optional
 
-from .boundary import TailOnesWord, _kernel_terms, d1_prime
-from .harmonic import _csv_rows, format_rational, g_all, q
+from .boundary import TailOnesWord, _class_words, d1_prime
+from .harmonic import _csv_rows, _g_products, format_rational, q
 from .pathcount import d_from_empty
 from .words import Level, YFWord, enumerate_level, split_by_rank, suffix_ranks
 
@@ -163,15 +172,11 @@ class FactoredTable:
                 out[y][k] += C
         return tuple(tuple(column) for column in out)
 
-    def weights(self, beta: Fraction) -> tuple[list[list[int]], int]:
+    def weights(self, beta: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(W, S) for beta = p/q: W[y][k] = p^y (q^2 - p^2)^k q^(2n - y - 2k) and
         S = den * q^(2n), so that the cell (y, k, C) has the entry C * W[y][k] / S."""
-        n, p, q = self.n, beta.numerator, beta.denominator
-        p_pow = [p ** y for y in range(n + 1)]
-        rest_pow = [(q * q - p * p) ** k for k in range(n + 1)]
-        q_pow = [q ** e for e in range(2 * n + 1)]
-        return ([[p_pow[y] * rest_pow[k] * q_pow[2 * n - y - 2 * k] for k in range(n - y + 1)]
-                 for y in range(n + 1)], self.den * q_pow[2 * n])
+        W, q_power = _beta_weights(self.n, beta)
+        return W, self.den * q_power
 
     def column_sums(self, beta: Fraction) -> tuple[list[int], int]:
         """The column sums at beta as ints over the shared denominator S of weights."""
@@ -195,30 +200,41 @@ class FactoredTable:
         return MagicTable(self.w, beta, self.n, self.level, tuple(rows))
 
 
-def factored_table(w: TailOnesWord, n: int, kernel_terms=_kernel_terms) -> FactoredTable:
-    """The factored table for (w, n); the division that makes each C is
-    asserted exact (see the module docstring for why it is).
+@lru_cache(maxsize=64)
+def _beta_weights(n: int, beta: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The part of FactoredTable.weights that w does not enter: (W, q^(2n)).  Bounded;
+    the identity suite at its rank cap reads 4 betas x 13 ranks for every core."""
+    p, q = beta.numerator, beta.denominator
+    p_pow = [p ** y for y in range(n + 1)]
+    rest_pow = [(q * q - p * p) ** k for k in range(n + 1)]
+    q_pow = [q ** e for e in range(2 * n + 1)]
+    return (tuple(tuple(p_pow[y] * rest_pow[k] * q_pow[2 * n - y - 2 * k] for k in range(n - y + 1))
+                  for y in range(n + 1)), q_pow[2 * n])
 
-    kernel_terms is boundary._kernel_terms or a memo of it; each distinct
-    tail is looked up once.
-    """
+
+def factored_table(w: TailOnesWord, n: int) -> FactoredTable:
+    """The factored table for (w, n): each cell the int product C(n, y) d(empty, v)
+    d(empty, head) S(tail), its factors read from one pass over the class words
+    (see the module docstring)."""
+    products = _g_products(w.core, n)
+    scaled = [[comb(r, i) * P for i, P in enumerate(products[:r + 1])] for r in range(n + 1)]
+    known = {}  # word -> (d(empty, word), S(word))
+    for digits, (r, vec, d, _) in _class_words(w, n):
+        S, remainder = divmod(sum(map(mul, scaled[r], vec)), d)
+        assert remainder == 0, f"kernel sum of {digits} for {w} is inexact"
+        known[digits] = d, S
     level = enumerate_level(n)
-    den = factorial(n) * prod(g_all(w.core))
-    tail_sums: dict[tuple[int, ...], tuple[int, int]] = {}
+    binom = [comb(n, y) for y in range(n + 1)]
     rows = []
     for v in level:
-        d_eps = d_from_empty(v)
+        d_v, y = known[v][0], n
         cells = []
-        for k, tail, head_product in _splits(v):
-            if tail not in tail_sums:
-                terms, kernel_den = kernel_terms(tail, w)  # kernel_den = y! * D1
-                tail_sums[tail] = sum(terms), kernel_den
-            total, kernel_den = tail_sums[tail]
-            C, remainder = divmod(d_eps * total * den, head_product * kernel_den)
-            assert remainder == 0, f"cell {k} of row {v.text} of the ({w}, {n}) table is inexact"
-            cells.append((sum(tail), k, C))
+        for k in range(len(v) + 1):
+            cells.append((y, k, binom[y] * d_v * known[v[:k]][0] * known[v[k:]][1]))
+            if k < len(v):
+                y -= v[k]
         rows.append(tuple(cells))
-    return FactoredTable(w, n, level, den, tuple(rows))
+    return FactoredTable(w, n, level, factorial(n) * products[0], tuple(rows))
 
 
 def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:

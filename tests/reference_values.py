@@ -11,15 +11,21 @@ oracle independent of the library's integer unwind, and level_by_recursion
 the definition of a level's order, as an oracle independent of the library's
 successor rule.  classes_by_padded_row builds every chain node of a sweep from
 its own padded f row, as an oracle independent of the chain law by which the
-library takes each node from the one before.
+library takes each node from the one before.  factored_table_by_kernels
+builds a factored table the way the library did before its tables came from
+the class engine: one pointwise kernel per tail and one exact division per
+cell.
 """
 
 from fractions import Fraction as Fr
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 
-from yflab.boundary import _g_factors, _grow
-from yflab.harmonic import _f_row, _g_ratio_parts
+from yflab.boundary import _g_factors, _grow, _kernel_terms
+from yflab.harmonic import _f_row, _g_ratio_parts, g_all
+from yflab.magic import FactoredTable
+from yflab.pathcount import d_from_empty
+from yflab.words import enumerate_level, suffix_ranks
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +87,25 @@ def classes_by_padded_row(w, top: int) -> list:
         s = (w.digit_from_right(L),) + s
         L += 1
     return roots
+
+
+def factored_table_by_kernels(w, n: int) -> FactoredTable:
+    """magic.factored_table(w, n) with each cell d(empty, v) S(tail) n! / (H(head) y!)
+    divided out, S(tail) the sum of _kernel_terms(tail, w) over its y! prod g(w, j)
+    and H(head) the product of the head's suffix ranks."""
+    level = enumerate_level(n)
+    den = factorial(n) * prod(g_all(w.core))
+    rows = []
+    for v in level:
+        cells = []
+        for k in range(len(v) + 1):
+            terms, kernel_den = _kernel_terms(v[k:], w)
+            C, remainder = divmod(d_from_empty(v) * sum(terms) * den,
+                                  prod(suffix_ranks(v[:k])) * kernel_den)
+            assert remainder == 0, (w, n, v, k)
+            cells.append((sum(v[k:]), k, C))
+        rows.append(tuple(cells))
+    return FactoredTable(w, n, level, den, tuple(rows))
 
 
 F_TABLE_21221 = [Fr(1, 720), Fr(-1, 280), Fr(0), Fr(1, 180), Fr(0),

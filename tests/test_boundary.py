@@ -1,4 +1,5 @@
 from fractions import Fraction as Fr
+from math import factorial
 
 import pytest
 
@@ -6,6 +7,7 @@ from yflab import words
 from yflab.boundary import (
     LevelDistribution,
     TailOnesWord,
+    _class_words,
     _classes,
     d1_prime,
     d_beta_prime,
@@ -25,6 +27,7 @@ from reference_values import classes_by_padded_row, f_by_recursion
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 BETAS = [Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1)]
+SIX_CORES = ("eps", "2", "22", "212", "221", "2122")
 
 
 def test_canonicalization():
@@ -191,6 +194,30 @@ def test_classes_equal_the_padded_rows():
         w = TailOnesWord.parse(core)
         for top in (*range(8), 17, 31, 40, 60):
             assert _classes(w, top) == classes_by_padded_row(w, top), (core, top)
+
+
+def test_class_words_are_every_word_once():
+    # the words of rank <= top, each once, with d = d(empty, word) and rank = digit sum
+    for core in SIX_CORES:
+        w = TailOnesWord.parse(core)
+        for top in range(13):
+            seen = []
+            for digits, (rank, vec, d, _) in _class_words(w, top):
+                assert (rank, len(vec), d) == (sum(digits), top + 1, d_from_empty(digits))
+                seen.append(digits)
+            assert sorted(seen) == sorted(tuple(x) for r in range(top + 1)
+                                          for x in enumerate_level(r)), (core, top)
+
+
+def test_class_word_vectors_are_the_scaled_f_values():
+    # X[i] = d(empty, t) i! (r - i)! f(t, i, h(t, w)) for i <= r = rank(t), through the
+    # literal recursion of f
+    for core in SIX_CORES:
+        w = TailOnesWord.parse(core)
+        for digits, (r, vec, d, _) in _class_words(w, 9):
+            h = h_infinite(digits, w).length
+            assert vec[:r + 1] == [d * factorial(i) * factorial(r - i) * f_by_recursion(digits, i, h)
+                                   for i in range(r + 1)], (core, digits)
 
 
 def test_level_distribution_beta_one_is_point_mass():

@@ -288,7 +288,7 @@ def test_symbolic_magic_builds_no_table(capsys, monkeypatch):
         raise AssertionError("the symbolic table built a kernel or a table")
 
     for target in ("yflab.cli.build_table", "yflab.magic.factored_table",
-                   "yflab.boundary._kernel_terms", "yflab.magic._kernel_terms"):
+                   "yflab.boundary._kernel_terms", "yflab.magic._class_words"):
         monkeypatch.setattr(target, refuse)
     code, out, _ = run(capsys, "magic", "--w", "212", "--beta", "3/7", "--n", "9", "--symbolic")
     assert code == 0

@@ -367,9 +367,9 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
     calls = []
     original = experiments.factored_table
 
-    def counting(w, n, kernel_terms):
+    def counting(w, n):
         calls.append((w, n))
-        return original(w, n, kernel_terms)
+        return original(w, n)
 
     monkeypatch.setattr(experiments, "factored_table", counting)
     assert identity_suite(3).all_passed
@@ -441,7 +441,8 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
     monkeypatch.setattr(experiments, "_kernel_terms", counting)
     monkeypatch.setattr(boundary, "_kernel_terms", counting)
     assert identity_suite(5).all_passed
-    # one kernel per (x, w): cores x words of rank 0..5, shared by kusok, the tables and zabe
+    # one kernel per (x, w): cores x words of rank 0..5, shared by kusok and zabe (the
+    # tables read no kernel: they come from the class engine)
     assert len(calls) == 4 * sum(fibonacci(n + 1) for n in range(6))
     assert len(set(calls)) == len(calls)
 
@@ -563,8 +564,8 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
     original = experiments.factored_table
     perturbation = {}
 
-    def perturbed(w, n, kernel_terms):
-        table = original(w, n, kernel_terms)
+    def perturbed(w, n):
+        table = original(w, n)
         if (w, n) != (w22, 5):
             return table
         rows = [list(cells) for cells in table.rows]

@@ -16,7 +16,7 @@ from yflab.magic import (
 from yflab.pathcount import d_from_empty
 from yflab.words import EPSILON, enumerate_level, parse, split_by_rank
 
-from reference_values import MAGIC5
+from reference_values import MAGIC5, factored_table_by_kernels
 
 W2 = TailOnesWord.parse("2")
 W22 = TailOnesWord.parse("22")
@@ -193,6 +193,15 @@ def test_factored_table_matches_pointwise_entries_on_suite_grid():
                 assert [Fr(c, den) for c in columns] == [sum(col) for col in zip(*rows)]
                 row_sums, den = table.row_sums(beta)
                 assert [Fr(r, den) for r in row_sums] == [sum(row) for row in rows]
+
+
+def test_factored_table_equals_the_kernel_reference():
+    # the class-engine table against one built from a pointwise kernel per tail with
+    # one division per cell; 221 ends in 1 and 2122 has a 1 inside the core after a 2
+    for core in ("eps", "2", "22", "212", "221", "2122"):
+        w = TailOnesWord.parse(core)
+        for n in range(13):
+            assert factored_table(w, n) == factored_table_by_kernels(w, n), (core, n)
 
 
 # `yflab magic --w 2 --beta 1/2 --n 5` with and without --symbolic, as

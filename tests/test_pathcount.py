@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -14,7 +14,7 @@ from yflab.pathcount import (
     plancherel,
 )
 from yflab.words import (EPSILON, YFWord, down_neighbors, enumerate_level, ones_word, parse, prefix,
-                         suffix)
+                         suffix, suffix_ranks)
 
 
 def enumerate_paths(x, y):
@@ -147,6 +147,14 @@ def test_d_from_empty_equals_dp_to_rank_12():
     for n in range(13):
         for y in enumerate_level(n):
             assert d_from_empty(y) == descent_counts(y).get(EPSILON, 0)
+
+
+def test_d_from_empty_is_rank_factorial_times_q_to_rank_16():
+    # the product form d(empty, x) = rank(x)! q(x), q(x) = 1 / prod of x's suffix
+    # ranks, by which a magic table cell needs no division
+    for n in range(17):
+        for x in enumerate_level(n):
+            assert d_from_empty(x) * prod(suffix_ranks(x)) == factorial(n), x
 
 
 def test_plancherel():
