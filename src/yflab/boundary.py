@@ -191,8 +191,9 @@ def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], 
 
 def _kernel_terms(x, w: TailOnesWord, f_row=_f_row) -> tuple[list[int], int]:
     """The int coefficients T_0..T_rank of d'_beta(x, w) as a polynomial in beta, and
-    their shared denominator: the row f_row(x, h) (harmonic._f_row or a memo of
-    it) times the g-products of w's core, over rank! prod_j g(w, j)."""
+    their shared denominator: the row f_row(x, h) (harmonic._f_row, or the
+    identity suite's reader of its per-word rows) times the g-products of w's
+    core, over rank! prod_j g(w, j)."""
     rank = sum(x)
     products = _g_products(w.core, rank)
     row = f_row(x, h_infinite(x, w).length)

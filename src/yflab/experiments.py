@@ -41,21 +41,23 @@ taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  It reads
-f only from one memo of the rows harmonic._f_row(x, z), one per (x, z): the
-f identities compare row entries, the kernels read rows at z = h, and kusok's
-heads and the d_beta identities the rows R(x) at z = 0 and their quotients
-by (1 - beta)^length(x) (_div_one_minus_beta).  Every polynomial it decides
-is one int coefficient list, compared exactly or evaluated at each beta
-(boundary._scaled_value).  kusok's two sides differ by one int polynomial per (x, w) in beta, the
-column law sum's by one per (w, n, y) in (1 - beta^2), from a magic table
-built once per (w, n) as integer cells (magic.FactoredTable) from the class
-engine.  stolb, lehamed and zabe are decided at each beta on ints over one
-denominator; zabe compares the table's row sums with masses from the
-pointwise kernel of boundary._kernel_terms, so it checks two engines
-against each other.  A _SuiteContext holds, for one suite run, the rows,
-the kernel coefficients per (x, w) (the package's only kernel cache), the
-factored tables, their column sums at each beta, the closed column
-coefficients, the column bounds, and each word's quotient.
+f only from one memo of harmonic._f_rows(x, length(x)), one build per word
+with every row z = 0..length(x), as evtuh7 and evtuh91-93 read every z of
+every word anyway: the f identities compare row entries, the kernels read
+rows at z = h, and kusok's heads and the d_beta identities the rows R(x) at
+z = 0 and their quotients by (1 - beta)^length(x) (_div_one_minus_beta).
+Every polynomial it decides is one int coefficient list, compared exactly or
+evaluated at each beta (boundary._scaled_value).  kusok's two sides differ
+by one int polynomial per (x, w) in beta, the column law sum's by one per
+(w, n, y) in (1 - beta^2), from a magic table built once per (w, n) as
+integer cells (magic.FactoredTable) from the class engine.  stolb, lehamed
+and zabe are decided at each beta on ints over one denominator; zabe
+compares the table's row sums with masses from the pointwise kernel of
+boundary._kernel_terms, so it checks two engines against each other, and
+takes d(empty, v) once per word.  A _SuiteContext holds, for one suite run,
+the rows, the kernel coefficients per (x, w) (the package's only kernel
+cache), the factored tables, their column sums at each beta, the closed
+column coefficients, the column bounds, and each word's quotient.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
                        _roots_at, _scaled_value, h_infinite, mass_weights)
-from .harmonic import _csv_rows, _f_row, _g_ratio_parts, _scaled_f, format_rational, pi, q
+from .harmonic import (_csv_rows, _f_row, _f_rows, _g_ratio_parts, _scaled_f, format_rational,
+                       pi, q)
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
@@ -766,6 +769,7 @@ def _check_zabe(ctx, rec):
     factored table over its den * q^(2n), built by the class engine, so the
     check compares two engines and both sides stay ints until the comparison.
     """
+    d_eps = {v: d_from_empty(v) for v in _all_words(ctx.max_rank)}
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
@@ -773,7 +777,7 @@ def _check_zabe(ctx, rec):
                 rows, _ = table.row_sums(beta)
                 for v, row in zip(table.level.words, rows):
                     terms, den = ctx.kernel_terms(v, w)
-                    mass = d_from_empty(v) * _scaled_value(terms, beta, 2 * n)
+                    mass = d_eps[v] * _scaled_value(terms, beta, 2 * n)
                     rec.check(mass * table.den <= row * den,
                               lambda w=w, b=beta, n=n, v=v: f"{_table_witness(w, b, n)} v={v.text}")
 
@@ -812,10 +816,14 @@ class _SuiteContext:
     ws: tuple[TailOnesWord, ...]
 
     @cached_property
-    def row(self) -> Callable[[Sequence[int], int], list[int]]:
-        """harmonic._f_row, one int row per (x, z), held for this suite run; the
-        suite's only f source."""
-        return lru_cache(maxsize=None)(_f_row)
+    def rows(self) -> Callable[[Sequence[int]], list[list[int]]]:
+        """harmonic._f_rows(x, length(x)), every int row of a word, built once per word
+        and held for this suite run; the suite's only f source."""
+        return lru_cache(maxsize=None)(lambda x: _f_rows(x, len(x)))
+
+    def row(self, x: Sequence[int], z: int) -> list[int]:
+        """The row [rank(x)! f(x, y, z) for y = 0..rank(x)], read from self.rows."""
+        return self.rows(x)[z]
 
     @cached_property
     def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
@@ -869,9 +877,9 @@ def identity_suite(max_rank: int) -> SuiteReport:
     the tail-ones words of DEFAULT_CORES.
 
     Failures become report rows, not exceptions, each with a concrete witness.
-    Every f value comes from one memo of harmonic._f_row per run, one row per
-    (x, z): the f identities compare its entries, the kernels read it at z = h,
-    and kusok and the d_beta identities at z = 0.
+    Every f value comes from one memo of harmonic._f_rows per run, one build per
+    word with every row z: the f identities compare its entries, the kernels read
+    it at z = h, and kusok and the d_beta identities at z = 0.
     """
     if not 0 <= max_rank <= MAX_SUITE_RANK:
         raise ValueError(f"max_rank must lie in 0..{MAX_SUITE_RANK}, got {max_rank}")

@@ -34,16 +34,22 @@ at suffix rank y of a word x of rank R with g-values g_1, ..., g_k,
 
 because the tail's prefix ranks are 1..y less the rank y - g of each 2 in
 the tail, and the head's suffix ranks are 1..R-y less the rank g - y of each
-2 in the head (``_base``).  ``_unwind`` carries that value down the chain: a
-1-step multiplies it by y and a 2-step divides it by y - 1, exactly, since
-R! / H is a multiple of y! and P divides y!; the (1 - y) divisors are
-divided out once at the end, also exactly.  ``_f_row(x, z)``, the one
-builder of a whole row [R! f(x, y, z) for y = 0..R], fills it in one pass
-over the suffix splits of x, with no factorial and no per-entry split
-search; it serves ``d_beta`` (z = 0), the kernel d'_beta (z = h), the
-path-count formula (z = h, through a bounded memo of its own per (x, h) in
-``pathcount``), the walk and the identity suite, but not the measure's
-levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path.
+2 in the head (``_base``).  ``_unwind``, the one chain walker, carries that
+value down the chain: a 1-step multiplies it by y and a 2-step divides it by
+y - 1, exactly, since R! / H is a multiple of y! and P divides y!; the
+(1 - y) divisors are divided out at each reading, also exactly.  The steps of
+the walk do not depend on z, which only decides where the walk for z stops,
+and that is the first new maximum of (1-steps less 2-steps) equal to z, or
+y = 0.  So one walk per split, read at each new maximum, gives the entry of
+every z at once (``_unwind`` shows why).  ``_f_rows(x, top)``, the one
+builder of the rows [R! f(x, y, z) for y = 0..R], z = 0..top, fills them with
+one walk per suffix split of x, with no factorial and no per-entry split
+search; at top = 0 no walk runs.  It serves ``d_beta`` (z = 0), the kernel
+d'_beta (z = h, through ``_f_row``, the last row), the path-count formula
+(every z, through a bounded memo per word in ``pathcount``), the walk and
+the identity suite (every z, one build per word), but not the measure's
+levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path,
+the walk's entry at its own z.
 ``_g_products(u, top)`` is the one builder of the vector
 prod_j (g(u, j) - i), i = 0..top: the formula reads it for y, and the kernel
 d'_beta and the measure's weights read it for the core of w.  It is
@@ -81,21 +87,30 @@ def _base(rank: int, y: int, gs: Sequence[int]) -> int:
     return value
 
 
-def _unwind(x: Sequence[int], y: int, z: int, base: int) -> int:
-    """rank(x)! f(x, y, z) from base = rank(x)! f(x, y, 0), for x with a suffix of rank y.
+def _unwind(x: Sequence[int], y: int, top: int, base: int) -> list[int]:
+    """[rank(x)! f(x, y, z) for z = 0..top] from base = rank(x)! f(x, y, 0), for x
+    with a suffix of rank y: one walk down the recursion chain serves every z.
 
-    The recursion chain rewrites only the right end of the tail, so the current
-    word is head + x[s:j] + 1^t with rank(tail) == y throughout, and each step
-    changes P, the product of the tail's prefix ranks, by one factor.  The
-    (1 - y) divisors of the 2-steps are collected in mden, by which acc is
-    multiplied as they come, and divided out once at the end.  The quotient is
-    exact: f(x, y, z) = f(tail, y, z) / H, y! f(tail, y, z) is an integer by
-    induction on y (each 2-step's sum is a multiple of y - 1), and so is
-    rank(x)! / (H y!).
+    The chain rewrites only the right end of the tail, so the current word is
+    head + x[s:j] + 1^t with rank(tail) == y throughout, and each step changes
+    P, the product of the tail's prefix ranks, by one factor.  Which step comes
+    next depends only on (j, t), never on z; z only decides where the walk
+    stops.  With c the number of 1-steps less the number of 2-steps so far, the
+    walk for z stops the first time c reaches z, or at y = 0.  As c moves by
+    +-1, it first reaches z at a new maximum equal to z, so the entry for z is
+    read at that maximum.  Every z past the last maximum gets the value at
+    y = 0, which is the last reading: a 2-step needs y >= 2 and leaves two 1s
+    that the next two steps take, so the walk ends on a 1-step to a new
+    maximum.  The (1 - y) divisors of the 2-steps are collected in mden, by which
+    acc is multiplied as they come, and divided out at each reading.  The
+    quotient is exact: f(x, y, z) = f(tail, y, z) / H, y! f(tail, y, z) is an
+    integer by induction on y (each 2-step's sum is a multiple of y - 1), and
+    so is rank(x)! / (H y!).
     """
     j, t = len(x), 0
     acc, mden = 0, 1
-    while z and y:
+    out, c = [base], 0
+    while y and len(out) <= top:
         if t or x[j - 1] == 1:
             # f(u+1, y, z) = f(u+1, y, 0) + f(u, y-1, z-1); rank(u+1) = y is P's last factor
             acc += base
@@ -105,7 +120,11 @@ def _unwind(x: Sequence[int], y: int, z: int, base: int) -> int:
             else:
                 j -= 1
             y -= 1
-            z -= 1
+            c += 1
+            if c == len(out):
+                value, remainder = divmod(acc + base, mden)
+                assert remainder == 0, f"scaled f of {x} is not an integer"
+                out.append(value)
         else:
             # f(u+2, y, z) = f(u+11, y, z+1) / (1 - y) with y >= 2; P gains the factor y - 1
             acc *= 1 - y
@@ -114,12 +133,13 @@ def _unwind(x: Sequence[int], y: int, z: int, base: int) -> int:
             assert remainder == 0, f"base of {x} at rank {y} is not divisible by {y - 1}"
             j -= 1
             t += 2
-            z += 1
+            c -= 1
     # at y == 0 the tail is empty and f(head, 0, z) = f(head, 0, 0): a trailing 2
-    # becomes 11 with divisor 1 - 0 and the same head product
-    value, remainder = divmod(acc + base, mden)
-    assert remainder == 0, f"scaled f of {x} is not an integer"
-    return value
+    # becomes 11 with divisor 1 - 0 and the same head product.  A walk that reached
+    # y == 0 took no step or ended on a 1-step to a new maximum of c, so its last
+    # reading is the value there.
+    out += out[-1:] * (top + 1 - len(out))
+    return out
 
 
 def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
@@ -131,23 +151,29 @@ def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
     if total != y:
         return 0
     base = _base(sum(x), y, g_all(x))
-    return _unwind(x, y, z, -base if (len(x) - s) % 2 else base)
+    return _unwind(x, y, z, -base if (len(x) - s) % 2 else base)[z]
 
 
-def _f_row(x: Sequence[int], z: int) -> list[int]:
-    """[rank(x)! f(x, y, z) for y = 0..rank(x)] as exact ints, filled in one pass
-    over the suffix splits of x; f vanishes at every other y.  At z = 0 these are
-    the coefficients of d_beta(x) over rank(x)! (Goodman-Kerov's product formula)."""
+def _f_rows(x: Sequence[int], top: int) -> list[list[int]]:
+    """[[rank(x)! f(x, y, z) for y = 0..rank(x)] for z = 0..top] as exact ints, filled
+    with one walk per suffix split of x; f vanishes at every other y.  At top = 0
+    no walk runs, and the one row holds the coefficients of d_beta(x) over
+    rank(x)! (Goodman-Kerov's product formula)."""
     gs, rank = g_all(x), sum(x)
-    row = [0] * (rank + 1)
-    row[0] = _base(rank, 0, gs)
+    columns = [(0,) * (top + 1)] * (rank + 1)
+    columns[0] = (_base(rank, 0, gs),) * (top + 1)
     y, sign = 0, 1
     for digit in reversed(x):
         y += digit
         sign = -sign  # each tail digit negates its running sum
         base = sign * _base(rank, y, gs)
-        row[y] = _unwind(x, y, z, base) if z else base
-    return row
+        columns[y] = _unwind(x, y, top, base) if top else (base,)
+    return [list(row) for row in zip(*columns)]
+
+
+def _f_row(x: Sequence[int], z: int) -> list[int]:
+    """[rank(x)! f(x, y, z) for y = 0..rank(x)], the last row of _f_rows(x, z)."""
+    return _f_rows(x, z)[z]
 
 
 @lru_cache(maxsize=None)
@@ -274,7 +300,7 @@ class BetaPolynomial:
 def d_beta(x: YFWord) -> BetaPolynomial:
     """The polynomial sum over i of f(x, i, 0) * beta^i."""
     fac = factorial(sum(x))
-    return BetaPolynomial(tuple(Fraction(c, fac) for c in _f_row(x, 0)))
+    return BetaPolynomial(tuple(Fraction(c, fac) for c in _f_rows(x, 0)[0]))
 
 
 def d_beta_eval(x: YFWord, beta: Fraction) -> Fraction:

@@ -8,28 +8,39 @@ The second is the closed formula
               f(x, i, h(x, y)) * product over j of (g(y, j) - i)
 
 with h(x, y) the length of the longest common suffix.  The formula runs in
-plain ints: harmonic._f_row(x, h) is the row of rank(x)! * f(x, i, h) for
-i = 0..rank(x), built from the product form C(rank(x), i) prod |g(x, j) - i|
-of its base values and the integer unwind of the recursion; it vanishes
+plain ints: row h of harmonic._f_rows(x, length(x)) holds rank(x)! *
+f(x, i, h) for i = 0..rank(x), built from the product form
+C(rank(x), i) prod |g(x, j) - i| of its base values and one integer walk of
+the recursion per suffix split, which serves every h at once; it vanishes
 unless x has a suffix of rank i.  The sum is divided by rank(x)! once, with
 the division asserted exact.
 
-x enters the formula only through that row, so _formula_rows keeps the rows
-in one memo keyed by (x, h) and bounded at 4,096 entries.  y enters only
-through the vector P_y[i] = prod_j (g(y, j) - i), which harmonic._g_products
-builds once per (y, rank(y)) in its own memo, also bounded by count.  A pair
-is then the dot product of x's row with P_y, and the exact division.  The
-memos serve single pairs, not a batch form: every caller (dcount, the
-all-pairs acceptance check, the oracles benchmark) asks for one pair at a
-time, so a batch form would serve none of them, while across an all-pairs
-loop the same (x, h) and the same y recur (12,672 calls for 898 keys (x, h)
-and 143 words y to rank 9).
+x enters the formula only through those rows, so _formula_rows keeps, per
+word x, (rank(x), rank(x)!, every row z = 0..length(x)) in one memo.  y
+enters only through the vector P_y[i] = prod_j (g(y, j) - i), which
+harmonic._g_products builds once per (y, rank(y)) in its own memo, bounded
+by count.  A pair is then one index pass for the common suffix, the dot
+product of x's row at h with P_y, and the exact division.  The memos serve
+single pairs, not a batch form: every caller (dcount, the all-pairs
+acceptance check, the oracles benchmark) asks for one pair at a time, so a
+batch form would serve none of them, while across an all-pairs loop the same
+x and the same y recur (12,672 calls for 143 words x and 143 words y to
+rank 9).  The formula memo is bounded at 512 words, as an LRU smaller than
+the words an all-pairs loop cycles through misses on every call: the loops
+to rank 9 (143 words) and rank 11 (376, the acceptance check) fit.  An entry
+holds up to (length + 1) (rank + 1) ints; measured with tracemalloc on
+CPython 3.11, the 609 words of rank <= 12 take 1.8 MiB together, and the
+largest entry measured, 1^40's, takes 49.5 KiB, so 512 entries of rank 40
+stay under 25 MiB.
 
 The DP reads each word's covers from one memo, _covers, which holds
-down_neighbors(w) as a tuple and is bounded at 4,096 entries like the
-formula's memos: an all-pairs loop expands the same words again and again
-(2,211 expansions of 142 words to rank 9), while one DP from a rank-37 y
-visits 60,451 words, so an unbounded memo would grow with the largest y seen.
+down_neighbors(w) as a tuple and is bounded at 4,096 words: an all-pairs
+loop expands the same words again and again (2,211 expansions of 142 words
+to rank 9).  One DP expands each word it visits once, so a DP that visits
+more words than the memo holds would pay a miss and an eviction per word and
+get no hit back (a DP from a rank-37 y visits 60,451 words).  Each DP
+therefore consults _covers only while the words it has expanded fit in it,
+and calls down_neighbors directly past that.
 The DP still shares no code with the formula and stays the independent route.
 The two must agree everywhere; tests enforce this.
 All counts are exact arbitrary-precision integers (n! overflows 64 bits at
@@ -45,11 +56,14 @@ from math import factorial
 from operator import mul
 from typing import Iterator
 
-from .harmonic import _f_row, _g_products, g_all
+from .harmonic import _f_rows, _g_products, g_all
 from .words import YFWord, common_suffix_len, down_neighbors
 
 
-@lru_cache(maxsize=4096)
+_COVERS_WORDS = 4096
+
+
+@lru_cache(maxsize=_COVERS_WORDS)
 def _covers(w: YFWord) -> tuple[YFWord, ...]:
     """The words covered by w, built once per word; the DP's only memo."""
     return tuple(down_neighbors(w))
@@ -59,10 +73,14 @@ def _frontiers(y: YFWord) -> Iterator[dict[YFWord, int]]:
     """The maps {z: d(z, y)} over rank(y), rank(y) - 1, ..., 0, computed lazily."""
     frontier = {YFWord(y): 1}
     yield frontier
+    expanded = 0
     for _ in range(sum(y)):
+        expanded += len(frontier)
+        # once this DP has expanded more words than _covers holds, it would only evict
+        covers = _covers if expanded <= _COVERS_WORDS else down_neighbors
         nxt: dict[YFWord, int] = {}
         for w, c in frontier.items():
-            for z in _covers(w):
+            for z in covers(w):
                 nxt[z] = nxt.get(z, 0) + c
         frontier = nxt
         yield frontier
@@ -85,18 +103,22 @@ def descent_counts(y: YFWord) -> dict[YFWord, int]:
     return out
 
 
-# the rows are only read, never changed, so the memo may hand out the same list
-_formula_rows = lru_cache(maxsize=4096)(_f_row)
+@lru_cache(maxsize=512)
+def _formula_rows(x: YFWord) -> tuple[int, int, list[list[int]]]:
+    """(rank(x), rank(x)!, the rows of rank(x)! f(x, i, z) for z = 0..length(x)),
+    built once per word; the rows are only read, never changed."""
+    rank = sum(x)
+    return rank, factorial(rank), _f_rows(x, len(x))
 
 
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
-    rank_x, rank_y = sum(x), sum(y)
+    rank_x, fac, rows = _formula_rows(x)
+    rank_y = sum(y)
     if rank_y < rank_x:
         raise ValueError("formula requires rank(y) >= rank(x)")
-    row = _formula_rows(x, common_suffix_len(x, y))
-    total = sum(map(mul, row, _g_products(y, rank_y)))
-    count, remainder = divmod(total, factorial(rank_x))
+    total = sum(map(mul, rows[common_suffix_len(x, y)], _g_products(y, rank_y)))
+    count, remainder = divmod(total, fac)
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from yflab.boundary import _g_factors, _grow, _kernel_terms
-from yflab.harmonic import _f_row, _g_ratio_parts, g_all
+from yflab.harmonic import _base, _f_row, _g_ratio_parts, g_all
 from yflab.magic import FactoredTable
 from yflab.pathcount import d_from_empty
 from yflab.words import enumerate_level, suffix_ranks
@@ -175,3 +175,45 @@ MAGIC5 = {
               (Fr(1, 6), "11", 2, 3), (Fr(1, 2), "111", 3, 2),
               (Fr(1, 1), "1111", 4, 1), (Fr(1, 1), "11111", 5, 0)],
 }
+
+
+def _unwind_to(x: tuple, y: int, z: int, base: int) -> int:
+    """rank(x)! f(x, y, z) from base = rank(x)! f(x, y, 0), walking the recursion
+    chain of the split at suffix rank y until z is used up or y reaches 0."""
+    j, t = len(x), 0
+    acc, mden = 0, 1
+    while z and y:
+        if t or x[j - 1] == 1:
+            acc += base
+            base *= -y
+            if t:
+                t -= 1
+            else:
+                j -= 1
+            y -= 1
+            z -= 1
+        else:
+            acc *= 1 - y
+            mden *= 1 - y
+            base, remainder = divmod(base, 1 - y)
+            assert remainder == 0, (x, y)
+            j -= 1
+            t += 2
+            z += 1
+    value, remainder = divmod(acc + base, mden)
+    assert remainder == 0, x
+    return value
+
+
+def f_row_by_unwind(x: tuple, z: int) -> list:
+    """[rank(x)! f(x, y, z) for y = 0..rank(x)], one chain walk per split at this z."""
+    gs, rank = g_all(x), sum(x)
+    row = [0] * (rank + 1)
+    row[0] = _base(rank, 0, gs)
+    y, sign = 0, 1
+    for digit in reversed(x):
+        y += digit
+        sign = -sign
+        base = sign * _base(rank, y, gs)
+        row[y] = _unwind_to(x, y, z, base) if z else base
+    return row

@@ -377,17 +377,19 @@ def test_identity_suite_builds_each_table_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def _rows_with_f_21_0_0_raised(x, top):
+    """experiments._f_rows(x, top), with f(21, 0, 0) raised by 1 in the z = 0 row."""
+    rows = harmonic._f_rows(x, top)
+    if tuple(x) == (2, 1):
+        rows[0] = [rows[0][0] + factorial(sum(x))] + rows[0][1:]
+    return rows
+
+
 def test_corrupted_f_is_caught_with_a_witness(monkeypatch):
-    # f(21, 0, 0) + 1 through the suite's one f seam, its memo of _f_row: the
+    # f(21, 0, 0) + 1 through the suite's one f seam, its memo of _f_rows: the
     # f identities must fail with a witness, and the corruption reaches kusok
     # and the d_beta identities, which read the same rows
-    original = experiments._f_row
-
-    def corrupted(x, z):
-        row = original(x, z)
-        return [row[0] + factorial(sum(x))] + row[1:] if (tuple(x), z) == ((2, 1), 0) else row
-
-    monkeypatch.setattr(experiments, "_f_row", corrupted)
+    monkeypatch.setattr(experiments, "_f_rows", _rows_with_f_21_0_0_raised)
     report = identity_suite(4)
     assert not report.all_passed
     by_name = {r.name: r for r in report.results}
@@ -401,26 +403,25 @@ def test_corrupted_f_is_caught_with_a_witness(monkeypatch):
 
 def test_identity_suite_builds_each_f_row_once(monkeypatch):
     rows, unwinds = [], []
-    original_row, original_unwind = experiments._f_row, harmonic._scaled_f
+    original_rows, original_unwind = experiments._f_rows, harmonic._scaled_f
 
-    def counting_row(x, z):
-        rows.append((tuple(x), z))
-        return original_row(x, z)
+    def counting_rows(x, top):
+        rows.append((tuple(x), top))
+        return original_rows(x, top)
 
     def counting_unwind(x, y, z):
         unwinds.append((tuple(x), y, z))
         return original_unwind(x, y, z)
 
-    monkeypatch.setattr(experiments, "_f_row", counting_row)
+    monkeypatch.setattr(experiments, "_f_rows", counting_rows)
     monkeypatch.setattr(experiments, "_scaled_f", counting_unwind)
     monkeypatch.setattr(harmonic, "_scaled_f", counting_unwind)
     assert identity_suite(5).all_passed
-    # one row per (x, z): every word of rank 0..5 at every z = 0..length, shared by
+    # one build per word of rank 0..5, every row z = 0..length at once, shared by
     # the f identities, the kernels, kusok's heads and the d_beta identities; the
-    # rows come from one pass over the suffix splits, not from single entries
+    # rows come from one chain walk per suffix split, not from single entries
     assert len(set(rows)) == len(rows)
-    assert set(rows) == {(tuple(x), z) for n in range(6) for x in enumerate_level(n)
-                         for z in range(len(x) + 1)}
+    assert set(rows) == {(tuple(x), len(x)) for n in range(6) for x in enumerate_level(n)}
     assert unwinds == []
 
 
@@ -484,17 +485,11 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
 
 
 def test_d_beta_identities_match_fraction_reference(monkeypatch):
-    # the d_beta identities decide on the z = 0 int rows of the suite's _f_row
+    # the d_beta identities decide on the z = 0 int rows of the suite's _f_rows
     # memo and on their quotients by (1 - beta)^length(x); the row of the word 21
     # raised by rank! at beta^0, i.e. f(21, 0, 0) + 1, must give the failures and
     # the witness of the literal Fraction checks of their docstrings under the
     # same perturbation
-    original = experiments._f_row
-
-    def perturbed(x, z):
-        row = original(x, z)
-        return [row[0] + factorial(sum(x))] + row[1:] if (tuple(x), z) == ((2, 1), 0) else row
-
     def coeffs(x):
         return [f(x, i, 0) + (1 if (tuple(x), i) == ((2, 1), 0) else 0)
                 for i in range(sum(x) + 1)]
@@ -549,7 +544,7 @@ def test_d_beta_identities_match_fraction_reference(monkeypatch):
                       f"x={x.text} beta={beta}")
     assert {name: failures for name, (_, failures, _) in expected.items()} == {
         "delitsa": 1, "binomische1": 2, "binomische2": 1, "schyot": 0, "binom1": 3, "mamka2": 4}
-    monkeypatch.setattr(experiments, "_f_row", perturbed)
+    monkeypatch.setattr(experiments, "_f_rows", _rows_with_f_21_0_0_raised)
     report = {r.name: r for r in identity_suite(5).results}
     assert {name: (report[name].instances, report[name].failures,
                    report[name].first_counterexample) for name in expected} == {

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from yflab.harmonic import (
     BetaPolynomial,
     _f_row,
+    _f_rows,
     _g_products,
     d_beta,
     d_beta_eval,
@@ -23,7 +24,7 @@ from yflab.harmonic import (
 from yflab.experiments import _div_one_minus_beta
 from yflab.words import EPSILON, YFWord, enumerate_level, parse, suffix_ranks
 
-from reference_values import F_TABLE_21221, F_TABLES, f_by_recursion
+from reference_values import F_TABLE_21221, F_TABLES, f_by_recursion, f_row_by_unwind
 
 def all_words(max_rank):
     for n in range(max_rank + 1):
@@ -75,18 +76,38 @@ def test_f_matches_recursive_definition_to_rank_10():
 
 
 def test_f_row_matches_recursive_definition_to_rank_10():
-    # the product-form row builder against the literal recursion at every z; its
-    # zeros sit exactly off the suffix ranks (y = 0 is the empty suffix)
+    # the product-form builder against the literal recursion: one build gives every
+    # row z = 0..length(x), _f_row(x, z) is its row z, and the zeros sit exactly
+    # off the suffix ranks (y = 0 is the empty suffix)
     for x in all_words(10):
-        fac = factorial(x.rank)
+        fac, digits = factorial(x.rank), tuple(x)
         ranks = {0, *suffix_ranks(x)}
-        for z in range(x.length + 1):
-            row = _f_row(tuple(x), z)
-            assert row == [fac * f_by_recursion(tuple(x), y, z) for y in range(x.rank + 1)], \
-                (x.text, z)
+        rows = _f_rows(digits, x.length)
+        assert rows == [[fac * f_by_recursion(digits, y, z) for y in range(x.rank + 1)]
+                        for z in range(x.length + 1)], x.text
+        for z, row in enumerate(rows):
+            assert _f_row(digits, z) == row, (x.text, z)
             assert all(type(v) is int for v in row)
             assert {y for y, v in enumerate(row) if v} <= ranks, (x.text, z)
-        assert {y for y, v in enumerate(_f_row(tuple(x), 0)) if v} == ranks, x.text
+        assert {y for y, v in enumerate(rows[0]) if v} == ranks, x.text
+
+
+# words past rank 12 whose chains run long: all 1s, a 2 at the right end, and
+# long common suffixes of the kind the path-count formula reads at z = h
+LONG_WORDS = ("1" * 20, "1" * 14 + "2", "2" * 8, "12" * 6, "21" * 6 + "2",
+              "1111221111", "21211121111221111", "22122111", "21122222122111")
+
+
+def test_f_rows_match_the_per_z_builder_to_rank_12():
+    # every top <= length(x) gives the first top + 1 rows of the reference builder,
+    # which walks each split's chain again for each z and stops it at z
+    words = [tuple(x) for x in all_words(12)] + [tuple(parse(t)) for t in LONG_WORDS]
+    assert any(x and set(x) == {1} for x in words)
+    assert any(x and x[-1] == 2 for x in words)
+    for x in words:
+        expected = [f_row_by_unwind(x, z) for z in range(len(x) + 1)]
+        for top in range(len(x) + 1):
+            assert _f_rows(x, top) == expected[:top + 1], (x, top)
 
 
 def test_scaled_f_is_integral_to_rank_12():

@@ -85,6 +85,18 @@ def test_formula_equals_dp_to_rank_8():
     assert _g_products.cache_info().hits > 0
 
 
+def test_formula_memo_holds_one_entry_per_word_to_rank_9():
+    # the memo is keyed by x alone: each of the 143 words of rank <= 9 is built
+    # once, with every row z = 0..length(x), and every other pair is a hit
+    _formula_rows.cache_clear()
+    pairs = list(all_pairs(9))
+    for x, y in pairs:
+        d_paths_formula(x, y)
+    info = _formula_rows.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (143, 143, len(pairs) - 143)
+    assert info.maxsize >= 143
+
+
 def test_split_memo_stays_bounded():
     for x, y in all_pairs(10):
         d_paths_formula(x, y)
@@ -93,19 +105,21 @@ def test_split_memo_stays_bounded():
     assert 0 < info.currsize <= info.maxsize
 
 
-def test_descent_counts_match_a_literal_frontier_dp_to_rank_10():
-    def reference(y):
-        counts, frontier = {y: 1}, {y: 1}
-        while frontier:
-            nxt = {}
-            for w, c in frontier.items():
-                for z in down_neighbors(w):
-                    nxt[z] = nxt.get(z, 0) + c
-            counts.update(nxt)
-            frontier = nxt
-        return counts
+def literal_descent_counts(y):
+    """descent_counts(y) by a frontier DP on down_neighbors, with no memo (oracle)."""
+    counts, frontier = {y: 1}, {y: 1}
+    while frontier:
+        nxt = {}
+        for w, c in frontier.items():
+            for z in down_neighbors(w):
+                nxt[z] = nxt.get(z, 0) + c
+        counts.update(nxt)
+        frontier = nxt
+    return counts
 
-    expected = {y: reference(y) for n in range(11) for y in enumerate_level(n)}
+
+def test_descent_counts_match_a_literal_frontier_dp_to_rank_10():
+    expected = {y: literal_descent_counts(y) for n in range(11) for y in enumerate_level(n)}
     _covers.cache_clear()
     for _ in ("cold", "warm"):
         for y, counts in expected.items():
@@ -122,6 +136,25 @@ def test_covers_memo_stays_bounded():
     info = _covers.cache_info()
     assert info.maxsize is not None
     assert 0 < info.currsize <= info.maxsize
+
+
+def test_a_dp_past_the_covers_memo_evicts_nothing():
+    # the DP from 2^12 visits 8,191 words, twice what _covers holds; it consults the
+    # memo only while the words it has expanded fit there, so it neither evicts the
+    # rank-9 loop's entries nor misses more often than the memo has room
+    ys = [y for n in range(10) for y in enumerate_level(n)]
+    _covers.cache_clear()
+    for y in ys:
+        descent_counts(y)
+    warm = _covers.cache_info()
+    big = parse("2" * 12)
+    assert descent_counts(big) == literal_descent_counts(big)
+    after_big = _covers.cache_info()
+    assert 0 < after_big.misses - warm.misses <= after_big.maxsize
+    assert after_big.currsize <= after_big.maxsize
+    for y in ys:
+        descent_counts(y)
+    assert _covers.cache_info().misses == after_big.misses
 
 
 def test_formula_takes_plain_tuples():
