@@ -26,11 +26,13 @@ Pi tails need every word, as pi(v) is almost unique per word: the split
 engine (_split_sums) cuts each rank-n word as v = u + b, b its shortest
 suffix of rank >= k = n // 2 that contains its class root (b = v for the
 chain node of rank n).  The right halves b are grown from the roots and held
-in memory; the left halves u are streamed, Y_u grown from all ones.  A pi bin
-outside (lo, hi) sorts the b of each rank by pi(b), adds each Y_u to the
-bucket of the number of keys at most lo / pi(u) and of the number below
-hi / pi(u), and dots each bucket with the running X sum of the keys below
-it, in one pass over the keys.  This costs about Fib(n / 2) vectors per side.
+in memory, and so are the left halves u of each rank of b, Y_u grown from
+all ones.  A pi bin outside (lo, hi) sorts the b by pi(b) and the u by pi(u);
+as pi(u) rises, the number m of keys at most lo / pi(u) (or below hi / pi(u))
+cannot, so one pointer walks down the keys, and the Y_u of a run of equal m
+sum to the difference of one running sum at its ends.  One pass over the keys
+dots each run with the running X sum of the keys below it.  This costs about
+Fib(n / 2) vectors per side, and one vector add per u.
 
 The engines divide only where the chain is built (boundary), each division
 asserted exact.  Every sum is an int over n! D; sweep_many asserts each
@@ -63,7 +65,6 @@ column coefficients, the column bounds, and each word's quotient.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left, bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -210,23 +211,32 @@ def _add_into(groups: dict, key, vec: list[int]) -> None:
     groups[key] = vec if acc is None else [a + v for a, v in zip(acc, vec)]
 
 
-def _left_sums(lefts: Iterable[_State], n: int, keys: Sequence[tuple[int, int]],
-               cuts: Sequence[tuple[int, Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
-    """Sums over the left-half states lefts (all of one right-half rank): of their
-    vectors, and for each cut (b, lo, hi) of pi(v), two dicts m -> sum of the
-    vectors of the u with m right-half keys (the ascending pi keys) at most
-    lo / pi(u), or below hi / pi(u), respectively."""
-    total = [0] * (n + 1)
-    buckets = [({}, {}) for _ in cuts]
+def _left_groups(lefts: Sequence[_State], n: int, keys: Sequence[tuple[int, int]],
+                 cuts: Sequence[tuple[int, Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
+    """The sum of the vectors of lefts (the left halves of one right-half rank,
+    ascending in pi(u)) and, per cut (b, lo, hi) of pi(v), two dicts m -> the sum
+    over the u with m keys (ascending pi(b)) at most lo / pi(u), or below
+    hi / pi(u); a run of equal m is a difference of two running sums."""
+    zero = [0] * (n + 1)
+    # per bound: its terms, the least pi_b.num * td - tn * pi_b.den that drops b,
+    # m, the running sum where m's run starts, and m -> the run's sum
+    sides = [[bound.numerator, bound.denominator, least, len(keys), zero, {}]
+             for _, lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
+    total = zero
     for _, vec, d, pi_num in lefts:
+        for side in sides:
+            num, den, least, m, start, groups = side
+            tn, td = num * d, den * pi_num  # bound / pi(u) = tn / td
+            count = m
+            while count and keys[count - 1][0] * td - tn * keys[count - 1][1] >= least:
+                count -= 1
+            if count != m:
+                groups[m] = [a - b for a, b in zip(total, start)]
+                side[3:5] = count, total
         total = [a + v for a, v in zip(total, vec)]
-        for (_, lo, hi), (at_most, below) in zip(cuts, buckets):
-            # pi(b) <= lo / pi(u) = tn / td iff pi_b.num * td - tn * pi_b.den <= 0
-            tn, td = lo.numerator * d, lo.denominator * pi_num
-            _add_into(at_most, bisect_right(keys, 0, key=lambda b: b[0] * td - tn * b[1]), vec)
-            tn, td = hi.numerator * d, hi.denominator * pi_num
-            _add_into(below, bisect_left(keys, 0, key=lambda b: b[0] * td - tn * b[1]), vec)
-    return total, buckets
+    for *_, m, start, groups in sides:
+        groups[m] = [a - b for a, b in zip(total, start)]
+    return total, [(at_most[5], below[5]) for at_most, below in zip(sides[::2], sides[1::2])]
 
 
 def _dot(*vectors: Sequence[int]) -> int:
@@ -238,9 +248,10 @@ def _dot(*vectors: Sequence[int]) -> int:
 # worker p of P grows the right halves from the class roots it is sent and
 # takes the left halves above the states _TASK_DEPTH above each right half
 # whose index is p mod P.  Pi-only sweeps of cores eps, 22 and 212 over the
-# two pi pairs of criterion 8, medians of 7 alternated runs on a 2-vCPU VM
-# (Python 3.11), serial against 2 workers: 0.21 / 0.22 s at rank 28, 0.36 /
-# 0.34 s at 30, 0.68 / 0.52 s at 32 and 1.03 / 0.84 s at 34.
+# two pi pairs of criterion 8, medians of 7 alternated runs (14 at 32 and 34)
+# on a 2-vCPU VM (Python 3.11), serial against 2 workers: 0.12 / 0.21 s at
+# rank 28, 0.21 / 0.27 s at 30, 0.38 / 0.38 s at 32 (peak RSS 24 / 21 MiB),
+# 0.63 / 0.60 s at 34 and 1.10 / 0.90 s at 36.
 _POOL_RANK = 32
 _TASK_DEPTH = 6
 
@@ -251,9 +262,10 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
     """Sums of n! D_b mu(v) over the rank-n words v, scaled[b][i] = C(n, i) W_i: all
     words, one sum per beta b, then per cut (b, lo, hi) those with pi(v) outside
     the open interval (lo, hi).  Right halves grow from the class roots to rank
-    split (default n // 2), as in the module docstring; share = (p, P) keeps
-    part p of P of the left halves, and the P parts add up to the whole; factors
-    is _g_factors(top) for some top >= n."""
+    split (default n // 2) and the left halves are sorted by pi(u), as in the
+    module docstring; share = (p, P) keeps and sorts part p of P of the left
+    halves, and the P parts add up to the whole; factors is _g_factors(top)
+    for some top >= n."""
     k = n // 2 if split is None else split
     grow = partial(_grow, factors=factors)
     right: dict[int, dict] = {}  # r -> X sums by pi key, pi(b) = pi_num / d in lowest terms
@@ -266,9 +278,10 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
     for r, by_pi in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
         tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, grow)
-        lefts = (state for i, task in enumerate(tasks) if i % parts == part
-                 for state in _prepend(task, n, n, grow))
-        total, buckets = _left_sums(lefts, n, keys, cuts)
+        lefts = sorted((state for i, task in enumerate(tasks) if i % parts == part
+                        for state in _prepend(task, n, n, grow)),
+                       key=cmp_to_key(lambda a, b: a[3] * b[2] - b[3] * a[2]))
+        total, buckets = _left_groups(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
         # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
         running = [0] * (n + 1)

@@ -41,11 +41,12 @@ y - 1, exactly, since R! / H is a multiple of y! and P divides y!; the
 the walk do not depend on z, which only decides where the walk for z stops,
 and that is the first new maximum of (1-steps less 2-steps) equal to z, or
 y = 0.  So one walk per split, read at each new maximum, gives the entry of
-every z at once (``_unwind`` shows why).  ``_f_rows(x, top)``, the one
-builder of the rows [R! f(x, y, z) for y = 0..R], z = 0..top, fills them with
-one walk per suffix split of x, with no factorial and no per-entry split
-search; at top = 0 no walk runs.  It serves ``d_beta`` (z = 0), the kernel
-d'_beta (z = h, through ``_f_row``, the last row), the path-count formula
+every z at once (``_unwind`` shows why).  ``_f_columns(x, top)`` walks each
+suffix split of x once, with no factorial and no per-entry split search, and
+is the one source of the rows [R! f(x, y, z) for y = 0..R]: ``_f_rows(x, top)``
+transposes its columns into the rows z = 0..top (at top = 0 no walk runs),
+and ``_f_row(x, z)`` reads entry z of each column.  They serve ``d_beta``
+(z = 0), the kernel d'_beta (z = h, through ``_f_row``), the path-count formula
 (every z, through a bounded memo per word in ``pathcount``), the walk and
 the identity suite (every z, one build per word), but not the measure's
 levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path,
@@ -154,11 +155,9 @@ def _scaled_f(x: Sequence[int], y: int, z: int) -> int:
     return _unwind(x, y, z, -base if (len(x) - s) % 2 else base)[z]
 
 
-def _f_rows(x: Sequence[int], top: int) -> list[list[int]]:
-    """[[rank(x)! f(x, y, z) for y = 0..rank(x)] for z = 0..top] as exact ints, filled
-    with one walk per suffix split of x; f vanishes at every other y.  At top = 0
-    no walk runs, and the one row holds the coefficients of d_beta(x) over
-    rank(x)! (Goodman-Kerov's product formula)."""
+def _f_columns(x: Sequence[int], top: int) -> list[Sequence[int]]:
+    """[[rank(x)! f(x, y, z) for z = 0..top] for y = 0..rank(x)] as exact ints, from
+    one walk per suffix split of x; f vanishes at every other y."""
     gs, rank = g_all(x), sum(x)
     columns = [(0,) * (top + 1)] * (rank + 1)
     columns[0] = (_base(rank, 0, gs),) * (top + 1)
@@ -168,12 +167,19 @@ def _f_rows(x: Sequence[int], top: int) -> list[list[int]]:
         sign = -sign  # each tail digit negates its running sum
         base = sign * _base(rank, y, gs)
         columns[y] = _unwind(x, y, top, base) if top else (base,)
-    return [list(row) for row in zip(*columns)]
+    return columns
+
+
+def _f_rows(x: Sequence[int], top: int) -> list[list[int]]:
+    """[[rank(x)! f(x, y, z) for y = 0..rank(x)] for z = 0..top], the rows of
+    _f_columns(x, top); at top = 0 the one row holds the coefficients of
+    d_beta(x) over rank(x)! (Goodman-Kerov's product formula)."""
+    return [list(row) for row in zip(*_f_columns(x, top))]
 
 
 def _f_row(x: Sequence[int], z: int) -> list[int]:
-    """[rank(x)! f(x, y, z) for y = 0..rank(x)], the last row of _f_rows(x, z)."""
-    return _f_rows(x, z)[z]
+    """[rank(x)! f(x, y, z) for y = 0..rank(x)], entry z of each column of _f_columns(x, z)."""
+    return [column[z] for column in _f_columns(x, z)]
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import os
+from collections import Counter
 from fractions import Fraction as Fr
 from math import comb, factorial
 
@@ -181,6 +182,35 @@ def test_split_sums_equal_the_walk():
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
                 assert experiments._split_sums(roots, n, scaled, factors, cuts, split=k) == expected, (core, n, k)
+
+
+def test_split_sums_keep_exact_ties_and_shares_add_up():
+    # cuts at the exact pi(v) of rank-n words: a value many words share, the
+    # smallest and the largest, with lo <= 0 and hi > 1; a word with pi(v) == lo
+    # or pi(v) == hi lies outside, so both <= at lo and < at hi are exercised
+    # (the engine takes lo < hi, as every sweep's cut does)
+    betas = (Fr(1, 2), Fr(3, 7), Fr(1))
+    for core in ("eps", "22", "2122"):
+        w = TailOnesWord.parse(core)
+        classes, factors = experiments._classes(w, 14), experiments._g_factors(14)
+        for n in range(15):
+            counts = Counter(Fr(leaf.pi_num, leaf.d_eps) for leaf in experiments._iter_nodes(n, w))
+            shared = max(counts, key=lambda value: (counts[value], value))
+            least, most = min(counts), max(counts)
+            cuts = [(b, lo, hi) for b, lo, hi in [
+                (0, shared, most), (1, least, shared), (2, Fr(-1), shared),
+                (0, Fr(0), least), (1, shared, Fr(3, 2)), (2, least, most)] if lo < hi]
+            if n >= 6:
+                assert counts[shared] > 1, (core, n)
+            weights = [mass_weights(w, beta, n) for beta in betas]
+            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
+            _, expected = _walk_sums(w, n, [vector for vector, _ in weights], cuts)
+            roots = experiments._roots_at(classes, n)
+            assert experiments._split_sums(roots, n, scaled, factors, cuts) == expected, (core, n)
+            for parts in (2, 3):
+                shares = [experiments._split_sums(roots, n, scaled, factors, cuts, (p, parts))
+                          for p in range(parts)]
+                assert [sum(column) for column in zip(*shares)] == expected, (core, n, parts)
 
 
 def test_sweep_at_rank_40():
