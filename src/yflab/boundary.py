@@ -94,7 +94,6 @@ steps; test_classes_equal_the_padded_rows checks every node against its row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -104,22 +103,35 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .harmonic import _f_row, _g_products
 from .pathcount import d_from_empty, d_paths_dp
-from .words import EPSILON, YFWord, check_level_rank
+from .words import EPSILON, YFWord, _Frozen, check_level_rank
 
 
-@dataclass(frozen=True)
-class TailOnesWord:
+class TailOnesWord(_Frozen):
     """The infinite word 1^inf + core, with a canonical core.
 
     The core is empty (the all-ones word) or begins with a 2; parse() and
     from_core() canonicalize by stripping leading 1s.
     """
 
-    core: YFWord
+    __slots__ = ("core", "_hash")
 
-    def __post_init__(self):
-        if len(self.core) > 0 and self.core[0] == 1:
+    def __init__(self, core: YFWord):
+        if len(core) > 0 and core[0] == 1:
             raise ValueError("core must not begin with 1 (absorb leading 1s into the tail)")
+        object.__setattr__(self, "core", core)
+
+    def __eq__(self, other):
+        return self.core == other.core if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):  # hash((core,)), cached on first use: w is a memo and dict key everywhere
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.core,)))
+        return self._hash
+
+    def __reduce__(self):
+        return TailOnesWord, (self.core,)
 
     @classmethod
     def from_core(cls, core: YFWord) -> "TailOnesWord":
@@ -348,22 +360,25 @@ def _class_words(w: TailOnesWord, top: int) -> Iterator[tuple[tuple[int, ...], _
                 stack.append(((1,) + digits, _grow(state, 1, factors)))
 
 
-@dataclass(frozen=True)
-class LevelDistribution:
+class LevelDistribution(_Frozen):
     """The boundary measure restricted to one rank; masses sum to exactly 1."""
 
-    n: int
-    w: TailOnesWord
-    beta: Fraction
-    masses: dict[YFWord, Fraction]
-
-    def __post_init__(self):
-        den = lcm(*(m.denominator for m in self.masses.values()))
-        total = sum(m.numerator * (den // m.denominator) for m in self.masses.values())
+    def __init__(self, n: int, w: TailOnesWord, beta: Fraction, masses: dict[YFWord, Fraction]):
+        den = lcm(*(m.denominator for m in masses.values()))
+        total = sum(m.numerator * (den // m.denominator) for m in masses.values())
         if total != den:
             raise AssertionError(f"masses sum to {Fraction(total, den)}, not 1")
-        if any(m.numerator < 0 for m in self.masses.values()):
+        if any(m.numerator < 0 for m in masses.values()):
             raise AssertionError("negative mass")
+        vars(self).update(n=n, w=w, beta=beta, masses=masses)
+
+    def __eq__(self, other):  # and no __hash__: masses is a dict
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.w, self.beta, self.masses) == (other.n, other.w, other.beta, other.masses)
+
+    def __repr__(self) -> str:
+        return f"LevelDistribution(n={self.n!r}, w={self.w!r}, beta={self.beta!r}, masses={self.masses!r})"
 
 
 def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribution:

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import comb, factorial, gcd, prod
@@ -79,7 +78,7 @@ from .harmonic import (_csv_rows, _f_row, _f_rows, _g_ratio_parts, _scaled_f, fo
 from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
                     level_product)
 from .pathcount import d_from_empty
-from .words import YFWord, enumerate_level, prefix, suffix, suffix_ranks
+from .words import YFWord, _Frozen, enumerate_level, prefix, suffix, suffix_ranks
 
 Mode = str  # "suffix" | "pi"
 Param = Union[int, Fraction]
@@ -265,7 +264,9 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
     split (default n // 2) and the left halves are sorted by pi(u), as in the
     module docstring; share = (p, P) keeps and sorts part p of P of the left
     halves, and the P parts add up to the whole; factors is _g_factors(top)
-    for some top >= n."""
+    for some top >= n.  A cut with lo >= hi is refused: its two buckets would overlap."""
+    if any(lo >= hi for _, lo, hi in cuts):
+        raise ValueError(f"every cut needs lo < hi, got {cuts!r}")
     k = n // 2 if split is None else split
     grow = partial(_grow, factors=factors)
     right: dict[int, dict] = {}  # r -> X sums by pi key, pi(b) = pi_num / d in lowest terms
@@ -302,15 +303,13 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
 # Concentration sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     tail: Fraction
     head: Fraction
 
 
-@dataclass(frozen=True)
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """Per-rank tail masses of a boundary measure outside a concentration set."""
 
     mode: Mode                # "suffix" (common-suffix rank < l) or "pi" (pi(v) outside interval)
@@ -430,8 +429,7 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
 # Identity suite
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     instances: int
     failures: int
@@ -442,8 +440,7 @@ class IdentityResult:
         return self.failures == 0
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     max_rank: int
     results: tuple[IdentityResult, ...]
 
@@ -822,11 +819,9 @@ IDENTITY_CHECKS: tuple[tuple[str, Callable], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class _SuiteContext:
-    max_rank: int
-    betas: tuple[Fraction, ...]
-    ws: tuple[TailOnesWord, ...]
+class _SuiteContext(_Frozen):
+    def __init__(self, max_rank: int, betas: tuple[Fraction, ...], ws: tuple[TailOnesWord, ...]):
+        vars(self).update(max_rank=max_rank, betas=betas, ws=ws)  # beside the cached properties
 
     @cached_property
     def rows(self) -> Callable[[Sequence[int]], list[list[int]]]:

@@ -64,13 +64,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Optional, Sequence, Union
 
-from .words import YFWord, split_by_rank, suffix_ranks
+from .words import YFWord, _Frozen, split_by_rank, suffix_ranks
 
 
 def _digits_of(x) -> tuple[int, ...]:
@@ -272,21 +271,24 @@ def pi_split(v: YFWord, y: int) -> Optional[tuple[Fraction, Fraction]]:
     return pi(head + (1,) * y), pi(tail)
 
 
-@dataclass(frozen=True)
-class BetaPolynomial:
+class BetaPolynomial(_Frozen):
     """A polynomial in beta with exact rational coefficients c0, c1, ...
 
     Trailing zero coefficients are trimmed; evaluation at a rational point
     is exact.
     """
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        c = tuple(Fraction(v) for v in self.coeffs)
+    def __init__(self, coeffs: Sequence[Union[Fraction, int]]):
+        c = tuple(Fraction(v) for v in coeffs)
         while c and c[-1] == 0:
             c = c[:-1]
         object.__setattr__(self, "coeffs", c)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @property
     def degree(self) -> int:

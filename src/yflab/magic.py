@@ -42,21 +42,19 @@ row, column and total bounds are inequalities and are checked at each beta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 from operator import mul
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .boundary import TailOnesWord, _class_words, d1_prime
 from .harmonic import _csv_rows, _g_products, format_rational, q
 from .pathcount import d_from_empty
-from .words import Level, YFWord, enumerate_level, split_by_rank, suffix_ranks
+from .words import Level, YFWord, _Frozen, enumerate_level, split_by_rank, suffix_ranks
 
 
-@dataclass(frozen=True)
-class SymbolicCell:
+class SymbolicCell(NamedTuple):
     """A nonzero entry in factored form: coeff * d'_1(tail, w) * beta^be * (1-beta^2)^qe."""
 
     coeff: Fraction          # d(empty, v) * q(head)
@@ -97,8 +95,7 @@ def _splits(v) -> Iterator[tuple[int, tuple[int, ...], int]]:
         yield k, tuple(v[k:]), prod(suffix_ranks(v[:k]))
 
 
-@dataclass(frozen=True)
-class MagicTable:
+class MagicTable(NamedTuple):
     """Dense table over (rank-n words in level order) x (columns 0..n)."""
 
     w: TailOnesWord
@@ -146,8 +143,7 @@ def symbolic_csv(n: int) -> str:
     return _csv_rows(rows)
 
 
-@dataclass(frozen=True)
-class FactoredTable:
+class FactoredTable(_Frozen):
     """The table for (w, n) before beta is chosen: integer cells over one denominator.
 
     rows[r] holds one cell (y, k, C) per suffix split v = head + tail of the
@@ -156,11 +152,25 @@ class FactoredTable:
     C / den * beta^y * (1 - beta^2)^k, with den = n! * prod_j g(w, j).
     """
 
-    w: TailOnesWord
-    n: int
-    level: Level
-    den: int
-    rows: tuple[tuple[tuple[int, int, int], ...], ...]
+    def __init__(self, w: TailOnesWord, n: int, level: Level, den: int, rows: tuple):
+        object.__setattr__(self, "w", w)  # in __dict__, beside the cached columns
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.w, self.n, self.level, self.den, self.rows) == (other.w, other.n, other.level,
+                                                                   other.den, other.rows)
+
+    def __hash__(self):
+        return hash((self.w, self.n, self.level, self.den, self.rows))
+
+    def __repr__(self) -> str:
+        return (f"FactoredTable(w={self.w!r}, n={self.n!r}, level={self.level!r}, den={self.den!r}, "
+                f"rows={self.rows!r})")
 
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:

@@ -16,13 +16,12 @@ Edges down are the inverses:
 
 The words of one rank have one generator, iter_level, which steps from each
 word to the next in lexicographic order (1 before 2); enumerate_level holds
-its words in one cached tuple per rank.
+its words in one cached Level per rank.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -34,7 +33,7 @@ class YFWord(tuple):
 
     def __new__(cls, digits=()) -> "YFWord":
         digits = tuple(digits)
-        if any(d not in (1, 2) for d in digits):
+        if digits.count(1) + digits.count(2) != len(digits):  # == per digit, as `in (1, 2)`
             raise ValueError(f"digits must be 1 or 2, got {digits!r}")
         return tuple.__new__(cls, digits)
 
@@ -176,12 +175,40 @@ def down_neighbors(y: YFWord) -> set[YFWord]:
     return out
 
 
-@dataclass(frozen=True)
-class Level:
+class _Frozen:
+    """Base of the value classes that are not NamedTuples (yflab imports no dataclasses, whose
+    import was most of its own): __init__ sets fields with object.__setattr__ or in vars(self)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Level(_Frozen):
     """All words of one rank, in lexicographic order with 1 before 2."""
 
-    n: int
-    words: tuple[YFWord, ...]
+    __slots__ = ("n", "words")
+
+    def __init__(self, n: int, words: tuple[YFWord, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "words", words)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.words) == (other.n, other.words)
+
+    def __hash__(self):
+        return hash((self.n, self.words))
+
+    def __repr__(self) -> str:
+        return f"Level(n={self.n!r}, words={self.words!r})"
+
+    def __reduce__(self):
+        return Level, (self.n, self.words)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -191,24 +218,24 @@ class Level:
 
 
 @lru_cache(maxsize=None)
-def _level_words(n: int) -> tuple[YFWord, ...]:
-    return tuple(iter_level(n))
+def _level(n: int) -> Level:
+    return Level(n, tuple(iter_level(n)))
 
 
 def enumerate_level(n: int) -> Level:
     """All words of rank n in lexicographic order, 1 before 2; count Fib(n+1).
 
-    The words are iter_level's, held in one cached tuple per rank.  Ranks
+    The words are iter_level's, held in one cached Level per rank.  Ranks
     n >= 92 are refused before anything is built: no tuple holds
     Fib(93) > sys.maxsize words.  Ranks 35..91 pass this check but run out
     of memory: a level takes about 210 bytes a word at rank 26, and rank 35
     has Fib(36) = 14,930,352 words.  Bounding them needs a measured limit;
     ``yflab level`` streams any of them instead."""
-    words = _level_words(n)
+    level = _level(n)
     # the count is the recursive definition's (1-branch then 2-branch), so
     # this checks iter_level's successor rule at every rank it builds
-    assert len(words) == fibonacci(n + 1)
-    return Level(n, words)
+    assert len(level.words) == fibonacci(n + 1)
+    return level
 
 
 def iter_level(n: int) -> Iterator[YFWord]:

@@ -180,10 +180,10 @@ def test_level_distribution_equals_pointwise_mu():
 
 def test_level_distribution_caches_no_level():
     # the words come from the class roots, in level order by sorting: no level is enumerated
-    words._level_words.cache_clear()
+    words._level.cache_clear()
     masses = level_distribution(TailOnesWord.parse("221"), Fr(4, 7), 14).masses
     assert len(masses) == fibonacci(15)
-    assert words._level_words.cache_info().currsize == 0
+    assert words._level.cache_info().currsize == 0
     assert list(masses) == list(enumerate_level(14))
 
 

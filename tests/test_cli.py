@@ -71,7 +71,7 @@ def test_level_builds_no_tuple(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError("level built a tuple of words")
 
-    monkeypatch.setattr(words, "_level_words", refuse)
+    monkeypatch.setattr(words, "_level", refuse)
     assert run(capsys, "level", "20") == (0, expected, "")
 
 
@@ -91,6 +91,16 @@ def test_level_stops_quietly_when_the_reader_closes():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=60), err) == (0, b"")
+
+
+def test_import_loads_neither_dataclasses_nor_multiprocessing():
+    # start-up cost: dataclasses' import and generated methods were most of `import
+    # yflab`, and a sweep opens its multiprocessing pool only when it needs one
+    src = str(Path(words.__file__).parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import yflab, yflab.cli; "
+              "print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "[]\n", "")
 
 
 def verify_failure_behind_a_closed_pipe(env) -> tuple[int, bytes]:

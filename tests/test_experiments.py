@@ -1,4 +1,3 @@
-import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -24,7 +23,7 @@ from yflab.experiments import (
     sweep_many,
 )
 from yflab.harmonic import d_beta, f, pi, q
-from yflab.magic import column_sum_closed_form, magic_entry
+from yflab.magic import FactoredTable, column_sum_closed_form, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
 from reference_values import f_by_recursion
@@ -182,6 +181,20 @@ def test_split_sums_equal_the_walk():
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
                 assert experiments._split_sums(roots, n, scaled, factors, cuts, split=k) == expected, (core, n, k)
+
+
+def test_split_sums_refuse_a_cut_with_lo_not_below_hi():
+    # the rank-0 word has pi 1: outside (1, 1) it lies in both the <= lo bucket and
+    # the >= hi one, and was counted twice; such a cut is refused before any work
+    w = TailOnesWord.parse("eps")
+    roots, factors = experiments._roots_at(experiments._classes(w, 0), 0), experiments._g_factors(0)
+    vector, _ = mass_weights(w, Fr(1, 2), 0)
+    good = [(0, Fr(0), Fr(2))]
+    _, expected = _walk_sums(w, 0, [vector], good)
+    assert experiments._split_sums(roots, 0, [vector], factors, good) == expected == [1, 0]
+    for lo, hi in ((Fr(1), Fr(1)), (Fr(2), Fr(1))):
+        with pytest.raises(ValueError, match="lo < hi"):
+            experiments._split_sums(roots, 0, [vector], factors, good + [(0, lo, hi)])
 
 
 def test_split_sums_keep_exact_ties_and_shares_add_up():
@@ -598,7 +611,7 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
         y, k, c = rows[r][split]
         rows[r][split] = (y, k, c + 1)
         perturbation.update(y=y, k=k, den=table.den)
-        return dataclasses.replace(table, rows=tuple(tuple(cells) for cells in rows))
+        return FactoredTable(table.w, table.n, table.level, table.den, tuple(tuple(cells) for cells in rows))
 
     monkeypatch.setattr(experiments, "factored_table", perturbed)
     report = {r.name: r for r in identity_suite(5).results}

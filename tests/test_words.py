@@ -40,6 +40,11 @@ def test_parse_rejects_other_characters():
         parse("13")
     with pytest.raises(ValueError):
         YFWord((1, 3))
+    for digit in (0, 3, "1", None, 1.5):
+        with pytest.raises(ValueError):
+            YFWord((2, digit, 1))
+        with pytest.raises(ValueError):
+            YFWord((digit,))
 
 
 @given(words_st)
