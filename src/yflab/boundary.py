@@ -116,6 +116,8 @@ class TailOnesWord(_Frozen):
     __slots__ = ("core", "_hash")
 
     def __init__(self, core: YFWord):
+        if core.__class__ is not YFWord:  # from_core and parse pass YFWords; refuse other digits
+            core = YFWord(core)
         if len(core) > 0 and core[0] == 1:
             raise ValueError("core must not begin with 1 (absorb leading 1s into the tail)")
         object.__setattr__(self, "core", core)

@@ -52,8 +52,8 @@ the identity suite (every z, one build per word), but not the measure's
 levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path,
 the walk's entry at its own z.
 ``_g_products(u, top)`` is the one builder of the vector
-prod_j (g(u, j) - i), i = 0..top: the formula reads it for y, and the kernel
-d'_beta and the measure's weights read it for the core of w.  It is
+prod_j (g(u, j) - i), i = 0..top: pathcount's y memo reads it once per y, and
+the kernel d'_beta and the measure's weights read it for the core of w.  It is
 memoized per (u, top), bounded at 4,096 entries.  Only the public ``f``,
 memoized per triple in a memo perfbench reads, and ``d_beta``, one per
 coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one each from
@@ -218,7 +218,7 @@ def g_all(x) -> tuple[int, ...]:
 def _g_products(u: tuple[int, ...], top: int) -> tuple[int, ...]:
     """(prod_j (g(u, j) - i) for i = 0..top), the one g-product vector of a word u.
 
-    The path-count formula reads it for y at top = rank(y), the kernel d'_beta
+    The path-count formula's y memo reads it at top = rank(y), the kernel d'_beta
     and the measure's weights for the core of w at the rank asked for.  The
     memo is bounded by entry count; each entry is top + 1 ints."""
     gs = g_all(u)

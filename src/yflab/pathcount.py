@@ -16,22 +16,25 @@ unless x has a suffix of rank i.  The sum is divided by rank(x)! once, with
 the division asserted exact.
 
 x enters the formula only through those rows, so _formula_rows keeps, per
-word x, (rank(x), rank(x)!, every row z = 0..length(x)) in one memo.  y
-enters only through the vector P_y[i] = prod_j (g(y, j) - i), which
-harmonic._g_products builds once per (y, rank(y)) in its own memo, bounded
-by count.  A pair is then one index pass for the common suffix, the dot
-product of x's row at h with P_y, and the exact division.  The memos serve
-single pairs, not a batch form: every caller (dcount, the all-pairs
-acceptance check, the oracles benchmark) asks for one pair at a time, so a
-batch form would serve none of them, while across an all-pairs loop the same
-x and the same y recur (12,672 calls for 143 words x and 143 words y to
-rank 9).  The formula memo is bounded at 512 words, as an LRU smaller than
-the words an all-pairs loop cycles through misses on every call: the loops
-to rank 9 (143 words) and rank 11 (376, the acceptance check) fit.  An entry
-holds up to (length + 1) (rank + 1) ints; measured with tracemalloc on
-CPython 3.11, the 609 words of rank <= 12 take 1.8 MiB together, and the
-largest entry measured, 1^40's, takes 49.5 KiB, so 512 entries of rank 40
-stay under 25 MiB.
+word x, (rank(x), rank(x)!, every row z = 0..length(x), its suffix key,
+length(x)) in one memo; y enters only through rank(y) and the vector
+P_y[i] = prod_j (g(y, j) - i) of harmonic._g_products, so _formula_products
+keeps (rank(y), P_y, its suffix key) per word y, bounded at 4,096 words.
+The suffix keys (words._suffix_key) give h(x, y) from the lowest set bit
+of their XOR.  A pair is then two one-argument memo reads, one XOR, the dot
+product of x's row at h with P_y, and the exact division; the rank check
+and the exactness assert run on every call.  The memos serve single pairs,
+not a batch form: every caller (dcount, the all-pairs acceptance check,
+the oracles benchmark) asks for one pair at a time, so a batch form would
+serve none of them, while across an all-pairs loop the same x and the same
+y recur (12,672 calls for 143 words x and 143 words y to rank 9).  The x
+memo is bounded at 512 words, as an LRU smaller than the words an all-pairs
+loop cycles through misses on every call: the loops to rank 9 (143 words)
+and rank 11 (376, the acceptance check) fit.  An entry holds up to
+(length + 1) (rank + 1) ints; measured with tracemalloc on CPython 3.11,
+the 609 words of rank <= 12 take 1.8 MiB together, and the largest entry
+measured, 1^40's, takes 49.5 KiB, so 512 entries of rank 40 stay under
+25 MiB.
 
 The DP reads each word's covers from one memo, _covers, which holds
 down_neighbors(w) as a tuple and is bounded at 4,096 words: an all-pairs
@@ -57,7 +60,7 @@ from operator import mul
 from typing import Iterator
 
 from .harmonic import _f_rows, _g_products, g_all
-from .words import YFWord, common_suffix_len, down_neighbors
+from .words import YFWord, _suffix_key, down_neighbors
 
 
 _COVERS_WORDS = 4096
@@ -104,21 +107,29 @@ def descent_counts(y: YFWord) -> dict[YFWord, int]:
 
 
 @lru_cache(maxsize=512)
-def _formula_rows(x: YFWord) -> tuple[int, int, list[list[int]]]:
-    """(rank(x), rank(x)!, the rows of rank(x)! f(x, i, z) for z = 0..length(x)),
-    built once per word; the rows are only read, never changed."""
+def _formula_rows(x: YFWord) -> tuple[int, int, list[list[int]], int, int]:
+    """(rank(x), rank(x)!, the rows of rank(x)! f(x, i, z) for z = 0..length(x),
+    _suffix_key(x), length(x)), built once per word; the rows are only read, never changed."""
     rank = sum(x)
-    return rank, factorial(rank), _f_rows(x, len(x))
+    return rank, factorial(rank), _f_rows(x, len(x)), _suffix_key(x), len(x)
+
+
+@lru_cache(maxsize=4096)
+def _formula_products(y: YFWord) -> tuple[int, tuple[int, ...], int]:
+    """(rank(y), _g_products(y, rank(y)), _suffix_key(y)), built once per word."""
+    rank = sum(y)
+    return rank, _g_products(y, rank), _suffix_key(y)
 
 
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
-    rank_x, fac, rows = _formula_rows(x)
-    rank_y = sum(y)
+    rank_x, fac, rows, key_x, len_x = _formula_rows(x)
+    rank_y, products, key_y = _formula_products(y)
     if rank_y < rank_x:
         raise ValueError("formula requires rank(y) >= rank(x)")
-    total = sum(map(mul, rows[common_suffix_len(x, y)], _g_products(y, rank_y)))
-    count, remainder = divmod(total, fac)
+    d = key_x ^ key_y  # h = common_suffix_len(x, y), read off the lowest differing digit pair
+    row = rows[((d & -d).bit_length() - 1) >> 1 if d else len_x]
+    count, remainder = divmod(sum(map(mul, row, products)), fac)
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count
 

@@ -136,6 +136,16 @@ def common_suffix_len(x, y) -> int:
     return k
 
 
+def _suffix_key(w) -> int:
+    """w as an int of two bits a digit, the last digit lowest: 1 is 01, 2 is 10, no digit 00.
+    For d = _suffix_key(x) ^ _suffix_key(y), common_suffix_len(x, y) is the index of the lowest
+    differing pair, ((d & -d).bit_length() - 1) >> 1, or len(x) when d == 0."""
+    key = 0
+    for d in w:
+        key = key << 2 | d
+    return key
+
+
 def common_suffix_rank(x, y) -> int:
     """Digit sum of the longest common suffix of x and y."""
     k, m, total = 0, min(len(x), len(y)), 0

@@ -3,9 +3,11 @@ from math import factorial, prod
 
 import pytest
 
+from yflab import pathcount
 from yflab.harmonic import _g_products
 from yflab.pathcount import (
     _covers,
+    _formula_products,
     _formula_rows,
     d_from_empty,
     d_paths_dp,
@@ -13,8 +15,8 @@ from yflab.pathcount import (
     descent_counts,
     plancherel,
 )
-from yflab.words import (EPSILON, YFWord, down_neighbors, enumerate_level, ones_word, parse, prefix,
-                         suffix, suffix_ranks)
+from yflab.words import (EPSILON, YFWord, _suffix_key, common_suffix_len, down_neighbors,
+                         enumerate_level, ones_word, parse, prefix, suffix, suffix_ranks)
 
 
 def enumerate_paths(x, y):
@@ -73,36 +75,88 @@ def all_pairs(rank):
 
 def test_formula_equals_dp_to_rank_8():
     # acceptance pushes this to rank 11; keep the unit version quick.  The first
-    # pass starts from empty f-row and g-product memos, the second reads every
-    # row and every vector from them.
+    # pass starts from empty x and y memos, the second reads every row and
+    # every vector from them.
     counts = {y: descent_counts(y) for n in range(9) for y in enumerate_level(n)}
     _formula_rows.cache_clear()
+    _formula_products.cache_clear()
     _g_products.cache_clear()
     for _ in ("cold", "warm"):
         for x, y in all_pairs(8):
             assert d_paths_formula(x, y) == counts[y].get(x, 0)
     assert _formula_rows.cache_info().hits > 0
-    assert _g_products.cache_info().hits > 0
+    assert _formula_products.cache_info().hits > 0
 
 
 def test_formula_memo_holds_one_entry_per_word_to_rank_9():
-    # the memo is keyed by x alone: each of the 143 words of rank <= 9 is built
-    # once, with every row z = 0..length(x), and every other pair is a hit
+    # the x memo is keyed by x alone and the y memo by y alone: each of the 143
+    # words of rank <= 9 is built once in each, the x entry with every row
+    # z = 0..length(x), the y entry with its g-product vector, and every other
+    # pair is a hit
     _formula_rows.cache_clear()
+    _formula_products.cache_clear()
     pairs = list(all_pairs(9))
     for x, y in pairs:
         d_paths_formula(x, y)
-    info = _formula_rows.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (143, 143, len(pairs) - 143)
-    assert info.maxsize >= 143
+    for memo in (_formula_rows, _formula_products):
+        info = memo.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (143, 143, len(pairs) - 143)
+        assert info.maxsize >= 143
 
 
 def test_split_memo_stays_bounded():
     for x, y in all_pairs(10):
         d_paths_formula(x, y)
-    info = _formula_rows.cache_info()
-    assert info.maxsize is not None
-    assert 0 < info.currsize <= info.maxsize
+    for memo in (_formula_rows, _formula_products):
+        info = memo.cache_info()
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= info.maxsize
+
+
+class RowIndex:
+    """Stands in for x's f rows: "row" h is (h,), whatever h is."""
+
+    def __getitem__(self, h):
+        return (h,)
+
+
+def suffix_lens_read_by_the_formula(monkeypatch, pairs):
+    """The row index at which d_paths_formula reads x's rows, for each pair.
+
+    The memos are replaced by ones that keep each word's real suffix key and
+    length but give rank 0, factorial 1, the g vector (1,) and RowIndex rows,
+    so the formula's count is the index it computed from the two keys."""
+    monkeypatch.setattr(pathcount, "_formula_rows", lambda x: (0, 1, RowIndex(), _suffix_key(x), len(x)))
+    monkeypatch.setattr(pathcount, "_formula_products", lambda y: (0, (1,), _suffix_key(y)))
+    return [d_paths_formula(x, y) for x, y in pairs]
+
+
+def long_pairs():
+    """Pairs sharing a tail of 31-33 or 63-66 digits (common suffixes up to 68 digits), so that
+    the keys pass 64 and 128 bits."""
+    for length in (31, 32, 33, 63, 64, 65, 66):
+        s = YFWord((1, 2, 2, 1, 1)[k % 5] for k in range(length))
+        for a, b in (("1", "2"), ("", "2"), ("2", ""), ("", ""), ("21", "11"), ("12", "1212"),
+                     ("221", "1")):
+            yield parse(a) + s, parse(b) + s
+
+
+def test_suffix_keys_give_the_common_suffix_len(monkeypatch):
+    assert (_suffix_key(EPSILON), _suffix_key(parse("1")), _suffix_key(parse("21"))) == (0, 1, 0b1001)
+    words = [y for n in range(10) for y in enumerate_level(n)]
+    pairs = [(x, y) for x in words for y in words]  # every ordered pair to rank 9, equal words too
+    pairs += [(EPSILON, EPSILON), (EPSILON, parse("212")), (parse("212"), EPSILON),
+              (parse("12"), parse("2212")), (parse("2212"), parse("12")), (parse("1"), parse("1"))]
+    pairs += long_pairs()
+    expected = [common_suffix_len(x, y) for x, y in pairs]
+    assert max(expected) == 68
+    assert suffix_lens_read_by_the_formula(monkeypatch, pairs) == expected
+
+
+def test_formula_equals_dp_past_64_bit_keys():
+    for x, y in long_pairs():
+        if x.rank <= y.rank:
+            assert d_paths_formula(x, y) == d_paths_dp(x, y), (x, y)
 
 
 def literal_descent_counts(y):
@@ -158,15 +212,19 @@ def test_a_dp_past_the_covers_memo_evicts_nothing():
 
 
 def test_formula_takes_plain_tuples():
-    # a plain tuple and the equal YFWord share one memo key and one count, in either order
+    # a plain tuple and the equal YFWord share one memo key and one count, in either
+    # order, for x and for y
     pairs = [(parse("21"), parse("21221")), (EPSILON, parse("2212")),
              (parse("121"), parse("22121")), (parse("2"), parse("1112"))]
     for forms in ((tuple, YFWord), (YFWord, tuple)):
         _formula_rows.cache_clear()
+        _formula_products.cache_clear()
         for x, y in pairs:
             expected = d_paths_dp(x, y)
-            for form in forms:
-                assert d_paths_formula(form(x), y) == expected
+            for form_x in forms:
+                for form_y in forms:
+                    assert d_paths_formula(form_x(x), form_y(y)) == expected
+        assert _formula_rows.cache_info().currsize == _formula_products.cache_info().currsize == len(pairs)
 
 
 def test_d_from_empty():

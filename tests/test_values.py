@@ -12,7 +12,7 @@ from yflab.experiments import (ConcentrationReport, IdentityResult, SuiteReport,
                                concentration_sweep)
 from yflab.harmonic import BetaPolynomial, d_beta
 from yflab.magic import FactoredTable, MagicTable, SymbolicCell, build_table, factored_table, symbolic_entry
-from yflab.words import Level, enumerate_level, parse
+from yflab.words import Level, YFWord, enumerate_level, parse
 
 W22 = TailOnesWord(parse("22"))
 LEVEL1 = Level(1, (parse("1"),))
@@ -143,6 +143,16 @@ def test_validation_is_unchanged():
     assert p.coeffs == (Fr(1), Fr(1, 2)) and all(type(c) is Fr for c in p.coeffs)
     assert BetaPolynomial(coeffs=[0, 0]).coeffs == ()
     assert IdentityResult("sum", 3, 0).first_counterexample is None
+
+
+def test_tail_ones_word_converts_a_core_that_is_not_a_yfword():
+    # a str core, other digits and a core beginning with 1 are refused; a tuple of digits is converted
+    for core in ("12", "22", (2, 3), [1, 2]):
+        with pytest.raises(ValueError):
+            TailOnesWord(core)
+    w, parsed = TailOnesWord((2, 1)), TailOnesWord.parse("21")
+    assert type(w.core) is YFWord and w == parsed and hash(w) == hash(parsed)
+    assert repr(w) == "TailOnesWord('21')"
 
 
 def test_records_equal_their_field_tuples():
