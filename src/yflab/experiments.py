@@ -48,18 +48,22 @@ with every row z = 0..length(x), as evtuh7 and evtuh91-93 read every z of
 every word anyway: the f identities compare row entries, the kernels read
 rows at z = h, and kusok's heads and the d_beta identities the rows R(x) at
 z = 0 and their quotients by (1 - beta)^length(x) (_div_one_minus_beta).
+After evtuh93 the memo keeps only the rows at z = 0 and z = h(x, w).
 Every polynomial it decides is one int coefficient list, compared exactly or
 evaluated at each beta (boundary._scaled_value).  kusok's two sides differ
 by one int polynomial per (x, w) in beta, the column law sum's by one per
-(w, n, y) in (1 - beta^2), from a magic table built once per (w, n) as
-integer cells (magic.FactoredTable) from the class engine.  stolb, lehamed
-and zabe are decided at each beta on ints over one denominator; zabe
-compares the table's row sums with masses from the pointwise kernel of
-boundary._kernel_terms, so it checks two engines against each other, and
-takes d(empty, v) once per word.  A _SuiteContext holds, for one suite run,
-the rows, the kernel coefficients per (x, w) (the package's only kernel
-cache), the factored tables, their column sums at each beta, the closed
-column coefficients, the column bounds, and each word's quotient.
+(w, n, y) in (1 - beta^2); a difference with no nonzero coefficient is
+decided once, without evaluation.  The magic tables are integer cells
+(magic.FactoredTable), all ranks of a core assembled from one class pass at
+the top rank (magic._class_pass).  stolb, lehamed and zabe are decided at
+each beta on ints: stolb and lehamed read each column bound as an int pair
+(num, den), zabe compares the table's row sums with masses from the
+pointwise kernel of boundary._kernel_terms, so it checks two engines
+against each other, and takes d(empty, v) once per word.  The splits of
+razbivaem and meexy are plain digit tuples.  A _SuiteContext holds, for one
+suite run, the rows, the kernel coefficients per (x, w) (the package's only
+kernel cache), the factored tables, their column sums at each beta, the
+closed column coefficients, the column bounds, and each word's quotient.
 """
 
 from __future__ import annotations
@@ -68,15 +72,15 @@ import os
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, partial
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
                        _roots_at, _scaled_value, h_infinite, mass_weights)
 from .harmonic import (_csv_rows, _f_row, _f_rows, _g_ratio_parts, _scaled_f, format_rational,
                        pi, q)
-from .magic import (FactoredTable, column_bound, column_closed_form_coeffs, factored_table,
-                    level_product)
+from .magic import (FactoredTable, _assemble_table, _class_pass, _column_bound_parts,
+                    column_closed_form_coeffs, level_product)
 from .pathcount import d_from_empty
 from .words import YFWord, _Frozen, enumerate_level, prefix, suffix, suffix_ranks
 
@@ -580,8 +584,8 @@ def _check_kusok(ctx, rec):
     split into head (rank r - y) and tail (rank y) contributes
     C(r, y) R(head)[k] * sum(T(tail)) to the coefficient of beta^(y+k), with
     R the z = 0 row of the suite's f memo and sum(T(tail)) / (y! D1) = d'_1(tail, w).
-    The int difference of the two sides is formed once per (x, w) and
-    evaluated at each beta.
+    The int difference of the two sides is formed once per (x, w); it is
+    evaluated at each beta only when some coefficient is nonzero.
     """
     for x in _all_words(ctx.max_rank):
         r = sum(x)
@@ -594,8 +598,9 @@ def _check_kusok(ctx, rec):
                 for k, c in enumerate(row):
                     if c:
                         diff[y + k] -= c * tail_sum
+            zero = not any(diff)
             for beta in ctx.betas:
-                rec.check(_scaled_value(diff, beta, r) == 0,
+                rec.check(zero or _scaled_value(diff, beta, r) == 0,
                           lambda x=x, w=w, b=beta: f"x={x.text} core={w.core.text or 'eps'} beta={b}")
 
 
@@ -603,8 +608,8 @@ def _check_razbivaem(ctx, rec):
     """d(empty, head + tail) = d(empty, tail) * d(empty, head + 1^rank(tail))."""
     for x in _all_words(ctx.max_rank):
         lhs = d_from_empty(x)
-        for i in range(len(x) + 1):
-            head, tail = prefix(x, i), suffix(x, i)
+        for i in range(len(x) + 1):  # i = length(tail)
+            head, tail = x[:len(x) - i], x[len(x) - i:]
             rhs = d_from_empty(tail) * d_from_empty(head + (1,) * sum(tail))
             rec.check(lhs == rhs, lambda x=x, i=i: f"x={x.text} split={i}")
 
@@ -614,8 +619,8 @@ def _check_meexy(ctx, rec):
     harmonic._g_ratio_parts."""
     for v in _all_words(ctx.max_rank):
         num, den = _g_ratio_parts(v, 1)
-        for i in range(len(v) + 1):
-            head, tail = prefix(v, i), suffix(v, i)
+        for i in range(len(v) + 1):  # i = length(tail)
+            head, tail = v[:len(v) - i], v[len(v) - i:]
             y = sum(tail)
             head_num, head_den = _g_ratio_parts(head + (1,) * y, 1)
             tail_num, tail_den = _g_ratio_parts(tail, 1)
@@ -725,42 +730,47 @@ def _check_sum(ctx, rec):
     the table's coefficients are FactoredTable.columns[y] over its den, the
     closed form's are column_closed_form_coeffs(n, y) over (n - y)!, the same
     for every w.  Their difference over den (n - y)! is formed once per
-    (w, n, y) and evaluated at 1 - beta^2 for each beta.
+    (w, n, y); only a nonzero one is evaluated at 1 - beta^2 for each beta.
     """
     diffs = {}
     for (w, n), table in ctx.tables.items():
         for y, column in enumerate(table.columns):
             fac = factorial(n - y)
-            diffs[w, n, y] = [c * fac - b * table.den
-                              for c, b in zip(column, ctx.closed_columns[n, y])]
+            diff = [c * fac - b * table.den for c, b in zip(column, ctx.closed_columns[n, y])]
+            diffs[w, n, y] = diff if any(diff) else None
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 for y in range(n + 1):
-                    rec.check(_scaled_value(diffs[w, n, y], 1 - beta * beta, n - y) == 0,
+                    diff = diffs[w, n, y]
+                    rec.check(diff is None or _scaled_value(diff, 1 - beta * beta, n - y) == 0,
                               lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_stolb(ctx, rec):
-    """Every column sum respects the product bound, compared as ints: total / den <= b
-    iff total * b.denominator <= b.numerator * den."""
+    """Every column sum respects the product bound, compared as ints: total / den <=
+    num / bound_den iff total * bound_den <= num * den."""
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 sums, den = ctx.column_sums[w, beta, n]
                 for y, total in enumerate(sums):
-                    bound = ctx.column_bounds[beta, n, y]
-                    rec.check(total * bound.denominator <= bound.numerator * den,
+                    num, bound_den = ctx.column_bounds[beta, n, y]
+                    rec.check(total * bound_den <= num * den,
                               lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 
 def _check_lehamed(ctx, rec):
-    """Column bounds sum to at most 1 + 1/beta; so does the whole table, whose total
-    sum / den at beta = p/q is compared as sum * p <= (p + q) * den."""
+    """Column bounds sum to at most 1 + 1/beta; so does the whole table.  At beta = p/q
+    both totals are ints over one denominator D and compared as total * p <= (p + q) * D:
+    the bounds over the lcm of their denominators, the table over its den."""
     for beta in ctx.betas:
+        p, q = beta.numerator, beta.denominator
         for n in range(ctx.max_rank + 1):
-            bound_total = sum((ctx.column_bounds[beta, n, y] for y in range(n + 1)), Fraction(0))
-            rec.check(bound_total <= 1 + 1 / beta, lambda b=beta, n=n: f"beta={b} n={n}")
+            bounds = [ctx.column_bounds[beta, n, y] for y in range(n + 1)]
+            den = lcm(*(bound_den for _, bound_den in bounds))
+            bound_total = sum(num * (den // bound_den) for num, bound_den in bounds)
+            rec.check(bound_total * p <= (p + q) * den, lambda b=beta, n=n: f"beta={b} n={n}")
     for w in ctx.ws:
         for beta in ctx.betas:
             p, q = beta.numerator, beta.denominator
@@ -821,17 +831,25 @@ IDENTITY_CHECKS: tuple[tuple[str, Callable], ...] = (
 
 class _SuiteContext(_Frozen):
     def __init__(self, max_rank: int, betas: tuple[Fraction, ...], ws: tuple[TailOnesWord, ...]):
-        vars(self).update(max_rank=max_rank, betas=betas, ws=ws)  # beside the cached properties
-
-    @cached_property
-    def rows(self) -> Callable[[Sequence[int]], list[list[int]]]:
-        """harmonic._f_rows(x, length(x)), every int row of a word, built once per word
-        and held for this suite run; the suite's only f source."""
-        return lru_cache(maxsize=None)(lambda x: _f_rows(x, len(x)))
+        # beside the cached properties; rows maps each word to its rows by z
+        vars(self).update(max_rank=max_rank, betas=betas, ws=ws, rows={})
 
     def row(self, x: Sequence[int], z: int) -> list[int]:
-        """The row [rank(x)! f(x, y, z) for y = 0..rank(x)], read from self.rows."""
-        return self.rows(x)[z]
+        """The row [rank(x)! f(x, y, z) for y = 0..rank(x)], read from self.rows: the
+        suite's only f source, harmonic._f_rows(x, length(x)) built once per word on
+        first use, every row z, until cut_rows keeps fewer."""
+        rows = self.rows.get(x)
+        if rows is None:
+            rows = self.rows[x] = _f_rows(x, len(x))
+        return rows[z]
+
+    def cut_rows(self) -> None:
+        """Keep each held word's rows at z = 0 and z = h(x, w) for each core, and drop the
+        rest.  Only evtuh7 and evtuh91-93 read rows at other z; every later check reads
+        z = 0 (kusok's heads, odnoitozhe and the d_beta identities) or z = h (the
+        kernels), so a later read of a dropped row is a KeyError."""
+        for x, rows in self.rows.items():
+            self.rows[x] = {z: rows[z] for z in {0, *(h_infinite(x, w).length for w in self.ws)}}
 
     @cached_property
     def kernel_terms(self) -> Callable[[YFWord, TailOnesWord], tuple[list[int], int]]:
@@ -841,9 +859,15 @@ class _SuiteContext(_Frozen):
 
     @cached_property
     def tables(self) -> dict[tuple[TailOnesWord, int], FactoredTable]:
-        """One factored table per (w, n), from the class engine (magic.factored_table),
-        built on first use and held for this suite run."""
-        return {(w, n): factored_table(w, n) for w in self.ws for n in range(self.max_rank + 1)}
+        """One factored table per (w, n), built on first use and held for this suite run:
+        one class pass per core at max_rank (magic._class_pass) serves the tables of
+        every rank up to it."""
+        tables = {}
+        for w in self.ws:
+            known, d1 = _class_pass(w, self.max_rank)
+            for n in range(self.max_rank + 1):
+                tables[w, n] = _assemble_table(w, n, known, d1)
+        return tables
 
     @cached_property
     def column_sums(self) -> dict[tuple[TailOnesWord, Fraction, int], tuple[list[int], int]]:
@@ -860,10 +884,11 @@ class _SuiteContext(_Frozen):
                 for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
-    def column_bounds(self) -> dict[tuple[Fraction, int, int], Fraction]:
-        """column_bound(beta, n, y) for every beta and column up to max_rank, held for
-        this suite run; stolb and lehamed share it for every core."""
-        return {(beta, n, y): column_bound(beta, n, y)
+    def column_bounds(self) -> dict[tuple[Fraction, int, int], tuple[int, int]]:
+        """magic.column_bound(beta, n, y) as its int pair (num, den) for every beta and
+        column up to max_rank, held for this suite run; stolb and lehamed share it
+        for every core."""
+        return {(beta, n, y): _column_bound_parts(beta, n, y)
                 for beta in self.betas for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
@@ -898,4 +923,6 @@ def identity_suite(max_rank: int) -> SuiteReport:
         rec = _Recorder()
         check(ctx, rec)
         results.append(rec.result(name))
+        if name == "evtuh93":  # the last f identity that reads rows at every z
+            ctx.cut_rows()
     return SuiteReport(max_rank, tuple(results))

@@ -20,9 +20,13 @@ By the product form d(empty, x) = rank(x)! q(x) (Goodman-Kerov),
 H(head) = (n - y)! / d(empty, head), so C = C(n, y) d(empty, v)
 d(empty, head) S(tail): a product of ints, with no division.
 factored_table reads d(empty, t) and S(t) of every word t of rank <= n from
-one pass over the class words (boundary._class_words): for t of rank r with
-state vector X, S(t) = sum_i C(r, i) P_i X[i] / d(empty, t) with
-P = harmonic._g_products(core, n), a division asserted exact.
+one pass over the class words (boundary._class_words, in _class_pass): for t
+of rank r with state vector X, S(t) = sum_i C(r, i) P_i X[i] / d(empty, t)
+with P = harmonic._g_products(core, n), a division asserted exact.  Entries
+i <= r of X and of P do not depend on the pass's top rank, so one pass at a
+top rank serves the tables of every rank up to it: factored_table runs one at
+n and assembles the cells (_assemble_table), the identity suite one per core
+at its top rank for all its tables.
 
 At beta = p/q the entry is C p^y (q^2 - p^2)^k q^(2n-y-2k) / (den q^(2n))
 with k = length(head), so the column sums, row sums and totals at any beta
@@ -36,8 +40,10 @@ with, so the comparison crosses two engines.
 As polynomials in (1 - beta^2), times beta^y, the column sums of every w
 and their closed form have int coefficients over den and over (n - y)!
 (FactoredTable.columns, column_closed_form_coeffs); the identity suite
-checks the column law by evaluating their int difference at each beta.  The
-row, column and total bounds are inequalities and are checked at each beta.
+checks the column law on their int difference, evaluated at each beta only
+when it is nonzero.  The row, column and total bounds are inequalities and
+are checked at each beta, the column bound as the int pair of
+_column_bound_parts.
 """
 
 from __future__ import annotations
@@ -222,17 +228,24 @@ def _beta_weights(n: int, beta: Fraction) -> tuple[tuple[tuple[int, ...], ...], 
                   for y in range(n + 1)), q_pow[2 * n])
 
 
-def factored_table(w: TailOnesWord, n: int) -> FactoredTable:
-    """The factored table for (w, n): each cell the int product C(n, y) d(empty, v)
-    d(empty, head) S(tail), its factors read from one pass over the class words
-    (see the module docstring)."""
-    products = _g_products(w.core, n)
-    scaled = [[comb(r, i) * P for i, P in enumerate(products[:r + 1])] for r in range(n + 1)]
-    known = {}  # word -> (d(empty, word), S(word))
-    for digits, (r, vec, d, _) in _class_words(w, n):
+def _class_pass(w: TailOnesWord, top: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
+    """({word: (d(empty, word), S(word))} over the words of rank <= top, and
+    D1 = prod_j g(w, j)), from one pass over the class words; it serves the
+    table of every rank up to top (see the module docstring)."""
+    products = _g_products(w.core, top)
+    scaled = [[comb(r, i) * P for i, P in enumerate(products[:r + 1])] for r in range(top + 1)]
+    known = {}
+    for digits, (r, vec, d, _) in _class_words(w, top):
         S, remainder = divmod(sum(map(mul, scaled[r], vec)), d)
         assert remainder == 0, f"kernel sum of {digits} for {w} is inexact"
         known[digits] = d, S
+    return known, products[0]
+
+
+def _assemble_table(w: TailOnesWord, n: int, known: dict[tuple[int, ...], tuple[int, int]],
+                    d1: int) -> FactoredTable:
+    """The factored table for (w, n) from a _class_pass(w, top >= n): each cell the int
+    product C(n, y) d(empty, v) d(empty, head) S(tail)."""
     level = enumerate_level(n)
     binom = [comb(n, y) for y in range(n + 1)]
     rows = []
@@ -244,7 +257,12 @@ def factored_table(w: TailOnesWord, n: int) -> FactoredTable:
             if k < len(v):
                 y -= v[k]
         rows.append(tuple(cells))
-    return FactoredTable(w, n, level, factorial(n) * products[0], tuple(rows))
+    return FactoredTable(w, n, level, factorial(n) * d1, tuple(rows))
+
+
+def factored_table(w: TailOnesWord, n: int) -> FactoredTable:
+    """The factored table for (w, n): one class pass at rank n, then its cells."""
+    return _assemble_table(w, n, *_class_pass(w, n))
 
 
 def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:
@@ -290,6 +308,16 @@ def level_product(n: int, y: int) -> Fraction:
     return out
 
 
+def _column_bound_parts(beta: Fraction, n: int, y: int) -> tuple[int, int]:
+    """column_bound(beta, n, y) as an unreduced int pair (num, den): with beta = p/q
+    and k = floor((n - y)/2), num = prod_{i=1..k} (2i + y) * p^y (q^2 - p^2)^k and
+    den = 2^k k! q^(y + 2k)."""
+    p, q = beta.numerator, beta.denominator
+    k = (n - y) // 2
+    return (prod(range(y + 2, y + 2 * k + 1, 2)) * p ** y * (q * q - p * p) ** k,
+            2 ** k * factorial(k) * q ** (y + 2 * k))
+
+
 def column_bound(beta: Fraction, n: int, y: int) -> Fraction:
     """Upper bound for a column sum: level_product * beta^y * (1-beta^2)^floor((n-y)/2)."""
-    return level_product(n, y) * beta ** y * (1 - beta * beta) ** ((n - y) // 2)
+    return Fraction(*_column_bound_parts(beta, n, y))

@@ -23,7 +23,7 @@ from yflab.experiments import (
     sweep_many,
 )
 from yflab.harmonic import d_beta, f, pi, q
-from yflab.magic import FactoredTable, column_sum_closed_form, magic_entry
+from yflab.magic import FactoredTable, column_sum_closed_form, factored_table, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
 from reference_values import f_by_recursion
@@ -407,17 +407,54 @@ def test_identity_suite_rank_cap():
 
 
 def test_identity_suite_builds_each_table_once(monkeypatch):
-    calls = []
-    original = experiments.factored_table
+    passes, tables = [], []
+    original_pass, original_assemble = experiments._class_pass, experiments._assemble_table
 
-    def counting(w, n):
-        calls.append((w, n))
-        return original(w, n)
+    def counting_pass(w, top):
+        passes.append((w, top))
+        return original_pass(w, top)
 
-    monkeypatch.setattr(experiments, "factored_table", counting)
+    def counting_assemble(w, n, known, d1):
+        tables.append((w, n))
+        return original_assemble(w, n, known, d1)
+
+    monkeypatch.setattr(experiments, "_class_pass", counting_pass)
+    monkeypatch.setattr(experiments, "_assemble_table", counting_assemble)
     assert identity_suite(3).all_passed
-    assert len(calls) == 4 * 4  # cores x ranks 0..3; each table serves every beta
-    assert len(set(calls)) == len(calls)
+    # one class pass per core at the suite's top rank serves the tables of every
+    # rank; each table is assembled once and serves every beta
+    assert passes == [(w, 3) for w in CORES]
+    assert len(tables) == 4 * 4  # cores x ranks 0..3
+    assert set(tables) == {(w, n) for w in CORES for n in range(4)}
+
+
+def test_suite_tables_equal_single_table_builds():
+    # the suite assembles ranks 0..max_rank from one class pass per core at
+    # max_rank; each table must equal the one built at its own rank
+    ctx = experiments._SuiteContext(8, experiments.DEFAULT_BETA_GRID, tuple(CORES))
+    assert set(ctx.tables) == {(w, n) for w in CORES for n in range(9)}
+    for (w, n), table in ctx.tables.items():
+        assert table == factored_table(w, n), (w, n)
+
+
+def test_identity_suite_cuts_the_row_memo_after_the_f_identities(monkeypatch):
+    # after evtuh93, each word keeps its rows at z = 0 and z = h(x, w) for each
+    # core; no later check reads another row, and none is rebuilt
+    contexts, held_at_cut = [], []
+
+    class Recording(experiments._SuiteContext):
+        def cut_rows(self):
+            contexts.append(self)
+            super().cut_rows()
+            held_at_cut.append({x: set(rows) for x, rows in self.rows.items()})
+
+    monkeypatch.setattr(experiments, "_SuiteContext", Recording)
+    assert identity_suite(6).all_passed
+    (ctx,) = contexts
+    expected = {x: {0} | {boundary.h_infinite(x, w).length for w in CORES}
+                for n in range(7) for x in enumerate_level(n)}
+    assert held_at_cut == [expected]
+    assert {x: set(rows) for x, rows in ctx.rows.items()} == expected
 
 
 def _rows_with_f_21_0_0_raised(x, top):
@@ -599,11 +636,11 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
     # points only when they differ; a perturbed factored cell must give the
     # failures and the witness of the literal pointwise column check
     w22, v, split = CORES[2], parse("2111"), 1  # head 2, tail 111
-    original = experiments.factored_table
+    original = experiments._assemble_table
     perturbation = {}
 
-    def perturbed(w, n):
-        table = original(w, n)
+    def perturbed(w, n, known, d1):
+        table = original(w, n, known, d1)
         if (w, n) != (w22, 5):
             return table
         rows = [list(cells) for cells in table.rows]
@@ -613,7 +650,7 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
         perturbation.update(y=y, k=k, den=table.den)
         return FactoredTable(table.w, table.n, table.level, table.den, tuple(tuple(cells) for cells in rows))
 
-    monkeypatch.setattr(experiments, "factored_table", perturbed)
+    monkeypatch.setattr(experiments, "_assemble_table", perturbed)
     report = {r.name: r for r in identity_suite(5).results}
     y, k = perturbation["y"], perturbation["k"]
     failures, first = 0, None
@@ -632,6 +669,30 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
     assert (y, k) == (3, 1) and failures == 3
     assert report["sum"].instances == 4 * 4 * sum(n + 1 for n in range(6))
     assert (report["sum"].failures, report["sum"].first_counterexample) == (failures, first)
+
+
+def test_kusok_and_sum_decide_zero_differences_without_evaluation(monkeypatch):
+    # on correct code every difference of kusok and sum is the zero polynomial,
+    # decided once per polynomial; no check evaluates it at a beta
+    calls, current = Counter(), [None]
+    original = experiments._scaled_value
+
+    def counting(coeffs, t, degree):
+        calls[current[0]] += 1
+        return original(coeffs, t, degree)
+
+    def tagged(name, check):
+        def run(ctx, rec):
+            current[0] = name
+            check(ctx, rec)
+        return run
+
+    monkeypatch.setattr(experiments, "_scaled_value", counting)
+    monkeypatch.setattr(experiments, "IDENTITY_CHECKS",
+                        tuple((name, tagged(name, check)) for name, check in experiments.IDENTITY_CHECKS))
+    assert identity_suite(5).all_passed
+    assert calls["kusok"] == calls["sum"] == 0
+    assert calls["mamka2"] > 0 and calls["zabe"] > 0  # the counter sees the other callers
 
 
 def test_suite_report_formats():

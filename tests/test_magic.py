@@ -4,6 +4,7 @@ import pytest
 
 from yflab.boundary import TailOnesWord, d1_prime, mu
 from yflab.magic import (
+    _column_bound_parts,
     build_table,
     column_bound,
     column_sum_closed_form,
@@ -193,6 +194,17 @@ def test_factored_table_matches_pointwise_entries_on_suite_grid():
                 assert [Fr(c, den) for c in columns] == [sum(col) for col in zip(*rows)]
                 row_sums, den = table.row_sums(beta)
                 assert [Fr(r, den) for r in row_sums] == [sum(row) for row in rows]
+
+
+def test_int_column_bound_equals_the_fraction_product():
+    # the identity suite compares column sums with the int pair; it must equal
+    # level_product * beta^y * (1 - beta^2)^floor((n - y)/2) on the suite's grid
+    for beta in (Fr(1, 4), HALF, Fr(3, 4), Fr(1)):
+        for n in range(13):
+            for y in range(n + 1):
+                num, den = _column_bound_parts(beta, n, y)
+                expected = level_product(n, y) * beta ** y * (1 - beta * beta) ** ((n - y) // 2)
+                assert Fr(num, den) == expected == column_bound(beta, n, y), (beta, n, y)
 
 
 def test_factored_table_equals_the_kernel_reference():
