@@ -101,7 +101,7 @@ from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .harmonic import _f_row, _g_products
+from .harmonic import _f_row, _g_products, check_beta
 from .pathcount import d_from_empty, d_paths_dp
 from .words import EPSILON, YFWord, _Frozen, check_level_rank
 
@@ -227,8 +227,7 @@ def _scaled_value(coeffs: Sequence[int], t: Fraction, degree: int) -> int:
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:
     """The kernel d'_beta(x, w); see the module docstring."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     terms, den = _kernel_terms(x, w)
     beta, rank = Fraction(beta), len(terms) - 1
     return Fraction(_scaled_value(terms, beta, rank), den * beta.denominator ** rank)
@@ -389,8 +388,7 @@ def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribu
     (W, D) = mass_weights(w, beta, n).  The ints are asserted to sum to n! D before
     one Fraction is built per word.  Words of one rank sort as tuples in level
     order, so no level is enumerated or cached."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     check_level_rank(n)
     weights, den = mass_weights(w, Fraction(beta), n)
     den *= factorial(n)

@@ -25,7 +25,8 @@ from typing import Iterator, TextIO
 
 from .boundary import TailOnesWord, d_beta_prime, level_distribution
 from .experiments import concentration_sweep, identity_suite
-from .harmonic import _csv_rows, d_beta, f, format_rational, g_all, parse_rational, pi, q
+from .harmonic import (_csv_rows, check_beta, d_beta, f, format_rational, g_all, parse_rational,
+                       pi, q)
 from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
 from .words import YFWord, fibonacci, iter_level
@@ -49,10 +50,7 @@ def _word(text: str) -> YFWord:
 
 
 def _beta(text: str) -> Fraction:
-    value = parse_rational(text)
-    if not 0 < value <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {text}")
-    return value
+    return check_beta(parse_rational(text), text)
 
 
 def _n_range(text: str) -> list[int]:

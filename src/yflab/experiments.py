@@ -31,15 +31,18 @@ all ones.  A pi bin outside (lo, hi) sorts the b by pi(b) and the u by pi(u);
 as pi(u) rises, the number m of keys at most lo / pi(u) (or below hi / pi(u))
 cannot, so one pointer walks down the keys, and the Y_u of a run of equal m
 sum to the difference of one running sum at its ends.  One pass over the keys
-dots each run with the running X sum of the keys below it.  This costs about
-Fib(n / 2) vectors per side, and one vector add per u.
+multiplies each run entrywise by the running X sum of the keys below it.  This
+costs about Fib(n / 2) vectors per side, and one vector add per u.
 
-The engines divide only where the chain is built (boundary), each division
-asserted exact.  Every sum is an int over n! D; sweep_many asserts each
-engine's total to be n! D at every rank and builds one Fraction per
-(beta, bin, rank).  With pi bins and jobs > 1 it opens one fork pool of
-min(jobs, os.cpu_count()) workers from rank _POOL_RANK on, each worker
-taking a share of the left halves.
+No beta enters either engine: each sums X vectors of n + 1 ints, per class
+or per pi bin, and divides only where the chain is built (boundary), each
+division asserted exact.  With c_i = C(n, i) P_i and P the vector
+harmonic._g_products(core, n), the mass of a bin at beta is the polynomial
+sum_i c_i bin_i beta^i / (n! P_0).  sweep_many asserts c times each engine's
+total to be (n! P_0, 0, ..., 0) at every rank, so the masses sum to 1 at
+every beta, and builds one Fraction per (beta, bin, rank).  With pi bins and
+jobs > 1 it opens one fork pool of min(jobs, os.cpu_count()) workers from
+rank _POOL_RANK on, each worker taking a share of the left halves.
 
 The identity suite checks every identity exhaustively over the beta grid
 and the cores, and counts one instance per (word or table, beta).  It reads
@@ -52,8 +55,9 @@ After evtuh93 the memo keeps only the rows at z = 0 and z = h(x, w).
 Every polynomial it decides is one int coefficient list, compared exactly or
 evaluated at each beta (boundary._scaled_value).  kusok's two sides differ
 by one int polynomial per (x, w) in beta, the column law sum's by one per
-(w, n, y) in (1 - beta^2); a difference with no nonzero coefficient is
-decided once, without evaluation.  The magic tables are integer cells
+(w, n, y) in (1 - beta^2); each is decided once on its coefficients, so an
+instance holds for every beta in (0, 1], and a nonzero difference fails at
+every grid point, also where it vanishes.  The magic tables are integer cells
 (magic.FactoredTable), all ranks of a core assembled from one class pass at
 the top rank (magic._class_pass).  stolb, lehamed and zabe are decided at
 each beta on ints: stolb and lehamed read each column bound as an int pair
@@ -73,12 +77,13 @@ from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property, cmp_to_key, lru_cache, partial
 from math import comb, factorial, gcd, lcm, prod
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
-                       _roots_at, _scaled_value, h_infinite, mass_weights)
-from .harmonic import (_csv_rows, _f_row, _f_rows, _g_ratio_parts, _scaled_f, format_rational,
-                       pi, q)
+                       _roots_at, _scaled_value, h_infinite)
+from .harmonic import (_csv_rows, _f_row, _f_rows, _g_products, _g_ratio_parts, _scaled_f,
+                       check_beta, format_rational, pi, q)
 from .magic import (FactoredTable, _assemble_table, _class_pass, _column_bound_parts,
                     column_closed_form_coeffs, level_product)
 from .pathcount import d_from_empty
@@ -111,8 +116,7 @@ def r_sets(w: TailOnesWord, beta: Fraction, n: int,
         raise ValueError("n must be nonnegative")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     piw = pi(w)
     lo, hi = piw * (beta - eps), piw * (beta + eps)
     inside, outside = set(), set()
@@ -190,21 +194,20 @@ def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
 # Class sums and the split-sum engine
 # ---------------------------------------------------------------------------
 
-def _class_masses(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
-                  factors: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
-    """(common-suffix rank, [n! D_b mu(class) for each beta b]) per class of roots,
-    scaled[b][i] = C(n, i) W_i: a root (r, X) gives sum_i scaled[b][i] X[i] S_i(r),
-    S_i(r) the sum of Y_u[i] over the u of rank n - r.  Split by u's last digit,
+def _class_masses(roots: Sequence[tuple[int, _State]], n: int,
+                  factors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[int]]]:
+    """(common-suffix rank, the X sum of the class) for each class of roots, one at a
+    time: a root (r, X) gives X[i] S_i(r), S_i(r) the sum of Y_u[i] over the u of
+    rank n - r.  Split by u's last digit,
 
         S_i(n) = S_i(n - 1) = 1,  S_i(r) = S_i(r + 1) + G (G - i) S_i(r + 2),  G = r + 1,
 
     so one pass of O(n^2) int products serves every class of the rank; factors is
-    _g_factors(top) for some top >= n."""
+    _g_factors(top) for some top >= n.  No beta enters (see sweep_many)."""
     sums = [[0] * (n + 1), [1] * (n + 1)]  # S(n + 1) = 0 and S(n), then S(r) down to S(0)
     for G in range(n, 0, -1):
         sums.append([a + c * b for a, b, c in zip(sums[-1], sums[-2], factors[G])])
-    return [(h_rank, [_dot(cw, vec, sums[n + 1 - r]) for cw in scaled])
-            for h_rank, (r, vec, _, _) in roots]
+    return ((h_rank, list(map(mul, vec, sums[n + 1 - r]))) for h_rank, (r, vec, _, _) in roots)
 
 
 def _add_into(groups: dict, key, vec: list[int]) -> None:
@@ -215,16 +218,16 @@ def _add_into(groups: dict, key, vec: list[int]) -> None:
 
 
 def _left_groups(lefts: Sequence[_State], n: int, keys: Sequence[tuple[int, int]],
-                 cuts: Sequence[tuple[int, Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
+                 cuts: Sequence[tuple[Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
     """The sum of the vectors of lefts (the left halves of one right-half rank,
-    ascending in pi(u)) and, per cut (b, lo, hi) of pi(v), two dicts m -> the sum
+    ascending in pi(u)) and, per cut (lo, hi) of pi(v), two dicts m -> the sum
     over the u with m keys (ascending pi(b)) at most lo / pi(u), or below
     hi / pi(u); a run of equal m is a difference of two running sums."""
     zero = [0] * (n + 1)
     # per bound: its terms, the least pi_b.num * td - tn * pi_b.den that drops b,
     # m, the running sum where m's run starts, and m -> the run's sum
     sides = [[bound.numerator, bound.denominator, least, len(keys), zero, {}]
-             for _, lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
+             for lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
     total = zero
     for _, vec, d, pi_num in lefts:
         for side in sides:
@@ -242,34 +245,30 @@ def _left_groups(lefts: Sequence[_State], n: int, keys: Sequence[tuple[int, int]
     return total, [(at_most[5], below[5]) for at_most, below in zip(sides[::2], sides[1::2])]
 
 
-def _dot(*vectors: Sequence[int]) -> int:
-    """sum_i of the product of the vectors' entries i."""
-    return sum(map(prod, zip(*vectors)))
-
-
 # A sweep with pi bins and jobs > 1 sums ranks >= _POOL_RANK in its pool:
 # worker p of P grows the right halves from the class roots it is sent and
 # takes the left halves above the states _TASK_DEPTH above each right half
 # whose index is p mod P.  Pi-only sweeps of cores eps, 22 and 212 over the
-# two pi pairs of criterion 8, medians of 7 alternated runs (14 at 32 and 34)
-# on a 2-vCPU VM (Python 3.11), serial against 2 workers: 0.12 / 0.21 s at
-# rank 28, 0.21 / 0.27 s at 30, 0.38 / 0.38 s at 32 (peak RSS 24 / 21 MiB),
-# 0.63 / 0.60 s at 34 and 1.10 / 0.90 s at 36.
-_POOL_RANK = 32
+# two pi pairs of criterion 8, medians of 7 alternated fresh processes on a
+# 2-vCPU VM (Python 3.11), serial against 2 workers: 0.32 / 0.39 s at rank
+# 34, 0.52 / 0.53 s at 36, 0.90 / 0.77 s at 38 (peak RSS 49 / 37 MiB),
+# 1.65 / 1.33 s at 40 and 3.58 / 2.82 s at 42; the pool won 4 of 7 pairs at
+# 36 and 6 of 7 at 38.
+_POOL_RANK = 38
 _TASK_DEPTH = 6
 
 
-def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Sequence[int]],
-                factors: Sequence[Sequence[int]], cuts: Sequence[tuple[int, Fraction, Fraction]],
-                share: tuple[int, int] = (0, 1), split: Optional[int] = None) -> list[int]:
-    """Sums of n! D_b mu(v) over the rank-n words v, scaled[b][i] = C(n, i) W_i: all
-    words, one sum per beta b, then per cut (b, lo, hi) those with pi(v) outside
-    the open interval (lo, hi).  Right halves grow from the class roots to rank
-    split (default n // 2) and the left halves are sorted by pi(u), as in the
-    module docstring; share = (p, P) keeps and sorts part p of P of the left
-    halves, and the P parts add up to the whole; factors is _g_factors(top)
-    for some top >= n.  A cut with lo >= hi is refused: its two buckets would overlap."""
-    if any(lo >= hi for _, lo, hi in cuts):
+def _split_sums(roots: Sequence[tuple[int, _State]], n: int, factors: Sequence[Sequence[int]],
+                cuts: Sequence[tuple[Fraction, Fraction]], share: tuple[int, int] = (0, 1),
+                split: Optional[int] = None) -> list[list[int]]:
+    """Sums of X(v) over the rank-n words v: all words, then per cut (lo, hi) those
+    with pi(v) outside the open interval (lo, hi); no beta enters, as in
+    _class_masses.  Right halves grow from the class roots to rank split (default
+    n // 2) and the left halves are sorted by pi(u), as in the module docstring;
+    share = (p, P) keeps and sorts part p of P of the left halves, and the P
+    parts add up to the whole; factors is _g_factors(top) for some top >= n.  A
+    cut with lo >= hi is refused: its two buckets would overlap."""
+    if any(lo >= hi for lo, hi in cuts):
         raise ValueError(f"every cut needs lo < hi, got {cuts!r}")
     k = n // 2 if split is None else split
     grow = partial(_grow, factors=factors)
@@ -279,7 +278,7 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
             g = gcd(pi_num, d)
             _add_into(right.setdefault(r, {}), (pi_num // g, d // g), vec)
     part, parts = share
-    sums = [0] * (len(scaled) + len(cuts))
+    sums = [[0] * (n + 1) for _ in range(len(cuts) + 1)]
     for r, by_pi in right.items():
         keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
         tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, grow)
@@ -288,18 +287,17 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, scaled: Sequence[Se
                        key=cmp_to_key(lambda a, b: a[3] * b[2] - b[3] * a[2]))
         total, buckets = _left_groups(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
-        # hi / pi(u); running is the sum over the m smallest keys when bucket m is dotted
+        # hi / pi(u); running is the sum over the m smallest keys when bucket m is taken
         running = [0] * (n + 1)
         for m in range(len(keys) + 1):
             if m:
                 running = [a + v for a, v in zip(running, by_pi[keys[m - 1]])]
-            for j, ((b, _, _), (at_most, below)) in enumerate(zip(cuts, buckets), len(scaled)):
+            for j, (at_most, below) in enumerate(buckets, 1):
                 if m in at_most:
-                    sums[j] += _dot(scaled[b], running, at_most[m])
+                    sums[j] = [s + a * b for s, a, b in zip(sums[j], running, at_most[m])]
                 if m in below:
-                    sums[j] -= _dot(scaled[b], running, below[m])
-        for j, b in enumerate([*range(len(scaled)), *(b for b, _, _ in cuts)]):
-            sums[j] += _dot(scaled[b], running, total)
+                    sums[j] = [s - a * b for s, a, b in zip(sums[j], running, below[m])]
+        sums = [[s + a * b for s, a, b in zip(vector, running, total)] for vector in sums]
     return sums
 
 
@@ -354,59 +352,55 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
 
     Returns a map (mode, beta, parameter, n) -> tail mass.  One chain of class
     roots is built per call, at the top rank (_classes), and each rank takes its
-    roots from it (_roots_at).  Each rank's sums are ints over n! * D_b (D_b the
-    shared weight denominator of beta b): suffix tails from the class masses
-    (_class_masses), pi tails from _split_sums.  The total of each engine used
-    is asserted to equal n! * D_b at every rank, and each tail becomes one
-    Fraction.  jobs is clamped to the CPU count.  With pi parameters and more
-    than one worker, one fork pool opens when some rank is at least _POOL_RANK
-    (32) and shares those ranks' left halves among its workers; suffix tails,
-    lower ranks and one CPU run in-process.  Results are identical for every jobs.
+    roots from it (_roots_at).  Each bin of a rank is one beta-free int vector,
+    suffix bins from _class_masses, pi bins from _split_sums; c times each
+    engine's total is asserted to be (n! P_0, 0, ..., 0), and each (bin, beta)
+    becomes one Fraction over n! P_0 q^n (see the module docstring).  jobs is
+    clamped to the CPU count.  With pi parameters and more than one worker, one
+    fork pool opens when some rank is at least _POOL_RANK (38) and shares those
+    ranks' left halves among its workers; suffix tails, lower ranks and one CPU
+    run in-process.  Results are identical for every jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if any(n < 0 for n in n_list):
         raise ValueError(f"ranks must be nonnegative, got {list(n_list)}")
-    betas = list(dict.fromkeys(beta for beta, _ in (*suffix_params, *pi_params)))
-    for beta in betas:
-        if not 0 < beta <= 1:
-            raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    for beta, _ in (*suffix_params, *pi_params):
+        check_beta(beta)
     suffix_params = [(beta, _suffix_rank(l)) for beta, l in suffix_params]
     if any(e <= 0 for _, e in pi_params):
         raise ValueError("eps must be positive")
     piw = pi(w)
-    cuts = [(betas.index(beta), piw * (beta - e), piw * (beta + e)) for beta, e in pi_params]
+    cuts = [(piw * (beta - e), piw * (beta + e)) for beta, e in pi_params]
     workers = min(jobs, os.cpu_count() or 1)
     pooled = [n for n in n_list if n >= _POOL_RANK] if workers > 1 and cuts else []
     results: dict[tuple[Mode, Fraction, Param, int], Fraction] = {}
     top = max(n_list, default=0)
-    classes, factors = _classes(w, top), _g_factors(top)
+    classes, factors, products = _classes(w, top), _g_factors(top), _g_products(w.core, top)
     if pooled:
         import multiprocessing  # only pooled pi sweeps need it; every command's start-up skips it
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
-            weights = [mass_weights(w, beta, n) for beta in betas]
-            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
-            scales = [factorial(n) * den for _, den in weights]
+            coeffs = [comb(n, i) * P for i, P in enumerate(products[:n + 1])]
+            unit = [factorial(n) * products[0]] + [0] * n  # 1 as a polynomial over n! P_0
             roots = _roots_at(classes, n)
-            masses = _class_masses(roots, n, scaled, factors)
-            assert [sum(column) for column in zip(*(m for _, m in masses))] == scales, \
-                f"level {n} class masses do not sum to 1"
-            for beta, l in suffix_params:
-                b = betas.index(beta)
-                results["suffix", beta, l, n] = Fraction(sum(m[b] for h, m in masses if h < l),
-                                                         scales[b])
-            if not cuts:
-                continue
-            if n in pooled:
-                parts = pool.starmap(_split_sums, [(roots, n, scaled, factors, cuts, (p, workers))
-                                                   for p in range(workers)])
-            else:
-                parts = [_split_sums(roots, n, scaled, factors, cuts)]
-            sums = [sum(column) for column in zip(*parts)]
-            assert sums[:len(betas)] == scales, f"level {n} split masses do not sum to 1"
-            for (beta, e), (b, _, _), total in zip(pi_params, cuts, sums[len(betas):]):
-                results["pi", beta, e, n] = Fraction(total, scales[b])
+            total, below = [0] * (n + 1), {l: [0] * (n + 1) for _, l in suffix_params}
+            for h, vector in _class_masses(roots, n, factors):  # one class vector held at a time
+                total = list(map(add, total, vector))
+                below = {l: list(map(add, acc, vector)) if h < l else acc for l, acc in below.items()}
+            totals = {"class": total}
+            bins = {("suffix", beta, l): below[l] for beta, l in suffix_params}
+            if cuts:
+                parts = (pool.starmap(_split_sums, [(roots, n, factors, cuts, (p, workers))
+                                                    for p in range(workers)])
+                         if n in pooled else [_split_sums(roots, n, factors, cuts)])
+                totals["split"], *outside = [list(map(sum, zip(*shares))) for shares in zip(*parts)]
+                bins.update({("pi", beta, e): vector for (beta, e), vector in zip(pi_params, outside)})
+            for engine, total in totals.items():
+                assert list(map(mul, coeffs, total)) == unit, f"level {n} {engine} masses do not sum to 1"
+            for (mode, beta, param), vector in bins.items():
+                value = _scaled_value(list(map(mul, coeffs, vector)), beta, n)
+                results[mode, beta, param, n] = Fraction(value, unit[0] * beta.denominator ** n)
     return results
 
 
@@ -415,7 +409,7 @@ def concentration_sweep(mode: Mode, w: TailOnesWord, beta: Fraction, parameter: 
     """Exact tail mass outside the concentration set, for each rank in n_list.
 
     jobs is passed to sweep_many: it changes no result, and only pi sweeps use a
-    pool, from rank 32 on.
+    pool, from rank 38 on.
     """
     if mode not in ("suffix", "pi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -584,8 +578,8 @@ def _check_kusok(ctx, rec):
     split into head (rank r - y) and tail (rank y) contributes
     C(r, y) R(head)[k] * sum(T(tail)) to the coefficient of beta^(y+k), with
     R the z = 0 row of the suite's f memo and sum(T(tail)) / (y! D1) = d'_1(tail, w).
-    The int difference of the two sides is formed once per (x, w); it is
-    evaluated at each beta only when some coefficient is nonzero.
+    The int difference of the two sides is formed once per (x, w); each instance
+    (x, w, beta) holds iff no coefficient is nonzero, so for every beta in (0, 1].
     """
     for x in _all_words(ctx.max_rank):
         r = sum(x)
@@ -600,7 +594,7 @@ def _check_kusok(ctx, rec):
                         diff[y + k] -= c * tail_sum
             zero = not any(diff)
             for beta in ctx.betas:
-                rec.check(zero or _scaled_value(diff, beta, r) == 0,
+                rec.check(zero,
                           lambda x=x, w=w, b=beta: f"x={x.text} core={w.core.text or 'eps'} beta={b}")
 
 
@@ -730,20 +724,19 @@ def _check_sum(ctx, rec):
     the table's coefficients are FactoredTable.columns[y] over its den, the
     closed form's are column_closed_form_coeffs(n, y) over (n - y)!, the same
     for every w.  Their difference over den (n - y)! is formed once per
-    (w, n, y); only a nonzero one is evaluated at 1 - beta^2 for each beta.
+    (w, n, y); an instance holds iff no coefficient is nonzero.
     """
-    diffs = {}
+    zero = {}
     for (w, n), table in ctx.tables.items():
         for y, column in enumerate(table.columns):
             fac = factorial(n - y)
-            diff = [c * fac - b * table.den for c, b in zip(column, ctx.closed_columns[n, y])]
-            diffs[w, n, y] = diff if any(diff) else None
+            zero[w, n, y] = all(c * fac == b * table.den
+                                for c, b in zip(column, ctx.closed_columns[n, y]))
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 for y in range(n + 1):
-                    diff = diffs[w, n, y]
-                    rec.check(diff is None or _scaled_value(diff, 1 - beta * beta, n - y) == 0,
+                    rec.check(zero[w, n, y],
                               lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
 
 

@@ -311,11 +311,16 @@ def d_beta(x: YFWord) -> BetaPolynomial:
     return BetaPolynomial(tuple(Fraction(c, fac) for c in _f_rows(x, 0)[0]))
 
 
+def check_beta(beta: Fraction, text: Optional[str] = None) -> Fraction:
+    """beta, refused unless 0 < beta <= 1; the error shows text, as typed, if given."""
+    if not 0 < beta <= 1:
+        raise ValueError(f"beta must lie in (0, 1], got {beta if text is None else text}")
+    return beta
+
+
 def d_beta_eval(x: YFWord, beta: Fraction) -> Fraction:
     """Exact value of the beta polynomial of x at a rational beta in (0, 1]."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return d_beta(x)(beta)
+    return d_beta(x)(check_beta(beta))
 
 
 def format_rational(value: Fraction) -> str:

@@ -40,10 +40,9 @@ with, so the comparison crosses two engines.
 As polynomials in (1 - beta^2), times beta^y, the column sums of every w
 and their closed form have int coefficients over den and over (n - y)!
 (FactoredTable.columns, column_closed_form_coeffs); the identity suite
-checks the column law on their int difference, evaluated at each beta only
-when it is nonzero.  The row, column and total bounds are inequalities and
-are checked at each beta, the column bound as the int pair of
-_column_bound_parts.
+decides the column law on the coefficients of their int difference.  The
+row, column and total bounds are inequalities and are checked at each beta,
+the column bound as the int pair of _column_bound_parts.
 """
 
 from __future__ import annotations
@@ -55,9 +54,10 @@ from operator import mul
 from typing import Iterator, NamedTuple, Optional
 
 from .boundary import TailOnesWord, _class_words, d1_prime
-from .harmonic import _csv_rows, _g_products, format_rational, q
+from .harmonic import _csv_rows, _g_products, check_beta, format_rational, q
 from .pathcount import d_from_empty
-from .words import Level, YFWord, _Frozen, enumerate_level, split_by_rank, suffix_ranks
+from .words import (Level, YFWord, _Frozen, check_level_rank, enumerate_level, split_by_rank,
+                    suffix_ranks)
 
 
 class SymbolicCell(NamedTuple):
@@ -84,8 +84,7 @@ def symbolic_entry(n: int, v: YFWord, y: int) -> Optional[SymbolicCell]:
 
 def magic_entry(w: TailOnesWord, beta: Fraction, n: int, v: YFWord, y: int) -> Fraction:
     """The numeric entry T(v, y) for parameters (w, beta, n)."""
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     cell = symbolic_entry(n, v, y)
     if cell is None:
         return Fraction(0)
@@ -261,7 +260,9 @@ def _assemble_table(w: TailOnesWord, n: int, known: dict[tuple[int, ...], tuple[
 
 
 def factored_table(w: TailOnesWord, n: int) -> FactoredTable:
-    """The factored table for (w, n): one class pass at rank n, then its cells."""
+    """The factored table for (w, n): one class pass at rank n, then its cells.  A
+    negative rank, or one with more words than a tuple holds, is refused first."""
+    check_level_rank(n)
     return _assemble_table(w, n, *_class_pass(w, n))
 
 
@@ -271,8 +272,7 @@ def build_table(w: TailOnesWord, beta: Fraction, n: int) -> MagicTable:
     It is factored_table(w, n) evaluated at beta, and equals magic_entry
     cell for cell.
     """
-    if not 0 < beta <= 1:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
+    check_beta(beta)
     return factored_table(w, n).evaluate(Fraction(beta))
 
 

@@ -332,7 +332,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     # levels from rank 92 on cannot be held; they are refused before any is built
     for argv in (["level", "92"], ["level", "1500"],
                  ["measure", "--w", "2", "--beta", "1/2", "--n", "1500"],
-                 ["magic", "--w", "212", "--beta", "3/2", "--n", "5", "--symbolic"]):
+                 ["magic", "--w", "212", "--beta", "3/2", "--n", "5", "--symbolic"],
+                 # a negative table rank is refused before the class pass, dense or symbolic
+                 ["magic", "--w", "22", "--beta", "1/2", "--n", "-1"],
+                 ["magic", "--w", "22", "--beta", "1/2", "--n", "-1", "--symbolic"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("yflab: error: "), argv
@@ -342,6 +345,29 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def test_every_beta_check_keeps_its_message(capsys):
+    # the eight entry points that take a beta refuse one outside (0, 1] with one
+    # message; the CLI echoes the text as typed, not the reduced rational
+    from yflab import boundary, experiments, harmonic, magic
+    from yflab.boundary import TailOnesWord
+    w, x = TailOnesWord.parse("22"), YFWord.from_text("21")
+    calls = (lambda b: experiments.r_sets(w, b, 3, Fr(1, 4)),
+             lambda b: experiments.sweep_many(w, [3], suffix_params=[(b, 1)]),
+             lambda b: experiments.sweep_many(w, [3], pi_params=[(Fr(1, 2), Fr(1, 4)), (b, Fr(1, 4))]),
+             lambda b: boundary.d_beta_prime(x, w, b),
+             lambda b: boundary.level_distribution(w, b, 3),
+             lambda b: harmonic.d_beta_eval(x, b),
+             lambda b: magic.magic_entry(w, b, 3, x, 1),
+             lambda b: magic.build_table(w, b, 3))
+    for beta in (Fr(3, 2), Fr(0), Fr(-1, 2)):
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(beta)
+            assert str(exc.value) == f"beta must lie in (0, 1], got {beta}"
+    code, out, err = run(capsys, "measure", "--w", "2", "--beta", "6/4", "--n", "3")
+    assert (code, out, err) == (2, "", "yflab: error: beta must lie in (0, 1], got 6/4\n")
 
 
 def test_byte_identical_output(capsys):

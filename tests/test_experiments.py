@@ -133,54 +133,72 @@ def test_walk_masses_match_direct_measure_at_high_rank(v):
             assert walked == mu(w, beta, v), (v.text, core, beta)
 
 
-def _walk_sums(w, n, weights, cuts):
-    """Word by word over the walk, with node_mass: the masses of each common-suffix
-    rank (one per beta), and the sums of _split_sums (every word, one per beta,
-    then the words with pi(v) outside each cut (b, lo, hi))."""
+def _walk_vector(leaf):
+    """X(v)[i] = d(empty, v) i! (n - i)! f(v, i, h) of a rank-n leaf v, from its walk
+    state: fvec[i] = n! f(v, i, h), so X[i] = d(empty, v) fvec[i] / C(n, i), exactly."""
+    vector = []
+    for i, F in enumerate(leaf.fvec):
+        X, remainder = divmod(leaf.d_eps * F, comb(leaf.rank, i))
+        assert remainder == 0
+        vector.append(X)
+    return vector
+
+
+def _walk_sums(w, n, cuts):
+    """Word by word over the walk: the X sums of each common-suffix rank, and the
+    sums of _split_sums (every word, then the words with pi(v) outside each cut
+    (lo, hi))."""
     by_h_rank = {}
-    sums = [0] * (len(weights) + len(cuts))
+    sums = [[0] * (n + 1) for _ in range(len(cuts) + 1)]
     for leaf in experiments._iter_nodes(n, w):
-        masses = [experiments.node_mass(leaf, vector) for vector in weights]
-        acc = by_h_rank.setdefault(leaf.h_rank, [0] * len(weights))
-        for b, mass in enumerate(masses):
-            acc[b] += mass
-            sums[b] += mass
-        for j, (b, lo, hi) in enumerate(cuts, len(weights)):
-            if not lo < Fr(leaf.pi_num, leaf.d_eps) < hi:
-                sums[j] += masses[b]
+        vector, pi_v = _walk_vector(leaf), Fr(leaf.pi_num, leaf.d_eps)
+        targets = [by_h_rank.setdefault(leaf.h_rank, [0] * (n + 1)), sums[0]]
+        targets += [acc for acc, (lo, hi) in zip(sums[1:], cuts) if not lo < pi_v < hi]
+        for acc in targets:
+            acc[:] = [a + x for a, x in zip(acc, vector)]
     return by_h_rank, sums
+
+
+def _vector_sum(vectors):
+    return [sum(column) for column in zip(*vectors)]
+
+
+def _unit(w, n):
+    """c = (C(n, i) P_i) and the vector (n! P_0, 0, ..., 0) that c times a level's X
+    sum must equal: the masses sum to 1 at every beta."""
+    products = harmonic._g_products(w.core, n)
+    c = [comb(n, i) * P for i, P in enumerate(products)]
+    return c, [factorial(n) * products[0]] + [0] * n
 
 
 def _gate_cuts(w, betas):
     piw = pi(w)
-    return [(b, piw * (beta - eps), piw * (beta + eps))
-            for b, beta in enumerate(betas) for eps in (Fr(1, 4), Fr(1, 10))]
+    return [(piw * (beta - eps), piw * (beta + eps)) for beta in betas for eps in (Fr(1, 4), Fr(1, 10))]
 
 
 def test_split_sums_equal_the_walk():
-    # the class masses per common-suffix rank, and the split sums at every split
-    # rank k up to rank 10 and the default split up to rank 18; every rank's roots
-    # are cut from one chain built at rank 18, and every rank reads the rank-18 factor table
+    # the class sums per common-suffix rank, and the split sums at every split
+    # rank k up to rank 10 and the default split up to rank 18, as X vectors
+    # against the walk's; every rank's roots are cut from one chain built at rank
+    # 18, and every rank reads the rank-18 factor table
     betas = (Fr(1, 2), Fr(3, 7), Fr(1))
     for core in ("eps", "2", "22", "212", "2122"):
         w = TailOnesWord.parse(core)
         cuts = _gate_cuts(w, betas)
         classes, factors = experiments._classes(w, 18), experiments._g_factors(18)
         for n in range(19):
-            weights = [mass_weights(w, beta, n) for beta in betas]
-            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
-            by_h_rank, expected = _walk_sums(w, n, [vector for vector, _ in weights], cuts)
-            assert expected[:len(betas)] == [factorial(n) * den for _, den in weights]
+            by_h_rank, expected = _walk_sums(w, n, cuts)
+            c, unit = _unit(w, n)
+            assert [a * b for a, b in zip(c, expected[0])] == unit, (core, n)
             roots = experiments._roots_at(classes, n)
             summed = {}
-            for h_rank, masses in experiments._class_masses(roots, n, scaled, factors):
-                acc = summed.setdefault(h_rank, [0] * len(betas))
-                for b, mass in enumerate(masses):
-                    acc[b] += mass
+            for h_rank, vector in experiments._class_masses(roots, n, factors):
+                acc = summed.setdefault(h_rank, [0] * (n + 1))
+                acc[:] = [a + x for a, x in zip(acc, vector)]
             assert summed == by_h_rank, (core, n)
             splits = range(n + 1) if n <= 10 else [None]
             for k in splits:
-                assert experiments._split_sums(roots, n, scaled, factors, cuts, split=k) == expected, (core, n, k)
+                assert experiments._split_sums(roots, n, factors, cuts, split=k) == expected, (core, n, k)
 
 
 def test_split_sums_refuse_a_cut_with_lo_not_below_hi():
@@ -188,13 +206,12 @@ def test_split_sums_refuse_a_cut_with_lo_not_below_hi():
     # the >= hi one, and was counted twice; such a cut is refused before any work
     w = TailOnesWord.parse("eps")
     roots, factors = experiments._roots_at(experiments._classes(w, 0), 0), experiments._g_factors(0)
-    vector, _ = mass_weights(w, Fr(1, 2), 0)
-    good = [(0, Fr(0), Fr(2))]
-    _, expected = _walk_sums(w, 0, [vector], good)
-    assert experiments._split_sums(roots, 0, [vector], factors, good) == expected == [1, 0]
+    good = [(Fr(0), Fr(2))]
+    _, expected = _walk_sums(w, 0, good)
+    assert experiments._split_sums(roots, 0, factors, good) == expected == [[1], [0]]
     for lo, hi in ((Fr(1), Fr(1)), (Fr(2), Fr(1))):
         with pytest.raises(ValueError, match="lo < hi"):
-            experiments._split_sums(roots, 0, [vector], factors, good + [(0, lo, hi)])
+            experiments._split_sums(roots, 0, factors, good + [(lo, hi)])
 
 
 def test_split_sums_keep_exact_ties_and_shares_add_up():
@@ -202,7 +219,6 @@ def test_split_sums_keep_exact_ties_and_shares_add_up():
     # smallest and the largest, with lo <= 0 and hi > 1; a word with pi(v) == lo
     # or pi(v) == hi lies outside, so both <= at lo and < at hi are exercised
     # (the engine takes lo < hi, as every sweep's cut does)
-    betas = (Fr(1, 2), Fr(3, 7), Fr(1))
     for core in ("eps", "22", "2122"):
         w = TailOnesWord.parse(core)
         classes, factors = experiments._classes(w, 14), experiments._g_factors(14)
@@ -210,24 +226,73 @@ def test_split_sums_keep_exact_ties_and_shares_add_up():
             counts = Counter(Fr(leaf.pi_num, leaf.d_eps) for leaf in experiments._iter_nodes(n, w))
             shared = max(counts, key=lambda value: (counts[value], value))
             least, most = min(counts), max(counts)
-            cuts = [(b, lo, hi) for b, lo, hi in [
-                (0, shared, most), (1, least, shared), (2, Fr(-1), shared),
-                (0, Fr(0), least), (1, shared, Fr(3, 2)), (2, least, most)] if lo < hi]
+            cuts = [(lo, hi) for lo, hi in [(shared, most), (least, shared), (Fr(-1), shared),
+                                            (Fr(0), least), (shared, Fr(3, 2)), (least, most)]
+                    if lo < hi]
             if n >= 6:
                 assert counts[shared] > 1, (core, n)
-            weights = [mass_weights(w, beta, n) for beta in betas]
-            scaled = [[comb(n, i) * W for i, W in enumerate(vector)] for vector, _ in weights]
-            _, expected = _walk_sums(w, n, [vector for vector, _ in weights], cuts)
+            _, expected = _walk_sums(w, n, cuts)
             roots = experiments._roots_at(classes, n)
-            assert experiments._split_sums(roots, n, scaled, factors, cuts) == expected, (core, n)
+            assert experiments._split_sums(roots, n, factors, cuts) == expected, (core, n)
             for parts in (2, 3):
-                shares = [experiments._split_sums(roots, n, scaled, factors, cuts, (p, parts))
+                shares = [experiments._split_sums(roots, n, factors, cuts, (p, parts))
                           for p in range(parts)]
-                assert [sum(column) for column in zip(*shares)] == expected, (core, n, parts)
+                assert [_vector_sum(vectors) for vectors in zip(*shares)] == expected, (core, n, parts)
+
+
+def _cores_up_to(length):
+    """eps and every canonical core (first digit 2) of at most length digits."""
+    cores, frontier = ["eps"], ["2"]
+    for _ in range(length):
+        cores += frontier
+        frontier = [core + digit for core in frontier for digit in "12"]
+    return [TailOnesWord.parse(core) for core in cores]
+
+
+def test_engine_totals_are_one_as_polynomials():
+    # c times each engine's total is (n! P_0, 0, ..., 0): the masses of every level
+    # sum to 1 at every beta, for eps and every core of length <= 5
+    cores = _cores_up_to(5)
+    assert len(cores) == 32
+    for w in cores:
+        classes, factors = experiments._classes(w, 20), experiments._g_factors(20)
+        for n in range(21):
+            c, unit = _unit(w, n)
+            roots = experiments._roots_at(classes, n)
+            total = _vector_sum(m for _, m in experiments._class_masses(roots, n, factors))
+            assert [a * b for a, b in zip(c, total)] == unit, (w, n)
+            if n <= 14:
+                (total,) = experiments._split_sums(roots, n, factors, [])
+                assert [a * b for a, b in zip(c, total)] == unit, (w, n)
+
+
+def test_total_assert_sees_what_the_grid_betas_cannot(monkeypatch):
+    # a class vector raised by Delta with c * Delta = m (1, -3, 2, 0, ...), the
+    # coefficients of (2 beta - 1)(beta - 1): the total at the swept betas 1/2
+    # and 1 does not move, so only the polynomial assert sees the change
+    w, n, l = ALL_ONES, 8, 2
+    c, _ = _unit(w, n)  # C(n, i): eps has no g-values
+    m = c[1] * c[2]
+    delta = [m // c[0], -3 * m // c[1], 2 * m // c[2]] + [0] * (n - 2)
+    planted = [a * b for a, b in zip(c, delta)]
+    assert planted[:3] == [m, -3 * m, 2 * m]
+    for beta in (Fr(1, 2), Fr(1)):
+        assert boundary._scaled_value(planted, beta, n) == 0
+    original = experiments._class_masses
+
+    def perturbed(roots, n, factors):
+        (h_rank, vector), *rest = original(roots, n, factors)
+        return [(h_rank, [a + b for a, b in zip(vector, delta)]), *rest]
+
+    params = dict(suffix_params=[(Fr(1, 2), l), (Fr(1), l)])
+    assert sweep_many(w, [n], **params)
+    monkeypatch.setattr(experiments, "_class_masses", perturbed)
+    with pytest.raises(AssertionError, match="class masses do not sum to 1"):
+        sweep_many(w, [n], **params)
 
 
 def test_sweep_at_rank_40():
-    # sweep_many asserts that the rank's masses sum to exactly 1 at each beta
+    # sweep_many asserts that the rank's masses sum to exactly 1 at every beta
     tails = sweep_many(CORES[2], [40], suffix_params=[(Fr(1, 2), 2)],
                        pi_params=[(Fr(3, 7), Fr(1, 4))])
     assert all(0 < tail < 1 for tail in tails.values())
@@ -321,7 +386,7 @@ def test_sweep_many_keeps_one_factor_table():
 
 
 def test_suffix_sweep_at_rank_100():
-    # sweep_many asserts that the class masses sum to exactly 1 at each beta
+    # sweep_many asserts that the class masses sum to exactly 1 at every beta
     tails = sweep_many(CORES[2], [100], suffix_params=[(Fr(1, 2), 2), (Fr(3, 7), 0)])
     assert tails["suffix", Fr(3, 7), 0, 100] == 0
     assert 0 < tails["suffix", Fr(1, 2), 2, 100] < 1
@@ -529,10 +594,11 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
 
 
 def test_kusok_failures_match_pointwise_reference(monkeypatch):
-    # kusok evaluates the int difference of its two sides at each beta; a
-    # kernel raised by a constant on the word 21 must give the failures and
-    # the witness of the literal pointwise check, which uses the perturbed
-    # kernel wherever it enters
+    # kusok decides the int difference of its two sides on its coefficients; a
+    # kernel raised by a constant on the word 21 must give the failures and the
+    # witness of the literal pointwise check, which uses the perturbed kernel
+    # wherever it enters and decides each (x, w) at rank(x) + 1 distinct betas,
+    # enough for two sides of degree at most rank(x)
     original = experiments._kernel_terms
 
     def perturbed(x, w, *f_row):
@@ -543,25 +609,27 @@ def test_kusok_failures_match_pointwise_reference(monkeypatch):
         terms, den = perturbed(x, w)
         return sum(t * beta ** i for i, t in enumerate(terms)) / den
 
+    def differs(x, w, beta):
+        rhs = sum(beta ** sum(suffix(x, i)) * d_beta(prefix(x, i))(beta)
+                  * kernel(suffix(x, i), w, Fr(1)) for i in range(len(x) + 1))
+        return kernel(x, w, beta) != rhs
+
     monkeypatch.setattr(experiments, "_kernel_terms", perturbed)
-    failures, first, failing_pairs = 0, None, set()
+    grid_failures, failing_pairs, first = 0, [], None
     for n in range(6):
         for x in enumerate_level(n):
             for w in CORES:
-                for beta in experiments.DEFAULT_BETA_GRID:
-                    lhs = kernel(x, w, beta)
-                    rhs = sum(beta ** sum(suffix(x, i)) * d_beta(prefix(x, i))(beta)
-                              * kernel(suffix(x, i), w, Fr(1)) for i in range(len(x) + 1))
-                    if lhs != rhs:
-                        failures += 1
-                        failing_pairs.add((x, w))
-                        first = first or f"x={x.text} core={w.core.text or 'eps'} beta={beta}"
+                grid_failures += sum(differs(x, w, beta) for beta in experiments.DEFAULT_BETA_GRID)
+                if any(differs(x, w, Fr(k, n + 1)) for k in range(1, n + 2)):
+                    failing_pairs.append((x, w))
+                    first = first or f"x={x.text} core={w.core.text or 'eps'} beta=1/4"
     # at beta = 1 the constant enters both sides of x = 21, and d_beta(head)
-    # vanishes for a nonempty head, so some grid points of a failing (x, w) pass
-    assert 0 < failures < 4 * len(failing_pairs)
+    # vanishes for a nonempty head, so some grid points of a failing (x, w)
+    # pass pointwise; decided on coefficients, it fails at every beta
+    assert 0 < grid_failures < 4 * len(failing_pairs)
     kusok = {r.name: r for r in identity_suite(5).results}["kusok"]
     assert kusok.instances == sum(fibonacci(n + 1) for n in range(6)) * 4 * 4
-    assert (kusok.failures, kusok.first_counterexample) == (failures, first)
+    assert (kusok.failures, kusok.first_counterexample) == (4 * len(failing_pairs), first)
 
 
 def test_d_beta_identities_match_fraction_reference(monkeypatch):
@@ -632,9 +700,9 @@ def test_d_beta_identities_match_fraction_reference(monkeypatch):
 
 
 def test_sum_failures_match_pointwise_reference(monkeypatch):
-    # sum compares column coefficients in (1 - beta^2) and falls back to single
-    # points only when they differ; a perturbed factored cell must give the
-    # failures and the witness of the literal pointwise column check
+    # sum decides each column on its coefficients in (1 - beta^2); a perturbed
+    # factored cell must fail at every beta of its column, with the witness of
+    # the literal pointwise column check
     w22, v, split = CORES[2], parse("2111"), 1  # head 2, tail 111
     original = experiments._assemble_table
     perturbation = {}
@@ -665,15 +733,46 @@ def test_sum_failures_match_pointwise_reference(monkeypatch):
                         failures += 1
                         first = first or f"core={w.core.text or 'eps'} beta={beta} n={n} y={col}"
     # the head is nonempty, so at beta = 1 the perturbation vanishes and that
-    # grid point still passes
+    # grid point passes pointwise; the nonzero coefficient fails it too
     assert (y, k) == (3, 1) and failures == 3
     assert report["sum"].instances == 4 * 4 * sum(n + 1 for n in range(6))
-    assert (report["sum"].failures, report["sum"].first_counterexample) == (failures, first)
+    assert (report["sum"].failures, report["sum"].first_counterexample) == (failures + 1, first)
+
+
+def test_planted_differences_vanishing_on_the_grid_are_reported(monkeypatch):
+    # differences that vanish at the four grid betas but are not the zero
+    # polynomial: kusok's of one (x, w) has the coefficients of
+    # (4b - 1)(2b - 1)(4b - 3)(b - 1) in b = beta, and sum's of one closed
+    # column those of t (4t - 3)(16t - 7)(16t - 15) in t = 1 - beta^2; a check
+    # at the grid points passes both, the coefficient check fails each at
+    # every beta
+    in_beta, in_t = [3, -25, 70, -80, 32], [0, -315, 1476, -2176, 1024]
+    for beta in experiments.DEFAULT_BETA_GRID:
+        assert boundary._scaled_value(in_beta, beta, 4) == 0
+        assert boundary._scaled_value(in_t, 1 - beta * beta, 4) == 0
+    x0, w0 = parse("2111"), CORES[2]  # its coefficients sum to 0: no tail of a longer x moves
+    original_terms, original_columns = experiments._kernel_terms, experiments.column_closed_form_coeffs
+
+    def planted_terms(x, w, *f_row):
+        terms, den = original_terms(x, w, *f_row)
+        if (tuple(x), w) == (tuple(x0), w0):
+            terms = [t + c for t, c in zip(terms, in_beta + [0] * len(terms))]
+        return terms, den
+
+    def planted_columns(n, y):
+        coeffs = original_columns(n, y)
+        return tuple(b + c for b, c in zip(coeffs, in_t + [0] * len(coeffs))) if (n, y) == (5, 0) else coeffs
+
+    monkeypatch.setattr(experiments, "_kernel_terms", planted_terms)
+    monkeypatch.setattr(experiments, "column_closed_form_coeffs", planted_columns)
+    report = {r.name: r for r in identity_suite(5).results}
+    assert (report["kusok"].failures, report["kusok"].first_counterexample) == (4, "x=2111 core=22 beta=1/4")
+    assert (report["sum"].failures, report["sum"].first_counterexample) == (4 * 4, "core=eps beta=1/4 n=5 y=0")
 
 
 def test_kusok_and_sum_decide_zero_differences_without_evaluation(monkeypatch):
-    # on correct code every difference of kusok and sum is the zero polynomial,
-    # decided once per polynomial; no check evaluates it at a beta
+    # kusok and sum decide every difference once on its coefficients; no check
+    # evaluates one at a beta
     calls, current = Counter(), [None]
     original = experiments._scaled_value
 

@@ -83,6 +83,12 @@ def test_table_shape_and_trivial_table():
     assert t0.entries == ((Fr(1),),)
 
 
+def test_negative_rank_is_refused_before_the_class_pass():
+    for build in (lambda: build_table(W22, HALF, -1), lambda: factored_table(W22, -1)):
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            build()
+
+
 def test_rows_dominate_the_measure():
     for w in (W2, W22):
         for beta in (Fr(1, 4), HALF, Fr(1)):
