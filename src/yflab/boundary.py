@@ -271,8 +271,7 @@ def _grow(state: _State, digit: int, factors: Sequence[Sequence[int]]) -> _State
     if digit == 1:
         return rank + 1, vec, d, pi_num
     G = rank + 1
-    return (rank + 2, [v * c for v, c in zip(vec, factors[G])], d * G,
-            pi_num * (G - 1) if G > 1 else pi_num)
+    return rank + 2, list(map(mul, vec, factors[G])), d * G, pi_num * max(G - 1, 1)
 
 
 def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:

@@ -27,12 +27,14 @@ engine (_split_sums) cuts each rank-n word as v = u + b, b its shortest
 suffix of rank >= k = n // 2 that contains its class root (b = v for the
 chain node of rank n).  The right halves b are grown from the roots and held
 in memory, and so are the left halves u of each rank of b, Y_u grown from
-all ones.  A pi bin outside (lo, hi) sorts the b by pi(b) and the u by pi(u);
-as pi(u) rises, the number m of keys at most lo / pi(u) (or below hi / pi(u))
-cannot, so one pointer walks down the keys, and the Y_u of a run of equal m
-sum to the difference of one running sum at its ends.  One pass over the keys
-multiplies each run entrywise by the running X sum of the keys below it.  This
-costs about Fib(n / 2) vectors per side, and one vector add per u.
+all ones.  Each half's pi = pi_num / d is the int key K = pi n! (_pi_key), as
+its 2s have distinct g-values G <= n and so d divides n!.  A pi bin outside
+(lo, hi), lo = num / den, sorts the Kb and the Ku; as Ku rises, the number m
+of Kb with Kb (den Ku) at most num n!^2 (or below it, for hi) cannot, so one
+pointer walks down the Kb, and the Y_u of a run of equal m sum to the
+difference of one running sum at its ends.  One pass over the Kb multiplies
+each run by the running X sum of the b below it: about Fib(n / 2) vectors
+per side, and one vector add per u.
 
 No beta enters either engine: each sums X vectors of n + 1 ints, per class
 or per pi bin, and divides only where the chain is built (boundary), each
@@ -67,7 +69,8 @@ against each other, and takes d(empty, v) once per word.  The splits of
 razbivaem and meexy are plain digit tuples.  A _SuiteContext holds, for one
 suite run, the rows, the kernel coefficients per (x, w) (the package's only
 kernel cache), the factored tables, their column sums at each beta, the
-closed column coefficients, the column bounds, and each word's quotient.
+closed column coefficients, the column bounds, and each word's quotient and
+binomial partial sums.
 """
 
 from __future__ import annotations
@@ -75,9 +78,9 @@ from __future__ import annotations
 import os
 from contextlib import nullcontext
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache, partial
-from math import comb, factorial, gcd, lcm, prod
-from operator import add, mul
+from functools import cached_property, lru_cache
+from math import comb, factorial, lcm, prod
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
@@ -206,43 +209,43 @@ def _class_masses(roots: Sequence[tuple[int, _State]], n: int,
     _g_factors(top) for some top >= n.  No beta enters (see sweep_many)."""
     sums = [[0] * (n + 1), [1] * (n + 1)]  # S(n + 1) = 0 and S(n), then S(r) down to S(0)
     for G in range(n, 0, -1):
-        sums.append([a + c * b for a, b, c in zip(sums[-1], sums[-2], factors[G])])
+        sums.append(list(map(add, sums[-1], map(mul, factors[G], sums[-2]))))
     return ((h_rank, list(map(mul, vec, sums[n + 1 - r]))) for h_rank, (r, vec, _, _) in roots)
 
 
-def _add_into(groups: dict, key, vec: list[int]) -> None:
-    """groups[key] += vec entrywise; a vector is never changed in place, so one
-    may be shared by several states and groups."""
-    acc = groups.get(key)
-    groups[key] = vec if acc is None else [a + v for a, v in zip(acc, vec)]
+def _pi_key(state: _State, fac: int) -> int:
+    """pi n! of a half-word state as the int pi_num (n! / d), fac = n! (module docstring)."""
+    cofactor, remainder = divmod(fac, state[2])
+    assert remainder == 0, f"d = {state[2]} does not divide {fac}"
+    return state[3] * cofactor
 
 
-def _left_groups(lefts: Sequence[_State], n: int, keys: Sequence[tuple[int, int]],
+def _left_groups(lefts: Sequence[tuple[int, list[int]]], n: int, keys: Sequence[int],
                  cuts: Sequence[tuple[Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
-    """The sum of the vectors of lefts (the left halves of one right-half rank,
-    ascending in pi(u)) and, per cut (lo, hi) of pi(v), two dicts m -> the sum
-    over the u with m keys (ascending pi(b)) at most lo / pi(u), or below
-    hi / pi(u); a run of equal m is a difference of two running sums."""
-    zero = [0] * (n + 1)
-    # per bound: its terms, the least pi_b.num * td - tn * pi_b.den that drops b,
-    # m, the running sum where m's run starts, and m -> the run's sum
-    sides = [[bound.numerator, bound.denominator, least, len(keys), zero, {}]
+    """The sum of the vectors of lefts (the (Ku, vector) pairs of the left halves of one
+    right-half rank, ascending in Ku) and, per cut (lo, hi) of pi(v), two dicts m -> the
+    sum over the u with m keys Kb (ascending) at most lo / pi(u), or below hi / pi(u); a
+    run of equal m is a difference of two running sums.  pi(u) pi(b) <= lo = num / den iff
+    Kb (den Ku) <= num n!^2, and < hi likewise: one exact int product per pointer step."""
+    zero, scale = [0] * (n + 1), factorial(n) ** 2
+    # per bound: its den, the least Kb (den Ku) that drops b (num n!^2, plus 1 at lo), m,
+    # the running sum where m's run starts, and m -> the run's sum
+    sides = [[bound.denominator, bound.numerator * scale + least, len(keys), zero, {}]
              for lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
     total = zero
-    for _, vec, d, pi_num in lefts:
+    for key, vec in lefts:
         for side in sides:
-            num, den, least, m, start, groups = side
-            tn, td = num * d, den * pi_num  # bound / pi(u) = tn / td
-            count = m
-            while count and keys[count - 1][0] * td - tn * keys[count - 1][1] >= least:
+            den, limit, m, start, groups = side
+            scaled, count = den * key, m
+            while count and keys[count - 1] * scaled >= limit:
                 count -= 1
             if count != m:
-                groups[m] = [a - b for a, b in zip(total, start)]
-                side[3:5] = count, total
-        total = [a + v for a, v in zip(total, vec)]
+                groups[m] = list(map(sub, total, start))
+                side[2:4] = count, total
+        total = list(map(add, total, vec))
     for *_, m, start, groups in sides:
-        groups[m] = [a - b for a, b in zip(total, start)]
-    return total, [(at_most[5], below[5]) for at_most, below in zip(sides[::2], sides[1::2])]
+        groups[m] = list(map(sub, total, start))
+    return total, [(at_most[4], below[4]) for at_most, below in zip(sides[::2], sides[1::2])]
 
 
 # A sweep with pi bins and jobs > 1 sums ranks >= _POOL_RANK in its pool:
@@ -250,10 +253,12 @@ def _left_groups(lefts: Sequence[_State], n: int, keys: Sequence[tuple[int, int]
 # takes the left halves above the states _TASK_DEPTH above each right half
 # whose index is p mod P.  Pi-only sweeps of cores eps, 22 and 212 over the
 # two pi pairs of criterion 8, medians of 7 alternated fresh processes on a
-# 2-vCPU VM (Python 3.11), serial against 2 workers: 0.32 / 0.39 s at rank
-# 34, 0.52 / 0.53 s at 36, 0.90 / 0.77 s at 38 (peak RSS 49 / 37 MiB),
-# 1.65 / 1.33 s at 40 and 3.58 / 2.82 s at 42; the pool won 4 of 7 pairs at
-# 36 and 6 of 7 at 38.
+# 2-vCPU VM (Python 3.11), serial against 2 workers: 0.23 / 0.29 s at rank
+# 34, 0.40 / 0.35 s at 36, 0.67 / 0.55 s at 38 (peak RSS 46 / 35 MiB),
+# 1.21 / 0.94 s at 40 and 2.11 / 1.55 s at 42; the pool won 7 of 7 pairs at
+# 36 (6 of 7 in a repeat; 4 to 5 of 7 in earlier runs) and every pair from
+# 38 on.  A one-pair CLI sweep of core 22 is slower with 2 workers at 36 and
+# 38 (0.22 / 0.28 s, 0.29 / 0.41 s wall): the two disagree, so 38 stays.
 _POOL_RANK = 38
 _TASK_DEPTH = 6
 
@@ -264,40 +269,39 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, factors: Sequence[S
     """Sums of X(v) over the rank-n words v: all words, then per cut (lo, hi) those
     with pi(v) outside the open interval (lo, hi); no beta enters, as in
     _class_masses.  Right halves grow from the class roots to rank split (default
-    n // 2) and the left halves are sorted by pi(u), as in the module docstring;
-    share = (p, P) keeps and sorts part p of P of the left halves, and the P
-    parts add up to the whole; factors is _g_factors(top) for some top >= n.  A
-    cut with lo >= hi is refused: its two buckets would overlap."""
+    n // 2); both halves are keyed by the int pi n! (_pi_key) and sorted as ints,
+    as in the module docstring; share = (p, P) keeps and sorts part p of P of the
+    left halves, and the P parts add up to the whole; factors is _g_factors(top)
+    for some top >= n.  A cut with lo >= hi is refused: its buckets would overlap."""
     if any(lo >= hi for lo, hi in cuts):
         raise ValueError(f"every cut needs lo < hi, got {cuts!r}")
     k = n // 2 if split is None else split
-    grow = partial(_grow, factors=factors)
-    right: dict[int, dict] = {}  # r -> X sums by pi key, pi(b) = pi_num / d in lowest terms
+    grow, fac = (lambda state, digit: _grow(state, digit, factors)), factorial(n)
+    right: dict[int, dict] = {}  # r -> X sums by the key pi(b) n! (_pi_key)
     for _, root in roots:
-        for r, vec, d, pi_num in _prepend(root, k, n, grow):
-            g = gcd(pi_num, d)
-            _add_into(right.setdefault(r, {}), (pi_num // g, d // g), vec)
+        for state in _prepend(root, k, n, grow):  # a vector is shared by states, never changed in place
+            by_pi, key, vec = right.setdefault(state[0], {}), _pi_key(state, fac), state[1]
+            by_pi[key] = list(map(add, by_pi[key], vec)) if key in by_pi else vec
     part, parts = share
     sums = [[0] * (n + 1) for _ in range(len(cuts) + 1)]
     for r, by_pi in right.items():
-        keys = sorted(by_pi, key=cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1]))
+        keys = sorted(by_pi)
         tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, grow)
-        lefts = sorted((state for i, task in enumerate(tasks) if i % parts == part
-                        for state in _prepend(task, n, n, grow)),
-                       key=cmp_to_key(lambda a, b: a[3] * b[2] - b[3] * a[2]))
+        lefts = sorted(((_pi_key(state, fac), state[1]) for i, task in enumerate(tasks) if i % parts == part
+                        for state in _prepend(task, n, n, grow)), key=itemgetter(0))
         total, buckets = _left_groups(lefts, n, keys, cuts)
         # outside (lo, hi): the keys at most lo / pi(u), and all but those below
         # hi / pi(u); running is the sum over the m smallest keys when bucket m is taken
         running = [0] * (n + 1)
         for m in range(len(keys) + 1):
             if m:
-                running = [a + v for a, v in zip(running, by_pi[keys[m - 1]])]
+                running = list(map(add, running, by_pi[keys[m - 1]]))
             for j, (at_most, below) in enumerate(buckets, 1):
                 if m in at_most:
-                    sums[j] = [s + a * b for s, a, b in zip(sums[j], running, at_most[m])]
+                    sums[j] = list(map(add, sums[j], map(mul, running, at_most[m])))
                 if m in below:
-                    sums[j] = [s - a * b for s, a, b in zip(sums[j], running, below[m])]
-        sums = [[s + a * b for s, a, b in zip(vector, running, total)] for vector in sums]
+                    sums[j] = list(map(sub, sums[j], map(mul, running, below[m])))
+        sums = [list(map(add, vector, map(mul, running, total))) for vector in sums]
     return sums
 
 
@@ -479,8 +483,8 @@ class _Recorder:
         return IdentityResult(name, self.instances, self.failures, self.first)
 
 
-def _all_words(max_rank: int):
-    for n in range(max_rank + 1):
+def _all_words(max_rank: int, min_rank: int = 0):
+    for n in range(min_rank, max_rank + 1):
         yield from enumerate_level(n)
 
 
@@ -491,9 +495,7 @@ MAX_SUITE_RANK = 12
 
 def _check_evtuh5(ctx, rec):
     """sum over i of f(x, i, 0) vanishes for every nonempty x."""
-    for x in _all_words(ctx.max_rank):
-        if len(x) == 0:
-            continue
+    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         total = sum(ctx.row(x, 0))
         rec.check(total == 0, lambda x=x, t=total: f"x={x.text}: sum={Fraction(t, factorial(sum(x)))}")
 
@@ -557,9 +559,7 @@ def _check_evtuh93(ctx, rec):
 
 def _check_q_recurrence(ctx, rec):
     """q(x') = rank(x) * q(x) when x = a + x'."""
-    for x in _all_words(ctx.max_rank):
-        if len(x) == 0:
-            continue
+    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         xp = YFWord(x[1:])
         rec.check(q(xp) == sum(x) * q(x), lambda x=x: f"x={x.text}")
 
@@ -649,20 +649,16 @@ def _check_delitsa(ctx, rec):
 
 def _check_binomische1(ctx, rec):
     """The binomial partial sums vanish for rank(x) - length(x) < i <= rank(x)."""
-    for x in _all_words(ctx.max_rank):
-        if len(x) == 0:
-            continue
+    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         start = sum(x) - len(x) + 1
-        for i, total in enumerate(_binomial_sums(ctx.row(x, 0), len(x))[start:], start):
+        for i, total in enumerate(ctx.binomial_sums(x)[start:], start):
             rec.check(total == 0, lambda x=x, i=i: f"x={x.text} i={i}")
 
 
 def _check_binomische2(ctx, rec):
     """The quotient by (1-beta)^length(x) equals the binomial partial-sum polynomial."""
-    for x in _all_words(ctx.max_rank):
-        if len(x) == 0:
-            continue
-        partial = _binomial_sums(ctx.row(x, 0), len(x))[:sum(x) - len(x) + 1]
+    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
+        partial = ctx.binomial_sums(x)[:sum(x) - len(x) + 1]
         rec.check(ctx.row_quotient(x) == partial, lambda x=x: f"x={x.text}")
 
 
@@ -672,8 +668,7 @@ def _check_schyot(ctx, rec):
         L, R = len(x), sum(x)
         if L < 2:
             continue
-        row = ctx.row(x, 0)
-        partial = _binomial_sums(row, L)
+        row, partial = ctx.row(x, 0), ctx.binomial_sums(x)
         second = _binomial_sums([(R - j) * c for j, c in enumerate(row)], L - 1)
         for i in range(1, R + 1):
             rec.check(partial[i] * (R - i) == partial[i - 1] * (R - i - L + 1) + second[i],
@@ -682,12 +677,10 @@ def _check_schyot(ctx, rec):
 
 def _check_binom1(ctx, rec):
     """Binomial partial sums are bounded by q(x) * C(length(x), i) for i <= length(x)."""
-    for x in _all_words(ctx.max_rank):
+    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         L = len(x)
-        if L == 0:
-            continue
         scaled_q = factorial(sum(x)) // prod(suffix_ranks(x))  # rank(x)! q(x)
-        for i, total in enumerate(_binomial_sums(ctx.row(x, 0), L)[:L + 1]):
+        for i, total in enumerate(ctx.binomial_sums(x)[:L + 1]):
             rec.check(total <= scaled_q * comb(L, i), lambda x=x, i=i: f"x={x.text} i={i}")
 
 
@@ -896,6 +889,12 @@ class _SuiteContext(_Frozen):
                     return None
             return coeffs
         return lru_cache(maxsize=None)(divide)
+
+    @cached_property
+    def binomial_sums(self) -> Callable[[YFWord], list[int]]:
+        """_binomial_sums(self.row(x, 0), length(x)) for a nonempty x, one per word for this
+        suite run; binomische1, binomische2, schyot and binom1 share it."""
+        return lru_cache(maxsize=None)(lambda x: _binomial_sums(self.row(x, 0), len(x)))
 
 
 def identity_suite(max_rank: int) -> SuiteReport:

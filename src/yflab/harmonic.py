@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
@@ -339,8 +340,7 @@ def _csv_rows(rows: Sequence[Sequence[str]]) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or an integer string into an exact rational."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r}") from exc
+    """Parse 'p/q' or an integer string into an exact rational; no decimal, exponent or space."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", text):
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)

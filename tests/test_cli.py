@@ -329,6 +329,13 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--max-rank", "-1")
     assert (code, out) == (2, "")
     assert err.startswith("yflab: error: ")
+    # a beta or eps that is not p/q is refused before any work, not read as a decimal
+    for bad in ("0.25", "1e-3", "1/2 "):
+        for argv in (["dprime", "12", "--w", "22", "--beta", bad],
+                     ["sweep", "--mode", "pi", "--w", "22", "--beta", "1/2", "--eps", bad, "--n", "4"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert err == f"yflab: error: not a rational: {bad!r}\n", argv
     # levels from rank 92 on cannot be held; they are refused before any is built
     for argv in (["level", "92"], ["level", "1500"],
                  ["measure", "--w", "2", "--beta", "1/2", "--n", "1500"],

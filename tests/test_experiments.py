@@ -240,6 +240,50 @@ def test_split_sums_keep_exact_ties_and_shares_add_up():
                 assert [_vector_sum(vectors) for vectors in zip(*shares)] == expected, (core, n, parts)
 
 
+def test_pi_keys_are_exact_ints_over_n_factorial():
+    # every right half (grown from the class roots to rank n // 2) and every left
+    # half (grown from all ones above each right-half rank) of a rank-n word: d
+    # divides n!, and its key is pi n! exactly, so the keys sort and tie as pi
+    for core in ("eps", "2", "22", "212", "2122"):
+        w = TailOnesWord.parse(core)
+        classes, factors = experiments._classes(w, 20), experiments._g_factors(20)
+        grow = lambda state, digit: boundary._grow(state, digit, factors)
+        for n in range(21):
+            fac = factorial(n)
+            rights = [state for _, root in experiments._roots_at(classes, n)
+                      for state in boundary._prepend(root, n // 2, n, grow)]
+            lefts = [state for r in sorted({state[0] for state in rights})
+                     for state in boundary._prepend((r, [1] * (n + 1), 1, 1), n, n, grow)]
+            for states in (rights, lefts):
+                pis = [Fr(pi_num, d) for _, _, d, pi_num in states]
+                keys = [experiments._pi_key(state, fac) for state in states]
+                assert all(fac % d == 0 for _, _, d, _ in states), (core, n)
+                assert [Fr(key, fac) for key in keys] == pis, (core, n)
+                order = sorted(range(len(states)), key=pis.__getitem__)
+                assert sorted(range(len(states)), key=keys.__getitem__) == order, (core, n)
+                assert len(set(keys)) == len(set(pis)), (core, n)
+
+
+def test_left_groups_put_a_product_equal_to_lo_or_hi_outside():
+    # one left half u (key 4 at n = 3, pi(u) = 2/3) and one right half b (key 3,
+    # pi(b) = 1/2) planted with pi(u) pi(b) = 1/3: at lo = 1/3 the key counts as
+    # at most lo / pi(u), at hi = 1/3 it does not count as below hi / pi(u), so v
+    # lies outside both cuts, and inside the control cut (1/4, 1/2)
+    n, vec, xb = 3, [1, 2, 3, 5], [7, 11, 13, 17]
+    cuts = [(Fr(1, 3), Fr(1)), (Fr(1, 4), Fr(1, 3)), (Fr(1, 4), Fr(1, 2))]
+    total, buckets = experiments._left_groups([(4, vec)], n, [3], cuts)
+    zero = [0] * (n + 1)
+    assert total == vec
+    assert buckets == [({1: vec}, {1: vec}), ({1: zero, 0: vec}, {1: zero, 0: vec}),
+                       ({1: zero, 0: vec}, {1: vec})]
+    # the outside sum: each bucket m times the X sum of the m smallest keys, plus all keys times total
+    running = {0: zero, 1: xb}
+    outside = [[sum(running[m][i] * (at_most.get(m, zero)[i] - below.get(m, zero)[i]) for m in running)
+                + xb[i] * total[i] for i in range(n + 1)] for at_most, below in buckets]
+    product = [a * b for a, b in zip(xb, vec)]
+    assert outside == [product, product, zero]
+
+
 def _cores_up_to(length):
     """eps and every canonical core (first digit 2) of at most length digits."""
     cores, frontier = ["eps"], ["2"]

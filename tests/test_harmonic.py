@@ -273,5 +273,8 @@ def test_rational_formatting():
     assert format_rational(Fr(4, 2)) == "2"
     assert format_rational(Fr(0)) == "0"
     assert parse_rational("3/4") == Fr(3, 4)
-    with pytest.raises(ValueError):
-        parse_rational("0.5x")
+    assert parse_rational("-7") == Fr(-7)
+    # rationals are p/q or integers: decimals, exponents and spaces are refused
+    for bad in ("0.5x", "0.25", "1e-3", "1/2 ", " 1/2", "1_000", "1/0", ""):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(bad)
