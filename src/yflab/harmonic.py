@@ -68,6 +68,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .words import YFWord, _Frozen, split_by_rank, suffix_ranks
@@ -219,11 +220,15 @@ def g_all(x) -> tuple[int, ...]:
 def _g_products(u: tuple[int, ...], top: int) -> tuple[int, ...]:
     """(prod_j (g(u, j) - i) for i = 0..top), the one g-product vector of a word u.
 
-    The path-count formula's y memo reads it at top = rank(y), the kernel d'_beta
-    and the measure's weights for the core of w at the rank asked for.  The
-    memo is bounded by entry count; each entry is top + 1 ints."""
-    gs = g_all(u)
-    return tuple(prod(G - i for G in gs) for i in range(top + 1))
+    The path-count formula's y memo reads it at top = rank(y); the kernel d'_beta,
+    the measure's weights, the table class pass and the sweeps read it for the
+    core of w at the rank asked for.  The vector starts as 1s and takes one
+    entrywise product with G, G - 1, ..., G - top per g-value G.  The memo is
+    bounded by entry count; each entry is top + 1 ints."""
+    vec = [1] * (top + 1)
+    for G in g_all(u):
+        vec = list(map(mul, vec, range(G, G - top - 1, -1)))
+    return tuple(vec)
 
 
 def g(x, j: int) -> int:

@@ -15,26 +15,31 @@ the recursion per suffix split, which serves every h at once; it vanishes
 unless x has a suffix of rank i.  The sum is divided by rank(x)! once, with
 the division asserted exact.
 
-x enters the formula only through those rows, so _formula_rows keeps, per
-word x, (rank(x), rank(x)!, every row z = 0..length(x), its suffix key,
-length(x)) in one memo; y enters only through rank(y) and the vector
-P_y[i] = prod_j (g(y, j) - i) of harmonic._g_products, so _formula_products
-keeps (rank(y), P_y, its suffix key) per word y, bounded at 4,096 words.
-The suffix keys (words._suffix_key) give h(x, y) from the lowest set bit
-of their XOR.  A pair is then two one-argument memo reads, one XOR, the dot
-product of x's row at h with P_y, and the exact division; the rank check
-and the exactness assert run on every call.  The memos serve single pairs,
-not a batch form: every caller (dcount, the all-pairs acceptance check,
-the oracles benchmark) asks for one pair at a time, so a batch form would
-serve none of them, while across an all-pairs loop the same x and the same
-y recur (12,672 calls for 143 words x and 143 words y to rank 9).  The x
-memo is bounded at 512 words, as an LRU smaller than the words an all-pairs
-loop cycles through misses on every call: the loops to rank 9 (143 words)
-and rank 11 (376, the acceptance check) fit.  An entry holds up to
-(length + 1) (rank + 1) ints; measured with tracemalloc on CPython 3.11,
-the 609 words of rank <= 12 take 1.8 MiB together, and the largest entry
-measured, 1^40's, takes 49.5 KiB, so 512 entries of rank 40 stay under
-25 MiB.
+x enters the formula only through those rows, so _x_memo keeps, per word x,
+(rank(x), rank(x)!, its rows, its suffix key); y enters only through rank(y)
+and the vector P_y[i] = prod_j (g(y, j) - i) of harmonic._g_products, so
+_y_memo keeps (rank(y), P_y, its suffix key) per word y.  The suffix keys
+(words._suffix_key) give h(x, y): the lowest set bit of their XOR d, d & -d,
+is bit 2h or 2h + 1, or d == 0 when x == y and h = length(x).  x's rows
+are held by that bit, so the row at h is one dict read with no index to
+compute.  A pair is then two memo reads, one XOR, one row read, the dot
+product with P_y and the exact division; the rank check and the exactness
+assert run on every call.  The memos are plain dicts read inline, as
+memo.get(x) or a build, because an lru_cache hit also packs an argument
+tuple and relinks the LRU list.  They serve single
+pairs, not a batch form: every caller (dcount, the all-pairs acceptance
+check, the oracles benchmark) asks for one pair at a time, so a batch form
+would serve none of them, while across an all-pairs loop the same x and the
+same y recur (12,672 calls for 143 words x and 143 words y to rank 9).  The
+x memo is bounded at 512 words and the y memo at 4,096; a build that takes
+one past its bound drops its oldest entry (insertion order).  Like an LRU,
+this misses on every call of an all-pairs loop that cycles through more
+words than the memo holds: the loops to rank 9 (143 words) and rank 11 (376,
+the acceptance check) fit.  An x entry holds up to (length + 1) (rank + 1)
+ints and a dict of 2 length + 3 keys; measured with tracemalloc on CPython
+3.11, the entries of the 609 words of rank <= 12 take 2.2 MiB together, and
+1^40's, the largest measured, takes 52.2 KiB, so 512 entries of rank 40 stay
+under 27 MiB.
 
 The DP reads each word's covers from one memo, _covers, which holds
 down_neighbors(w) as a tuple and is bounded at 4,096 words: an all-pairs
@@ -106,30 +111,42 @@ def descent_counts(y: YFWord) -> dict[YFWord, int]:
     return out
 
 
-@lru_cache(maxsize=512)
-def _formula_rows(x: YFWord) -> tuple[int, int, list[list[int]], int, int]:
-    """(rank(x), rank(x)!, the rows of rank(x)! f(x, i, z) for z = 0..length(x),
-    _suffix_key(x), length(x)), built once per word; the rows are only read, never changed."""
-    rank = sum(x)
-    return rank, factorial(rank), _f_rows(x, len(x)), _suffix_key(x), len(x)
+_X_WORDS = 512
+_Y_WORDS = 4096
+_x_memo: dict[YFWord, tuple[int, int, dict[int, list[int]], int]] = {}
+_y_memo: dict[YFWord, tuple[int, tuple[int, ...], int]] = {}
 
 
-@lru_cache(maxsize=4096)
-def _formula_products(y: YFWord) -> tuple[int, tuple[int, ...], int]:
-    """(rank(y), _g_products(y, rank(y)), _suffix_key(y)), built once per word."""
+def _x_entry(x: YFWord) -> tuple[int, int, dict[int, list[int]], int]:
+    """Build and memoize (rank(x), rank(x)!, x's rows by suffix bit, _suffix_key(x)): row z
+    under 1 << 2z and 2 << 2z, row length(x) also under 0; the rows are only read, never changed."""
+    rank, rows = sum(x), _f_rows(x, len(x))
+    by_bit = {0: rows[-1]}
+    for z, row in enumerate(rows):
+        by_bit[1 << 2 * z] = by_bit[2 << 2 * z] = row
+    entry = _x_memo[x] = rank, factorial(rank), by_bit, _suffix_key(x)
+    if len(_x_memo) > _X_WORDS:
+        del _x_memo[next(iter(_x_memo))]
+    return entry
+
+
+def _y_entry(y: YFWord) -> tuple[int, tuple[int, ...], int]:
+    """Build and memoize (rank(y), _g_products(y, rank(y)), _suffix_key(y))."""
     rank = sum(y)
-    return rank, _g_products(y, rank), _suffix_key(y)
+    entry = _y_memo[y] = rank, _g_products(y, rank), _suffix_key(y)
+    if len(_y_memo) > _Y_WORDS:
+        del _y_memo[next(iter(_y_memo))]
+    return entry
 
 
 def d_paths_formula(x: YFWord, y: YFWord) -> int:
     """The closed-form path count; equals d_paths_dp(x, y)."""
-    rank_x, fac, rows, key_x, len_x = _formula_rows(x)
-    rank_y, products, key_y = _formula_products(y)
+    rank_x, fac, rows, key_x = _x_memo.get(x) or _x_entry(x)
+    rank_y, products, key_y = _y_memo.get(y) or _y_entry(y)
     if rank_y < rank_x:
         raise ValueError("formula requires rank(y) >= rank(x)")
-    d = key_x ^ key_y  # h = common_suffix_len(x, y), read off the lowest differing digit pair
-    row = rows[((d & -d).bit_length() - 1) >> 1 if d else len_x]
-    count, remainder = divmod(sum(map(mul, row, products)), fac)
+    d = key_x ^ key_y  # its lowest set bit is in the digit pair at h = common_suffix_len(x, y)
+    count, remainder = divmod(sum(map(mul, rows[d & -d], products)), fac)
     assert remainder == 0, f"path count d({x}, {y}) is not an integer"
     return count
 

@@ -229,7 +229,11 @@ class Level(_Frozen):
 
 @lru_cache(maxsize=None)
 def _level(n: int) -> Level:
-    return Level(n, tuple(iter_level(n)))
+    level = Level(n, tuple(iter_level(n)))
+    # the count is the recursive definition's (1-branch then 2-branch), so
+    # this checks iter_level's successor rule at every rank it builds
+    assert len(level.words) == fibonacci(n + 1)
+    return level
 
 
 def enumerate_level(n: int) -> Level:
@@ -241,11 +245,7 @@ def enumerate_level(n: int) -> Level:
     of memory: a level takes about 210 bytes a word at rank 26, and rank 35
     has Fib(36) = 14,930,352 words.  Bounding them needs a measured limit;
     ``yflab level`` streams any of them instead."""
-    level = _level(n)
-    # the count is the recursive definition's (1-branch then 2-branch), so
-    # this checks iter_level's successor rule at every rank it builds
-    assert len(level.words) == fibonacci(n + 1)
-    return level
+    return _level(n)
 
 
 def iter_level(n: int) -> Iterator[YFWord]:

@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from math import factorial, prod
+from math import factorial, inf, prod
 
 import pytest
 
@@ -7,8 +7,6 @@ from yflab import pathcount
 from yflab.harmonic import _g_products
 from yflab.pathcount import (
     _covers,
-    _formula_products,
-    _formula_rows,
     d_from_empty,
     d_paths_dp,
     d_paths_formula,
@@ -73,61 +71,83 @@ def all_pairs(rank):
                     yield x, y
 
 
-def test_formula_equals_dp_to_rank_8():
+def counting_builders(monkeypatch):
+    """Wrap the formula's two entry builders so that each build is recorded; returns
+    the list of (memo, word) built, in build order."""
+    built = []
+    for name, memo in (("_x_entry", "x"), ("_y_entry", "y")):
+        build = getattr(pathcount, name)
+        monkeypatch.setattr(pathcount, name, lambda w, build=build, memo=memo: built.append((memo, w)) or build(w))
+    return built
+
+
+def clear_formula_memos():
+    pathcount._x_memo.clear()
+    pathcount._y_memo.clear()
+
+
+def test_formula_equals_dp_to_rank_8(monkeypatch):
     # acceptance pushes this to rank 11; keep the unit version quick.  The first
-    # pass starts from empty x and y memos, the second reads every row and
-    # every vector from them.
+    # pass starts from empty x and y memos and builds each of the 88 words of
+    # rank <= 8 once in each; the second reads every row and every vector from them.
     counts = {y: descent_counts(y) for n in range(9) for y in enumerate_level(n)}
-    _formula_rows.cache_clear()
-    _formula_products.cache_clear()
+    clear_formula_memos()
     _g_products.cache_clear()
-    for _ in ("cold", "warm"):
+    built = counting_builders(monkeypatch)
+    for run in ("cold", "warm"):
         for x, y in all_pairs(8):
             assert d_paths_formula(x, y) == counts[y].get(x, 0)
-    assert _formula_rows.cache_info().hits > 0
-    assert _formula_products.cache_info().hits > 0
+        assert sorted(built) == sorted((memo, w) for memo in "xy" for w in counts), run
 
 
-def test_formula_memo_holds_one_entry_per_word_to_rank_9():
+def test_formula_memo_holds_one_entry_per_word_to_rank_9(monkeypatch):
     # the x memo is keyed by x alone and the y memo by y alone: each of the 143
     # words of rank <= 9 is built once in each, the x entry with every row
     # z = 0..length(x), the y entry with its g-product vector, and every other
-    # pair is a hit
-    _formula_rows.cache_clear()
-    _formula_products.cache_clear()
+    # pair reads both from the memos
+    clear_formula_memos()
+    built = counting_builders(monkeypatch)
     pairs = list(all_pairs(9))
     for x, y in pairs:
         d_paths_formula(x, y)
-    for memo in (_formula_rows, _formula_products):
-        info = memo.cache_info()
-        assert (info.currsize, info.misses, info.hits) == (143, 143, len(pairs) - 143)
-        assert info.maxsize >= 143
+    assert len(pairs) == 12_672
+    for memo, bound in (("x", pathcount._X_WORDS), ("y", pathcount._Y_WORDS)):
+        words = [w for m, w in built if m == memo]
+        assert len(words) == len(set(words)) == 143
+        assert len(getattr(pathcount, f"_{memo}_memo")) == 143 <= bound
 
 
-def test_split_memo_stays_bounded():
-    for x, y in all_pairs(10):
-        d_paths_formula(x, y)
-    for memo in (_formula_rows, _formula_products):
-        info = memo.cache_info()
-        assert info.maxsize is not None
-        assert 0 < info.currsize <= info.maxsize
-
-
-class RowIndex:
-    """Stands in for x's f rows: "row" h is (h,), whatever h is."""
-
-    def __getitem__(self, h):
-        return (h,)
+def test_split_memo_stays_bounded(monkeypatch):
+    # the bounds hold at 512 x-words and 4,096 y-words; lowered to 16 and 24 here, two
+    # all-pairs loops over the 54 words of rank <= 7 cycle past both.  A build past the
+    # bound drops the oldest entry, so each memo holds the last words it built, in order.
+    assert (pathcount._X_WORDS, pathcount._Y_WORDS) == (512, 4096)
+    counts = {y: descent_counts(y) for n in range(8) for y in enumerate_level(n)}
+    clear_formula_memos()
+    monkeypatch.setattr(pathcount, "_X_WORDS", 16)
+    monkeypatch.setattr(pathcount, "_Y_WORDS", 24)
+    built = counting_builders(monkeypatch)
+    for x, y in [*all_pairs(7), *all_pairs(7)]:
+        assert d_paths_formula(x, y) == counts[y].get(x, 0)
+        assert 0 < len(pathcount._x_memo) <= 16 and 0 < len(pathcount._y_memo) <= 24
+    for memo, bound in (("x", 16), ("y", 24)):
+        words = [w for m, w in built if m == memo]
+        assert len(words) > len(set(words)) == len(counts)
+        assert list(getattr(pathcount, f"_{memo}_memo")) == words[-bound:]
 
 
 def suffix_lens_read_by_the_formula(monkeypatch, pairs):
-    """The row index at which d_paths_formula reads x's rows, for each pair.
+    """The row of x's entry at which d_paths_formula reads, for each pair.
 
-    The memos are replaced by ones that keep each word's real suffix key and
-    length but give rank 0, factorial 1, the g vector (1,) and RowIndex rows,
-    so the formula's count is the index it computed from the two keys."""
-    monkeypatch.setattr(pathcount, "_formula_rows", lambda x: (0, 1, RowIndex(), _suffix_key(x), len(x)))
-    monkeypatch.setattr(pathcount, "_formula_products", lambda y: (0, (1,), _suffix_key(y)))
+    _f_rows is replaced by rows that hold their own index z, factorial by 1 and
+    the y builder by one that keeps each word's real suffix key but gives an
+    unbounded rank and the g vector (1,).  x's entries come from the real builder
+    into an empty memo, so the formula's count is the index of the row it read."""
+    monkeypatch.setattr(pathcount, "_f_rows", lambda x, top: [[z] for z in range(top + 1)])
+    monkeypatch.setattr(pathcount, "factorial", lambda rank: 1)
+    monkeypatch.setattr(pathcount, "_x_memo", {})
+    monkeypatch.setattr(pathcount, "_y_memo", {})
+    monkeypatch.setattr(pathcount, "_y_entry", lambda y: (inf, (1,), _suffix_key(y)))
     return [d_paths_formula(x, y) for x, y in pairs]
 
 
@@ -217,14 +237,13 @@ def test_formula_takes_plain_tuples():
     pairs = [(parse("21"), parse("21221")), (EPSILON, parse("2212")),
              (parse("121"), parse("22121")), (parse("2"), parse("1112"))]
     for forms in ((tuple, YFWord), (YFWord, tuple)):
-        _formula_rows.cache_clear()
-        _formula_products.cache_clear()
+        clear_formula_memos()
         for x, y in pairs:
             expected = d_paths_dp(x, y)
             for form_x in forms:
                 for form_y in forms:
                     assert d_paths_formula(form_x(x), form_y(y)) == expected
-        assert _formula_rows.cache_info().currsize == _formula_products.cache_info().currsize == len(pairs)
+        assert len(pathcount._x_memo) == len(pathcount._y_memo) == len(pairs)
 
 
 def test_d_from_empty():
