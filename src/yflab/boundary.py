@@ -20,11 +20,14 @@ int coefficients T_i = rank(x)! f(x, i, h) P_i, with rank(x)! f(x, i, h) the
 row harmonic._f_row(x, h) and P_i = prod_j (g(w, j) - i) the shared vector
 harmonic._g_products(core, rank(x)), over rank(x)! P_0.  So every x of one
 rank reads one vector, held in that function's bounded memo.  d_beta_prime
-evaluates the kernel at beta = p/q in ints (_scaled_value) and builds one
-Fraction; d1_prime sums it.  mu and d_beta_prime stay the pointwise route.
-mass_weights scales the same vector by the powers of p and q: (W, D), one
-pair per level.  No kernel is memoized here: the identity suite holds one
-kernel per (x, w) for a run.
+evaluates the kernel at beta = p/q in ints and builds one Fraction; d1_prime
+sums it.  mu and d_beta_prime stay the pointwise route.  No kernel is
+memoized here: the identity suite holds one kernel per (x, w) for a run.
+Beta enters every engine as one vector, _powers(p, q, d) = (p^i q^(d - i)),
+memoized on its ints: _scaled_value, an int polynomial at t = p/q over q^d,
+is its dot product with the coefficients, the measure weighs a level by it,
+and magic's tables read it at t = 1 - beta^2.  A level's beta-free vector
+c_i = C(n, i) P_i, over n! P_0, has one builder too, _mass_coefficients.
 
 The class engine gives the masses of whole levels.  Let s_L be the chain
 node suffix_of_infinite(w, L).  Fix z = L and give a word v = x + s_L of rank
@@ -35,7 +38,7 @@ R <= n the vector of n + 1 ints
 d(empty, v) i! (R - i)! f(v, i, L) for i <= R; by the prepend law no X[i]
 depends on n, so one chain built at a top rank serves every rank up to it,
 cut to n + 1 entries (_roots_at).  A word v of rank n with h(v, w) = L is
-x + s_L, and n! D mu(v) is sum_i C(n, i) W_i X[i].  Prepending a 1 leaves X
+x + s_L, and n! P_0 mu(v) is sum_i c_i X[i] beta^i.  Prepending a 1 leaves X
 unchanged, as the padded word stays the same, and prepending a 2 of g-value
 G = R + 1 multiplies X[i] by G (G - i) (_grow): below R + 1 by the
 left-extension law, and above because the unwind of f(1^j + 2 + v, i, L)
@@ -191,16 +194,16 @@ def h_infinite(x: YFWord, w: TailOnesWord) -> CommonSuffix:
     return CommonSuffix(length, rank)
 
 
-def mass_weights(w: TailOnesWord, beta: Fraction, top: int) -> tuple[list[int], int]:
-    """Integer weights over one shared denominator, for i = 0..top.
+def _mass_coefficients(products: Sequence[int], n: int) -> tuple[list[int], int]:
+    """(c, n! P_0), c_i = C(n, i) P_i for i = 0..n, from P = harmonic._g_products(core, top >= n)."""
+    return [comb(n, i) * P for i, P in enumerate(products[:n + 1])], factorial(n) * products[0]
 
-    For beta = p/q returns (W, D) with W[i] = p^i q^(top-i) prod_j (g(w,j) - i)
-    and D = q^top prod_j g(w,j), so W[i] / D = beta^i prod_j (g(w,j) - i)/g(w,j);
-    the products are the vector harmonic._g_products(core, top).
-    """
-    p, q = beta.numerator, beta.denominator
-    products = _g_products(w.core, top)
-    return [p ** i * q ** (top - i) * P for i, P in enumerate(products)], q ** top * products[0]
+
+@lru_cache(maxsize=256)
+def _powers(p: int, q: int, d: int) -> tuple[int, ...]:
+    """(p^i q^(d - i) for i = 0..d), keyed on ints, as a Fraction's hash is Python code.  A
+    suite run at its rank cap reads at most 104: 4 betas x 13 degrees, in beta and in 1 - beta^2."""
+    return tuple(p ** i * q ** (d - i) for i in range(d + 1))
 
 
 def _kernel_terms(x, w: TailOnesWord, f_row=_f_row) -> tuple[list[int], int]:
@@ -215,14 +218,9 @@ def _kernel_terms(x, w: TailOnesWord, f_row=_f_row) -> tuple[list[int], int]:
 
 
 def _scaled_value(coeffs: Sequence[int], t: Fraction, degree: int) -> int:
-    """q^degree * sum_i coeffs[i] t^i as an int, for t = p/q and degree >= len(coeffs) - 1;
-    it vanishes iff the polynomial does at t."""
-    p, q = t.numerator, t.denominator
-    total, q_power = 0, q ** (degree - len(coeffs) + 1)
-    for c in reversed(coeffs):
-        total = total * p + c * q_power
-        q_power *= q
-    return total
+    """q^degree * sum_i coeffs[i] t^i as an int, for t = p/q and degree >= len(coeffs) - 1,
+    by _powers; it vanishes iff the polynomial does at t."""
+    return sum(map(mul, coeffs, _powers(t.numerator, t.denominator, degree)))
 
 
 def d_beta_prime(x: YFWord, w: TailOnesWord, beta: Fraction) -> Fraction:
@@ -383,16 +381,17 @@ class LevelDistribution(_Frozen):
 
 def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribution:
     """Masses mu_{w,beta}(v) over all rank-n words, in level order, read from the
-    rank-n states of _class_words(w, n): n! D mu(v) is sum_i C(n, i) W_i X[i] for
-    (W, D) = mass_weights(w, beta, n).  The ints are asserted to sum to n! D before
-    one Fraction is built per word.  Words of one rank sort as tuples in level
-    order, so no level is enumerated or cached."""
+    rank-n states of _class_words(w, n): at beta = p/q, n! P_0 q^n mu(v) is the sum of
+    c_i p^i q^(n-i) X[i] for (c, n! P_0) = _mass_coefficients.  The ints are asserted to
+    sum to n! P_0 q^n before one Fraction is built per word.  Words of one rank sort as
+    tuples in level order, so no level is enumerated or cached."""
     check_beta(beta)
     check_level_rank(n)
-    weights, den = mass_weights(w, Fraction(beta), n)
-    den *= factorial(n)
-    scaled = [comb(n, i) * W for i, W in enumerate(weights)]
-    items = [(tuple.__new__(YFWord, digits), sum(map(mul, scaled, vec)))  # only 1s and 2s
+    beta = Fraction(beta)
+    coeffs, den = _mass_coefficients(_g_products(w.core, n), n)
+    weights = list(map(mul, coeffs, _powers(beta.numerator, beta.denominator, n)))
+    den *= beta.denominator ** n
+    items = [(tuple.__new__(YFWord, digits), sum(map(mul, weights, vec)))  # only 1s and 2s
              for digits, (r, vec, _, _) in _class_words(w, n) if r == n]
     assert sum(mass for _, mass in items) == den, f"level {n} masses do not sum to 1"
     items.sort(reverse=True)
@@ -400,4 +399,4 @@ def level_distribution(w: TailOnesWord, beta: Fraction, n: int) -> LevelDistribu
     while items:  # each int is dropped as its Fraction is made
         v, mass = items.pop()
         masses[v] = Fraction(mass, den)
-    return LevelDistribution(n, w, Fraction(beta), masses)
+    return LevelDistribution(n, w, beta, masses)

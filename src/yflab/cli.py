@@ -6,10 +6,10 @@ invocations produce byte-identical output: fixed level order, lowest-terms
 rationals, no timestamps.
 
 Exit status: 0 on success, 1 when ``verify`` finds an exact-identity
-failure, 2 on usage errors.  A reader that closes stdout early (``yflab level
-30 | head``) ends the command quietly, with status 0; a failed ``verify``
-keeps status 1 whether its own write or only the final flush meets the
-closed pipe.
+failure, 2 on usage errors and on a failed write to stdout (``> /dev/full``).
+A reader that closes stdout early (``yflab level 30 | head``) ends the command
+quietly, with status 0; a failed ``verify`` keeps status 1 whether its own
+write or only the final flush fails.
 """
 
 from __future__ import annotations
@@ -69,11 +69,15 @@ def _n_range(text: str) -> list[int]:
 
 
 @contextmanager
-def _output(args) -> Iterator[TextIO]:
+def _output(args, status: int = 0) -> Iterator[TextIO]:
     """The stream a command writes to: stdout, or the --output file."""
     path = getattr(args, "output", None)
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+        except OSError as exc:
+            exc.status = status  # decided by the command; entry_point exits with it
+            raise
         return
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
@@ -85,8 +89,8 @@ def _output(args) -> Iterator[TextIO]:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _emit(text: str, args) -> None:
-    with _output(args) as out:
+def _emit(text: str, args, status: int = 0) -> None:
+    with _output(args, status) as out:
         out.write(text)
 
 
@@ -191,11 +195,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     report = identity_suite(args.max_rank)
     status = 0 if report.all_passed else 1  # decided before the write, which may fail
-    try:
-        _emit(report.to_csv() if args.format == "csv" else report.to_text(), args)
-    except BrokenPipeError as exc:
-        exc.status = status  # entry_point exits with it
-        raise
+    _emit(report.to_csv() if args.format == "csv" else report.to_text(), args, status)
     return status
 
 
@@ -287,17 +287,20 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    code = 0
+    code = None  # until main() returns
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # the reader closed stdout early (`yflab level 30 | head`): stop without a
-        # traceback, and send what is still buffered to devnull for the flush at exit;
-        # a status main() returned before the final flush failed is kept, and so is
-        # one a command decided before its own write failed (a failed `verify`)
+    except OSError as exc:
+        # a failed write to stdout: one of main()'s, with the status _output gave it, or
+        # the final flush; a reader that closed stdout (`yflab level 30 | head`) is no error
+        if code is None and not hasattr(exc, "status"):
+            raise
         code = getattr(exc, "status", code)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):  # `yflab level 3 > /dev/full`
+            print(f"yflab: error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            code = code or 2  # 1 means an identity failure
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
     sys.exit(code)
 
 

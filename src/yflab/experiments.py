@@ -8,7 +8,7 @@ by one exact division per entry, because f(x, y, z) = f(ax, y, z) *
 Prepending a 2 also sets the entry at rank(x)+1 to zero, and the new top
 entry comes from harmonic._scaled_f; the vector is the row harmonic._f_row
 when the common suffix with w grows.  node_mass is then the int n! D mu(v)
-over the shared denominator D of boundary.mass_weights (weights W_i).  The
+over D = q^n P_0 at beta = p/q, given the weights p^i q^(n-i) P_i.  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
 check sweeps against, and it shares one stack loop (_prepend) with them.
 
@@ -38,8 +38,8 @@ per side, and one vector add per u.
 
 No beta enters either engine: each sums X vectors of n + 1 ints, per class
 or per pi bin, and divides only where the chain is built (boundary), each
-division asserted exact.  With c_i = C(n, i) P_i and P the vector
-harmonic._g_products(core, n), the mass of a bin at beta is the polynomial
+division asserted exact.  With c_i = C(n, i) P_i (boundary._mass_coefficients)
+and P = harmonic._g_products(core, n), the mass of a bin at beta is
 sum_i c_i bin_i beta^i / (n! P_0).  sweep_many asserts c times each engine's
 total to be (n! P_0, 0, ..., 0) at every rank, so the masses sum to 1 at
 every beta, and builds one Fraction per (beta, bin, rank).  With pi bins and
@@ -83,8 +83,8 @@ from math import comb, factorial, lcm, prod
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms, _prepend,
-                       _roots_at, _scaled_value, h_infinite)
+from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms,
+                       _mass_coefficients, _prepend, _roots_at, _scaled_value, h_infinite)
 from .harmonic import (_csv_rows, _f_row, _f_rows, _g_products, _g_ratio_parts, _scaled_f,
                        check_beta, format_rational, pi, q)
 from .magic import (FactoredTable, _assemble_table, _class_pass, _column_bound_parts,
@@ -182,10 +182,8 @@ def _iter_nodes(n: int, w: TailOnesWord) -> Iterable[_Node]:
 
 
 def node_mass(leaf: _Node, weights: Sequence[int]) -> int:
-    """n! * D * mu(v) for a rank-n leaf v, as the int d(empty, v) * sum of fvec[i] * weights[i].
-
-    weights and their shared denominator D come from mass_weights(w, beta, n).
-    """
+    """n! D mu(v) for a rank-n leaf v, as the int d(empty, v) * sum of fvec[i] * weights[i],
+    with weights p^i q^(n-i) P_i over D = q^n P_0 at beta = p/q, P = _g_products(core, n)."""
     total = 0
     for Fi, Wi in zip(leaf.fvec, weights):
         if Fi:
@@ -385,8 +383,8 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
         import multiprocessing  # only pooled pi sweeps need it; every command's start-up skips it
     with multiprocessing.get_context("fork").Pool(workers) if pooled else nullcontext() as pool:
         for n in n_list:
-            coeffs = [comb(n, i) * P for i, P in enumerate(products[:n + 1])]
-            unit = [factorial(n) * products[0]] + [0] * n  # 1 as a polynomial over n! P_0
+            coeffs, den = _mass_coefficients(products, n)
+            unit = [den] + [0] * n  # 1 as a polynomial over n! P_0
             roots = _roots_at(classes, n)
             total, below = [0] * (n + 1), {l: [0] * (n + 1) for _, l in suffix_params}
             for h, vector in _class_masses(roots, n, factors):  # one class vector held at a time

@@ -53,8 +53,8 @@ levels or the sweeps (``boundary``).  ``_scaled_f`` is the single-entry path,
 the walk's entry at its own z.
 ``_g_products(u, top)`` is the one builder of the vector
 prod_j (g(u, j) - i), i = 0..top: pathcount's y memo reads it once per y, and
-the kernel d'_beta and the measure's weights read it for the core of w.  It is
-memoized per (u, top), bounded at 4,096 entries.  Only the public ``f``,
+the kernel d'_beta and boundary._mass_coefficients read it for the core of w.
+It is memoized per (u, top), bounded at 4,096 entries.  Only the public ``f``,
 memoized per triple in a memo perfbench reads, and ``d_beta``, one per
 coefficient, make Fractions from f; ``pi`` and ``pi_k`` make one each from
 the int products of ``_g_ratio_parts``.
@@ -220,11 +220,11 @@ def g_all(x) -> tuple[int, ...]:
 def _g_products(u: tuple[int, ...], top: int) -> tuple[int, ...]:
     """(prod_j (g(u, j) - i) for i = 0..top), the one g-product vector of a word u.
 
-    The path-count formula's y memo reads it at top = rank(y); the kernel d'_beta,
-    the measure's weights, the table class pass and the sweeps read it for the
-    core of w at the rank asked for.  The vector starts as 1s and takes one
-    entrywise product with G, G - 1, ..., G - top per g-value G.  The memo is
-    bounded by entry count; each entry is top + 1 ints."""
+    The path-count formula's y memo reads it at top = rank(y); the kernel d'_beta
+    reads it for the core of w at rank(x), and boundary._mass_coefficients (the
+    measure, the table class pass, the sweeps) at their top rank.  The vector
+    starts as 1s and takes one entrywise product with G, G - 1, ..., G - top per
+    g-value G.  The memo is bounded by entry count; each entry is top + 1 ints."""
     vec = [1] * (top + 1)
     for G in g_all(u):
         vec = list(map(mul, vec, range(G, G - top - 1, -1)))

@@ -28,11 +28,11 @@ top rank serves the tables of every rank up to it: factored_table runs one at
 n and assembles the cells (_assemble_table), the identity suite one per core
 at its top rank for all its tables.
 
-At beta = p/q the entry is C p^y (q^2 - p^2)^k q^(2n-y-2k) / (den q^(2n))
+At beta = p/q the entry is C (p q)^y (q^2 - p^2)^k q^(2(n-y-k)) / (den q^(2n))
 with k = length(head), so the column sums, row sums and totals at any beta
 are ints over one denominator, and build_table makes one Fraction per cell.
-The powers of p and q depend on neither w nor the cells; one bounded memo
-(_beta_weights) holds them per (n, beta).  symbolic_entry and magic_entry
+Beta enters as (p q)^y and boundary._powers(q^2 - p^2, q^2, n - y), as
+1 - beta^2 = (q^2 - p^2) / q^2 in lowest terms.  symbolic_entry and magic_entry
 compute one cell on their own, magic_entry from the pointwise kernel of
 boundary._kernel_terms; they are the oracle the tests compare the tables
 with, so the comparison crosses two engines.
@@ -48,12 +48,12 @@ the column bound as the int pair of _column_bound_parts.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, factorial, prod
 from operator import mul
 from typing import Iterator, NamedTuple, Optional
 
-from .boundary import TailOnesWord, _class_words, d1_prime
+from .boundary import TailOnesWord, _class_words, _mass_coefficients, _powers, d1_prime
 from .harmonic import _csv_rows, _g_products, check_beta, format_rational, q
 from .pathcount import d_from_empty
 from .words import (Level, YFWord, _Frozen, check_level_rank, enumerate_level, split_by_rank,
@@ -187,44 +187,33 @@ class FactoredTable(_Frozen):
                 out[y][k] += C
         return tuple(tuple(column) for column in out)
 
-    def weights(self, beta: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(W, S) for beta = p/q: W[y][k] = p^y (q^2 - p^2)^k q^(2n - y - 2k) and
-        S = den * q^(2n), so that the cell (y, k, C) has the entry C * W[y][k] / S."""
-        W, q_power = _beta_weights(self.n, beta)
-        return W, self.den * q_power
+    def _beta_factors(self, beta: Fraction) -> tuple[list[int], list[tuple[int, ...]], int]:
+        """((p q)^y, T_y = _powers(q^2 - p^2, q^2, n - y)) per column y, and S = den q^(2n), at
+        beta = p/q: the cell (y, k, C) has the entry C (p q)^y T_y[k] / S (module docstring)."""
+        p, q, n = beta.numerator, beta.denominator, self.n
+        return ([(p * q) ** y for y in range(n + 1)],
+                [_powers(q * q - p * p, q * q, n - y) for y in range(n + 1)], self.den * q ** (2 * n))
 
     def column_sums(self, beta: Fraction) -> tuple[list[int], int]:
-        """The column sums at beta as ints over the shared denominator S of weights."""
-        W, S = self.weights(beta)
-        return [sum(a * b for a, b in zip(column, W[y])) for y, column in enumerate(self.columns)], S
+        """The column sums at beta as ints over the shared denominator den q^(2n)."""
+        heads, tails, S = self._beta_factors(beta)
+        return [h * sum(map(mul, column, t)) for h, t, column in zip(heads, tails, self.columns)], S
 
     def row_sums(self, beta: Fraction) -> tuple[list[int], int]:
-        """The row sums at beta, in level order, as ints over the shared denominator S of weights."""
-        W, S = self.weights(beta)
-        return [sum(C * W[y][k] for y, k, C in cells) for cells in self.rows], S
+        """The row sums at beta, in level order, as ints over the shared denominator den q^(2n)."""
+        heads, tails, S = self._beta_factors(beta)
+        return [sum(C * heads[y] * tails[y][k] for y, k, C in cells) for cells in self.rows], S
 
     def evaluate(self, beta: Fraction) -> MagicTable:
         """The dense table at beta: one Fraction per nonzero-split cell."""
-        W, S = self.weights(beta)
+        heads, tails, S = self._beta_factors(beta)
         rows = []
         for cells in self.rows:
             row = [Fraction(0)] * (self.n + 1)
             for y, k, C in cells:
-                row[y] = Fraction(C * W[y][k], S)
+                row[y] = Fraction(C * heads[y] * tails[y][k], S)
             rows.append(tuple(row))
         return MagicTable(self.w, beta, self.n, self.level, tuple(rows))
-
-
-@lru_cache(maxsize=64)
-def _beta_weights(n: int, beta: Fraction) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The part of FactoredTable.weights that w does not enter: (W, q^(2n)).  Bounded;
-    the identity suite at its rank cap reads 4 betas x 13 ranks for every core."""
-    p, q = beta.numerator, beta.denominator
-    p_pow = [p ** y for y in range(n + 1)]
-    rest_pow = [(q * q - p * p) ** k for k in range(n + 1)]
-    q_pow = [q ** e for e in range(2 * n + 1)]
-    return (tuple(tuple(p_pow[y] * rest_pow[k] * q_pow[2 * n - y - 2 * k] for k in range(n - y + 1))
-                  for y in range(n + 1)), q_pow[2 * n])
 
 
 def _class_pass(w: TailOnesWord, top: int) -> tuple[dict[tuple[int, ...], tuple[int, int]], int]:
@@ -232,7 +221,7 @@ def _class_pass(w: TailOnesWord, top: int) -> tuple[dict[tuple[int, ...], tuple[
     D1 = prod_j g(w, j)), from one pass over the class words; it serves the
     table of every rank up to top (see the module docstring)."""
     products = _g_products(w.core, top)
-    scaled = [[comb(r, i) * P for i, P in enumerate(products[:r + 1])] for r in range(top + 1)]
+    scaled = [_mass_coefficients(products, r)[0] for r in range(top + 1)]
     known = {}
     for digits, (r, vec, d, _) in _class_words(w, top):
         S, remainder = divmod(sum(map(mul, scaled[r], vec)), d)

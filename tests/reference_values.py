@@ -14,7 +14,8 @@ its own padded f row, as an oracle independent of the chain law by which the
 library takes each node from the one before.  factored_table_by_kernels
 builds a factored table the way the library did before its tables came from
 the class engine: one pointwise kernel per tail and one exact division per
-cell.
+cell.  mass_weights_by_loop multiplies out the weights p^i q^(n-i) P_i of a
+level at beta = p/q over the g-values of w, for the walk's node_mass.
 """
 
 from fractions import Fraction as Fr
@@ -26,6 +27,23 @@ from yflab.harmonic import _base, _f_row, _g_ratio_parts, g_all
 from yflab.magic import FactoredTable
 from yflab.pathcount import d_from_empty
 from yflab.words import enumerate_level, suffix_ranks
+
+
+def mass_weights_by_loop(w, beta, top):
+    """(W, D) with W[i] = p^i q^(top - i) prod_j (g(w, j) - i) and D = q^top prod_j g(w, j),
+    so that W[i] / D = beta^i prod_j (g(w, j) - i) / g(w, j), for beta = p/q."""
+    p, q = beta.numerator, beta.denominator
+    gs = g_all(w.core)
+    den = q ** top
+    for G in gs:
+        den *= G
+    out = []
+    for i in range(top + 1):
+        weight = p ** i * q ** (top - i)
+        for G in gs:
+            weight *= G - i
+        out.append(weight)
+    return out, den
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 from fractions import Fraction as Fr
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -9,11 +9,12 @@ from yflab.boundary import (
     TailOnesWord,
     _class_words,
     _classes,
+    _mass_coefficients,
+    _powers,
     d1_prime,
     d_beta_prime,
     h_infinite,
     level_distribution,
-    mass_weights,
     mu,
     mu_prelimit,
     suffix_of_infinite,
@@ -23,7 +24,7 @@ from yflab.magic import build_table
 from yflab.pathcount import d_from_empty, descent_counts
 from yflab.words import EPSILON, enumerate_level, fibonacci, parse, prefix, suffix
 
-from reference_values import classes_by_padded_row, f_by_recursion
+from reference_values import classes_by_padded_row, f_by_recursion, mass_weights_by_loop
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 BETAS = [Fr(1, 4), Fr(1, 2), Fr(3, 4), Fr(1)]
@@ -243,27 +244,21 @@ def test_level_distribution_invariant_enforced():
         LevelDistribution(2, CORES[0], Fr(1, 2), {parse("11"): Fr(3, 2), parse("2"): Fr(-1, 2)})
 
 
-def mass_weights_by_loop(w, beta, top):
-    """(W, D) of mass_weights, each weight multiplied out over the g-values of w."""
-    p, q = beta.numerator, beta.denominator
-    gs = g_all(w.core)
-    den = q ** top
-    for G in gs:
-        den *= G
-    out = []
-    for i in range(top + 1):
-        weight = p ** i * q ** (top - i)
-        for G in gs:
-            weight *= G - i
-        out.append(weight)
-    return out, den
-
-
 def test_mass_weights_equal_the_loop():
+    # the level's coefficient vector c_i = C(n, i) prod_j (G_j - i), and the one power
+    # vector by which beta enters, each against its definition multiplied out
     for w in [*CORES, TailOnesWord.parse("2122")]:
-        for beta in (Fr(1, 2), Fr(3, 7), Fr(5, 7), Fr(1)):
-            for top in range(21):
-                assert mass_weights(w, beta, top) == mass_weights_by_loop(w, beta, top)
+        gs = g_all(w.core)
+        for top in range(21):
+            c, den = _mass_coefficients(_g_products(w.core, 20), top)
+            assert c == [comb(top, i) * prod(G - i for G in gs) for i in range(top + 1)]
+            assert den == factorial(top) * prod(gs)
+            for beta in (Fr(1, 2), Fr(3, 7), Fr(5, 7), Fr(1)):
+                p, q = beta.numerator, beta.denominator
+                assert _powers(p, q, top) == tuple(p ** i * q ** (top - i) for i in range(top + 1))
+                weights, D = mass_weights_by_loop(w, beta, top)
+                assert ([a * b for a, b in zip(c, _powers(p, q, top))], den * q ** top) == \
+                    ([comb(top, i) * W for i, W in enumerate(weights)], factorial(top) * D)
 
 
 def test_table_builds_one_g_product_vector_per_rank():

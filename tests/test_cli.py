@@ -140,6 +140,31 @@ def test_unbuffered_verify_failure_survives_a_closed_pipe():
     assert verify_failure_behind_a_closed_pipe(env) == (1, b"")
 
 
+FAILING_VERIFY = "\n".join([
+    "import sys",
+    "from yflab import cli",
+    "from yflab.experiments import IdentityResult, SuiteReport",
+    "cli.identity_suite = lambda max_rank: SuiteReport(3, (IdentityResult('evtuh5', 4, 1, 'x=21'),))",
+    "sys.argv = ['yflab', 'verify', '--max-rank', '3']",
+    "cli.entry_point()",
+])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_stdout_write_error_exits_2_with_one_line():
+    # as in `yflab level 3 > /dev/full`: a write error on stdout is one error line and
+    # status 2, not a traceback with status 1, which means an identity failure; a
+    # verify that found a failure keeps its 1
+    for argv, status in ((["-m", "yflab.cli", "level", "3"], 2),
+                         (["-m", "yflab.cli", "verify", "--max-rank", "3"], 2),
+                         (["-c", FAILING_VERIFY], 1)):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, *argv], env=child_env(), stdout=full,
+                                  stderr=subprocess.PIPE, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            status, b"yflab: error: cannot write stdout: No space left on device\n"), argv
+
+
 def test_scalar_commands(capsys):
     assert run(capsys, "g", "21221")[1] == "2,4,7\n"
     assert run(capsys, "q", "122")[1] == "1/40\n"

@@ -12,7 +12,6 @@ from yflab import boundary, experiments, harmonic
 from yflab.boundary import (
     TailOnesWord,
     level_distribution,
-    mass_weights,
     mu,
 )
 from yflab.experiments import (
@@ -26,7 +25,7 @@ from yflab.harmonic import d_beta, f, pi, q
 from yflab.magic import FactoredTable, column_sum_closed_form, factored_table, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
 
-from reference_values import f_by_recursion
+from reference_values import f_by_recursion, mass_weights_by_loop
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 ALL_ONES = TailOnesWord.parse("eps")
@@ -98,7 +97,7 @@ def test_walk_matches_direct_measure():
     for w in CORES:
         for beta in (Fr(1, 2), Fr(1)):
             for n in range(9):
-                weights, den = mass_weights(w, beta, n)
+                weights, den = mass_weights_by_loop(w, beta, n)
                 walked = {YFWord(leaf.digits): Fr(experiments.node_mass(leaf, weights),
                                                   factorial(n) * den)
                           for leaf in experiments._iter_nodes(n, w)}
@@ -128,7 +127,7 @@ def test_walk_masses_match_direct_measure_at_high_rank(v):
             node = experiments._child(node, digit, w)
         assert node.digits == tuple(v)
         for beta in (Fr(1, 2), Fr(3, 7), Fr(1)):
-            weights, den = mass_weights(w, beta, v.rank)
+            weights, den = mass_weights_by_loop(w, beta, v.rank)
             walked = Fr(experiments.node_mass(node, weights), factorial(v.rank) * den)
             assert walked == mu(w, beta, v), (v.text, core, beta)
 

@@ -187,12 +187,12 @@ def test_table_rows_match_pointwise_entries_to_rank_10():
 def test_factored_table_matches_pointwise_entries_on_suite_grid():
     # the identity suite builds one factored table per (w, n) and evaluates it
     # at every beta of its grid; cells, column sums and row sums must equal
-    # the pointwise oracle's
+    # the pointwise oracle's, also at 6/7 and 996/997 (off the grid, large q)
     for core in ("eps", "2", "22", "212"):
         w = TailOnesWord.parse(core)
         for n in range(9):
             table = factored_table(w, n)
-            for beta in (Fr(1, 4), HALF, Fr(3, 4), Fr(1)):
+            for beta in (Fr(1, 4), HALF, Fr(3, 4), Fr(1), Fr(6, 7), Fr(996, 997)):
                 rows = [tuple(magic_entry(w, beta, n, v, y) for y in range(n + 1))
                         for v in table.level.words]
                 assert table.evaluate(beta).entries == tuple(rows), (core, n, beta)
