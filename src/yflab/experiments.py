@@ -46,31 +46,37 @@ every beta, and builds one Fraction per (beta, bin, rank).  With pi bins and
 jobs > 1 it opens one fork pool of min(jobs, os.cpu_count()) workers from
 rank _POOL_RANK on, each worker taking a share of the left halves.
 
-The identity suite checks every identity exhaustively over the beta grid
-and the cores, and counts one instance per (word or table, beta).  It reads
-f only from one memo of harmonic._f_rows(x, length(x)), one build per word
-with every row z = 0..length(x), as evtuh7 and evtuh91-93 read every z of
-every word anyway: the f identities compare row entries, the kernels read
-rows at z = h, and kusok's heads and the d_beta identities the rows R(x) at
-z = 0 and their quotients by (1 - beta)^length(x) (_div_one_minus_beta).
-After evtuh93 the memo keeps only the rows at z = 0 and z = h(x, w).
-Every polynomial it decides is one int coefficient list, compared exactly or
-evaluated at each beta (boundary._scaled_value).  kusok's two sides differ
-by one int polynomial per (x, w) in beta, the column law sum's by one per
-(w, n, y) in (1 - beta^2); each is decided once on its coefficients, so an
-instance holds for every beta in (0, 1], and a nonzero difference fails at
-every grid point, also where it vanishes.  The magic tables are integer cells
-(magic.FactoredTable), all ranks of a core assembled from one class pass at
-the top rank (magic._class_pass).  stolb, lehamed and zabe are decided at
-each beta on ints: stolb and lehamed read each column bound as an int pair
-(num, den), zabe compares the table's row sums with masses from the
-pointwise kernel of boundary._kernel_terms, so it checks two engines
-against each other, and takes d(empty, v) once per word.  The splits of
-razbivaem and meexy are plain digit tuples.  A _SuiteContext holds, for one
-suite run, the rows, the kernel coefficients per (x, w) (the package's only
-kernel cache), the factored tables, their column sums at each beta, the
-closed column coefficients, the column bounds, and each word's quotient and
-binomial partial sums.
+The identity suite checks every identity exhaustively over the beta grid and
+the cores, and counts one instance per (word or table, beta).  A check counts
+its instances in bulk (_Recorder.count) and, where a whole vector decides
+them, decides it at once (one list comparison, any or map); it builds a
+witness string only for a failing instance (_Recorder.fail), in instance
+order, so its counts and first witness are those of a loop over single
+instances.  It reads f only from one memo of harmonic._f_rows(x, length(x)),
+one build per word with every row z = 0..length(x), as evtuh7 and evtuh91-93
+read every z of every word anyway: the f identities compare row entries, the
+kernels read rows at z = h, and kusok's heads and the d_beta identities the
+rows R(x) at z = 0 and their quotients by (1 - beta)^length(x)
+(_div_one_minus_beta).  After evtuh93 the memo keeps only the rows at z = 0
+and z = h(x, w).  Every polynomial it decides is one int coefficient list,
+compared exactly or evaluated at each beta (boundary._scaled_value).  kusok's
+two sides are one int polynomial each per (x, w) in beta, the column law sum's
+differ by one per (w, n, y) in (1 - beta^2); each is decided once on its
+coefficients, so an instance holds for every beta in (0, 1], and a nonzero
+difference fails at every grid point, also where it vanishes.  The magic
+tables are integer cells (magic.FactoredTable), all ranks of a core assembled
+from one class pass at the top rank (magic._class_pass).  stolb, lehamed and
+zabe are decided at each beta on ints: stolb and lehamed read each column
+bound as an int pair (num, den), zabe compares the table's row sums with
+masses from the pointwise kernel of boundary._kernel_terms, so it checks two
+engines against each other.  The splits of kusok, razbivaem and meexy are
+plain digit tuples.  A _SuiteContext holds, for one suite run, the rows; each
+word's d(empty, x) and pi(x) as (num, den), one pathcount.d_from_empty and one
+harmonic._g_ratio_parts call per word of rank <= max_rank, which every split
+of razbivaem and meexy and every zabe mass read; the kernel coefficients per
+(x, w) (the package's only kernel cache); the factored tables, their column
+sums at each beta, the closed column coefficients, the column bounds, and each
+word's quotient and binomial partial sums.
 """
 
 from __future__ import annotations
@@ -79,6 +85,7 @@ import os
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from math import comb, factorial, lcm, prod
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
@@ -90,7 +97,7 @@ from .harmonic import (_csv_rows, _f_row, _f_rows, _g_products, _g_ratio_parts, 
 from .magic import (FactoredTable, _assemble_table, _class_pass, _column_bound_parts,
                     column_closed_form_coeffs, level_product)
 from .pathcount import d_from_empty
-from .words import YFWord, _Frozen, enumerate_level, prefix, suffix, suffix_ranks
+from .words import YFWord, _Frozen, enumerate_level, suffix_ranks
 
 Mode = str  # "suffix" | "pi"
 Param = Union[int, Fraction]
@@ -465,17 +472,23 @@ class SuiteReport(NamedTuple):
 
 
 class _Recorder:
+    """Instance and failure counts of one identity: a check counts its instances in
+    bulk and reports its failing instances in instance order, the first one's
+    witness kept."""
+
     def __init__(self):
         self.instances = 0
         self.failures = 0
         self.first: Optional[str] = None
 
-    def check(self, ok: bool, witness: Callable[[], str]):
-        self.instances += 1
-        if not ok:
-            self.failures += 1
-            if self.first is None:
-                self.first = witness()
+    def count(self, k: int) -> None:
+        self.instances += k
+
+    def fail(self, witness: str, k: int = 1) -> None:
+        """k counted instances fail, the first of them witnessed by witness."""
+        self.failures += k
+        if self.first is None:
+            self.first = witness
 
     def result(self, name: str) -> IdentityResult:
         return IdentityResult(name, self.instances, self.failures, self.first)
@@ -486,16 +499,28 @@ def _all_words(max_rank: int, min_rank: int = 0):
         yield from enumerate_level(n)
 
 
+def _mismatches(lhs: Sequence[int], rhs: Sequence[int], start: int = 0) -> list[int]:
+    """The indices, counted from start, where two equal-length vectors differ; none
+    are looked for when the vectors are equal."""
+    if lhs == rhs:
+        return []
+    return [i for i, a, b in zip(range(start, start + len(lhs)), lhs, rhs) if a != b]
+
+
 DEFAULT_BETA_GRID = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 DEFAULT_CORES = ("eps", "2", "22", "212")
-MAX_SUITE_RANK = 12
+MAX_SUITE_RANK = 16
 
 
 def _check_evtuh5(ctx, rec):
     """sum over i of f(x, i, 0) vanishes for every nonempty x."""
-    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
-        total = sum(ctx.row(x, 0))
-        rec.check(total == 0, lambda x=x, t=total: f"x={x.text}: sum={Fraction(t, factorial(sum(x)))}")
+    for n in range(1, ctx.max_rank + 1):  # every nonempty word
+        level = enumerate_level(n)
+        rec.count(len(level))
+        for x in level:
+            total = sum(ctx.row(x, 0))
+            if total:
+                rec.fail(f"x={x.text}: sum={Fraction(total, factorial(n))}")
 
 
 def _check_evtuh7(ctx, rec):
@@ -505,68 +530,83 @@ def _check_evtuh7(ctx, rec):
         for x in _all_words(ctx.max_rank - alpha):
             ax, r = (alpha,) + x, sum(x)
             up = factorial(r + alpha) // factorial(r)
-            rows = [(ctx.row(x, z), ctx.row(ax, z)) for z in range(len(x) + 1)]
-            for y in range(r + 1):
-                for z, (fx, fax) in enumerate(rows):
-                    rec.check(fx[y] * up == fax[y] * (r + alpha - y),
-                              lambda x=x, a=alpha, y=y, z=z: f"a={a} x={x.text} y={y} z={z}")
+            scale = range(r + alpha, alpha - 1, -1)  # rank(ax) - y for y = 0..r
+            sides = [([c * up for c in ctx.row(x, z)], list(map(mul, ctx.row(ax, z), scale)))
+                     for z in range(len(x) + 1)]
+            rec.count((r + 1) * len(sides))
+            if any(lhs != rhs for lhs, rhs in sides):
+                for y in range(r + 1):
+                    for z, (lhs, rhs) in enumerate(sides):
+                        if lhs[y] != rhs[y]:
+                            rec.fail(f"a={alpha} x={x.text} y={y} z={z}")
 
 
 def _check_evtuh11(ctx, rec):
     """-y * f(x+1, y, 0) = f(x, y-1, 0) for appended 1 and y >= 1."""
     for x in _all_words(ctx.max_rank - 1):
         r = sum(x)
-        fx, fx1 = ctx.row(x, 0), ctx.row(x + (1,), 0)
-        for y in range(1, r + 2):
-            rec.check(-y * fx1[y] == fx[y - 1] * (r + 1), lambda x=x, y=y: f"x={x.text} y={y}")
+        lhs = list(map(mul, ctx.row(x + (1,), 0)[1:], range(-1, -r - 2, -1)))
+        rec.count(r + 1)
+        for y in _mismatches(lhs, [c * (r + 1) for c in ctx.row(x, 0)], 1):
+            rec.fail(f"x={x.text} y={y}")
 
 
 def _check_evtuh12(ctx, rec):
     """(1 - y) * f(x+11, y, 0) = f(x+2, y, 0)."""
     for x in _all_words(ctx.max_rank - 2):
-        f11, f2 = ctx.row(x + (1, 1), 0), ctx.row(x + (2,), 0)
-        for y in range(sum(x) + 3):
-            rec.check((1 - y) * f11[y] == f2[y], lambda x=x, y=y: f"x={x.text} y={y}")
+        r = sum(x)
+        lhs = list(map(mul, ctx.row(x + (1, 1), 0), range(1, -r - 2, -1)))
+        rec.count(r + 3)
+        for y in _mismatches(lhs, ctx.row(x + (2,), 0)):
+            rec.fail(f"x={x.text} y={y}")
 
 
 def _check_evtuh91(ctx, rec):
     """f(2x, y, length(x)) = f(2x, y, length(2x)) over the full y range."""
     for x in _all_words(ctx.max_rank - 2):
         ax = (2,) + x
-        short, full = ctx.row(ax, len(x)), ctx.row(ax, len(ax))
-        for y in range(sum(ax) + 1):
-            rec.check(short[y] == full[y], lambda x=x, y=y: f"x={x.text} y={y}")
+        rec.count(sum(ax) + 1)
+        for y in _mismatches(ctx.row(ax, len(x)), ctx.row(ax, len(ax))):
+            rec.fail(f"x={x.text} y={y}")
 
 
 def _check_evtuh92(ctx, rec):
     """f(1x, y, length(x)) = f(1x, y, length(1x)) for y <= rank(x)."""
     for x in _all_words(ctx.max_rank - 1):
-        ax = (1,) + x
-        short, full = ctx.row(ax, len(x)), ctx.row(ax, len(ax))
-        for y in range(sum(x) + 1):
-            rec.check(short[y] == full[y], lambda x=x, y=y: f"x={x.text} y={y}")
+        ax, r = (1,) + x, sum(x)
+        rec.count(r + 1)
+        for y in _mismatches(ctx.row(ax, len(x))[:r + 1], ctx.row(ax, len(ax))[:r + 1]):
+            rec.fail(f"x={x.text} y={y}")
 
 
 def _check_evtuh93(ctx, rec):
     """f(2x, rank(x) + 1, z) = 0 for every valid z."""
     for x in _all_words(ctx.max_rank - 2):
-        ax = (2,) + x
+        ax, y = (2,) + x, sum(x) + 1
+        rec.count(len(ax) + 1)
         for z in range(len(ax) + 1):
-            rec.check(ctx.row(ax, z)[sum(x) + 1] == 0, lambda x=x, z=z: f"x={x.text} z={z}")
+            if ctx.row(ax, z)[y]:
+                rec.fail(f"x={x.text} z={z}")
 
 
 def _check_q_recurrence(ctx, rec):
     """q(x') = rank(x) * q(x) when x = a + x'."""
-    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
-        xp = YFWord(x[1:])
-        rec.check(q(xp) == sum(x) * q(x), lambda x=x: f"x={x.text}")
+    for n in range(1, ctx.max_rank + 1):  # every nonempty word
+        level = enumerate_level(n)
+        rec.count(len(level))
+        for x in level:
+            if q(YFWord(x[1:])) != n * q(x):
+                rec.fail(f"x={x.text}")
 
 
 def _check_odnoitozhe(ctx, rec):
     """q(x) = f(x, 0, 0), decided on rank(x)! times both sides."""
-    for x in _all_words(ctx.max_rank):
-        fac = factorial(sum(x))
-        rec.check(fac // prod(suffix_ranks(x)) == ctx.row(x, 0)[0], lambda x=x: f"x={x.text}")
+    for n in range(ctx.max_rank + 1):
+        level, fac = enumerate_level(n), factorial(n)
+        rec.count(len(level))
+        for x in level:
+            if fac // prod(suffix_ranks(x)) != ctx.row(x, 0)[0]:
+                rec.fail(f"x={x.text}")
 
 
 def _check_kusok(ctx, rec):
@@ -575,49 +615,53 @@ def _check_kusok(ctx, rec):
     Over the kernel denominator rank(x)! D1 of boundary._kernel_terms, the
     split into head (rank r - y) and tail (rank y) contributes
     C(r, y) R(head)[k] * sum(T(tail)) to the coefficient of beta^(y+k), with
-    R the z = 0 row of the suite's f memo and sum(T(tail)) / (y! D1) = d'_1(tail, w).
-    The int difference of the two sides is formed once per (x, w); each instance
-    (x, w, beta) holds iff no coefficient is nonzero, so for every beta in (0, 1].
+    R the z = 0 row of the suite's f memo and sum(T(tail)) / (y! D1) = d'_1(tail, w),
+    summed once per (tail, w).  So coefficient k of the right side is the dot
+    product of column k, the C(r, y) R(head)[k - y] of the splits with y <= k
+    (the same for every w), with the tails' kernel sums.  The two int coefficient
+    lists are compared once per (x, w); its len(betas) instances (x, w, beta)
+    hold iff they are equal, so for every beta in (0, 1], and fail together.
     """
+    sums = {(x, w): sum(ctx.kernel_terms(x, w)[0]) for x in _all_words(ctx.max_rank) for w in ctx.ws}
     for x in _all_words(ctx.max_rank):
-        r = sum(x)
-        splits = [(suffix(x, i), ctx.row(prefix(x, i), 0)) for i in range(len(x) + 1)]
+        r, L = sum(x), len(x)
+        tails = [x[L - i:] for i in range(L + 1)]
+        heads = [(sum(tail), ctx.row(x[:L - i], 0)) for i, tail in enumerate(tails)]
+        columns = [[comb(r, y) * row[k - y] for y, row in heads if y <= k] for k in range(r + 1)]
+        rec.count(len(ctx.ws) * len(ctx.betas))
         for w in ctx.ws:
-            diff = list(ctx.kernel_terms(x, w)[0])
-            for tail, row in splits:
-                y = sum(tail)
-                tail_sum = comb(r, y) * sum(ctx.kernel_terms(tail, w)[0])
-                for k, c in enumerate(row):
-                    if c:
-                        diff[y + k] -= c * tail_sum
-            zero = not any(diff)
-            for beta in ctx.betas:
-                rec.check(zero,
-                          lambda x=x, w=w, b=beta: f"x={x.text} core={w.core.text or 'eps'} beta={b}")
+            tail_sums = [sums[tail, w] for tail in tails]
+            if ctx.kernel_terms(x, w)[0] != [sum(map(mul, column, tail_sums)) for column in columns]:
+                rec.fail(f"x={x.text} core={w.core.text or 'eps'} beta={ctx.betas[0]}", len(ctx.betas))
 
 
 def _check_razbivaem(ctx, rec):
-    """d(empty, head + tail) = d(empty, tail) * d(empty, head + 1^rank(tail))."""
+    """d(empty, head + tail) = d(empty, tail) * d(empty, head + 1^rank(tail)), every
+    factor read from _SuiteContext.d_eps."""
+    d_eps = ctx.d_eps
     for x in _all_words(ctx.max_rank):
-        lhs = d_from_empty(x)
+        lhs = d_eps[x]
+        rec.count(len(x) + 1)
         for i in range(len(x) + 1):  # i = length(tail)
             head, tail = x[:len(x) - i], x[len(x) - i:]
-            rhs = d_from_empty(tail) * d_from_empty(head + (1,) * sum(tail))
-            rec.check(lhs == rhs, lambda x=x, i=i: f"x={x.text} split={i}")
+            if lhs != d_eps[tail] * d_eps[head + (1,) * sum(tail)]:
+                rec.fail(f"x={x.text} split={i}")
 
 
 def _check_meexy(ctx, rec):
     """pi(v) = pi(head + 1^y) * pi(tail) across every rank split, cross-multiplied on
-    harmonic._g_ratio_parts."""
+    harmonic._g_ratio_parts, read from _SuiteContext.pi_parts."""
+    pi_parts = ctx.pi_parts
     for v in _all_words(ctx.max_rank):
-        num, den = _g_ratio_parts(v, 1)
+        num, den = pi_parts[v]
+        rec.count(len(v) + 1)
         for i in range(len(v) + 1):  # i = length(tail)
             head, tail = v[:len(v) - i], v[len(v) - i:]
             y = sum(tail)
-            head_num, head_den = _g_ratio_parts(head + (1,) * y, 1)
-            tail_num, tail_den = _g_ratio_parts(tail, 1)
-            rec.check(num * head_den * tail_den == head_num * tail_num * den,
-                      lambda v=v, y=y: f"v={v.text} y={y}")
+            head_num, head_den = pi_parts[head + (1,) * y]
+            tail_num, tail_den = pi_parts[tail]
+            if num * head_den * tail_den != head_num * tail_num * den:
+                rec.fail(f"v={v.text} y={y}")
 
 
 def _div_one_minus_beta(coeffs: Sequence[int]) -> tuple[list[int], int]:
@@ -632,32 +676,45 @@ def _div_one_minus_beta(coeffs: Sequence[int]) -> tuple[list[int], int]:
 
 def _binomial_sums(row: Sequence[int], m: int) -> list[int]:
     """sum_{j <= i} row[j] C(m - 1 + i - j, m - 1) for i < len(row) and m >= 1, the
-    power-series coefficients of row(beta) / (1 - beta)^m.  For R(x) and
-    m = length(x) these are rank(x)! times the binomial partial sums of x."""
-    return [sum(c * comb(m - 1 + i - j, m - 1) for j, c in enumerate(row[:i + 1]))
-            for i in range(len(row))]
+    power-series coefficients of row(beta) / (1 - beta)^m, as m prefix sums in turn
+    (1 / (1 - beta) sums a prefix).  For R(x) and m = length(x) these are rank(x)!
+    times the binomial partial sums of x."""
+    for _ in range(m):
+        row = list(accumulate(row))
+    return row
 
 
 def _check_delitsa(ctx, rec):
     """The beta polynomial divides by (1 - beta) exactly length(x) times, no more."""
-    for x in _all_words(ctx.max_rank):
-        quotient = ctx.row_quotient(x)
-        rec.check(quotient is not None and sum(quotient) != 0, lambda x=x: f"x={x.text}")
+    for n in range(ctx.max_rank + 1):
+        level = enumerate_level(n)
+        rec.count(len(level))
+        for x in level:
+            quotient = ctx.row_quotient(x)
+            if quotient is None or sum(quotient) == 0:
+                rec.fail(f"x={x.text}")
 
 
 def _check_binomische1(ctx, rec):
     """The binomial partial sums vanish for rank(x) - length(x) < i <= rank(x)."""
     for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         start = sum(x) - len(x) + 1
-        for i, total in enumerate(ctx.binomial_sums(x)[start:], start):
-            rec.check(total == 0, lambda x=x, i=i: f"x={x.text} i={i}")
+        tail = ctx.binomial_sums(x)[start:]
+        rec.count(len(tail))
+        if any(tail):
+            for i, total in enumerate(tail, start):
+                if total:
+                    rec.fail(f"x={x.text} i={i}")
 
 
 def _check_binomische2(ctx, rec):
     """The quotient by (1-beta)^length(x) equals the binomial partial-sum polynomial."""
-    for x in _all_words(ctx.max_rank, 1):  # every nonempty word
-        partial = ctx.binomial_sums(x)[:sum(x) - len(x) + 1]
-        rec.check(ctx.row_quotient(x) == partial, lambda x=x: f"x={x.text}")
+    for n in range(1, ctx.max_rank + 1):  # every nonempty word
+        level = enumerate_level(n)
+        rec.count(len(level))
+        for x in level:
+            if ctx.row_quotient(x) != ctx.binomial_sums(x)[:n - len(x) + 1]:
+                rec.fail(f"x={x.text}")
 
 
 def _check_schyot(ctx, rec):
@@ -667,10 +724,13 @@ def _check_schyot(ctx, rec):
         if L < 2:
             continue
         row, partial = ctx.row(x, 0), ctx.binomial_sums(x)
-        second = _binomial_sums([(R - j) * c for j, c in enumerate(row)], L - 1)
-        for i in range(1, R + 1):
-            rec.check(partial[i] * (R - i) == partial[i - 1] * (R - i - L + 1) + second[i],
-                      lambda x=x, i=i: f"x={x.text} i={i}")
+        second = _binomial_sums(list(map(mul, row, range(R, -1, -1))), L - 1)  # (R - j) row[j]
+        # partial[i] (R - i) against partial[i - 1] (R - i - L + 1) + second[i], i = 1..R
+        lhs = list(map(mul, partial[1:], range(R - 1, -1, -1)))
+        rhs = list(map(add, map(mul, partial, range(R - L, -L, -1)), second[1:]))
+        rec.count(R)
+        for i in _mismatches(lhs, rhs, 1):
+            rec.fail(f"x={x.text} i={i}")
 
 
 def _check_binom1(ctx, rec):
@@ -678,8 +738,10 @@ def _check_binom1(ctx, rec):
     for x in _all_words(ctx.max_rank, 1):  # every nonempty word
         L = len(x)
         scaled_q = factorial(sum(x)) // prod(suffix_ranks(x))  # rank(x)! q(x)
+        rec.count(L + 1)
         for i, total in enumerate(ctx.binomial_sums(x)[:L + 1]):
-            rec.check(total <= scaled_q * comb(L, i), lambda x=x, i=i: f"x={x.text} i={i}")
+            if total > scaled_q * comb(L, i):
+                rec.fail(f"x={x.text} i={i}")
 
 
 def _check_mamka2(ctx, rec):
@@ -688,20 +750,22 @@ def _check_mamka2(ctx, rec):
     for x in _all_words(ctx.max_rank):
         L, r = len(x), sum(x)
         scaled_q = factorial(r) // prod(suffix_ranks(x))
+        rec.count(len(ctx.betas))
         for beta in ctx.betas:
             p, den = beta.numerator, beta.denominator
             rhs = scaled_q * (den * den - p * p) ** L * den ** (2 * r - 2 * L)
-            rec.check(_scaled_value(ctx.row(x, 0), beta, 2 * r) <= rhs,
-                      lambda x=x, b=beta: f"x={x.text} beta={b}")
+            if _scaled_value(ctx.row(x, 0), beta, 2 * r) > rhs:
+                rec.fail(f"x={x.text} beta={beta}")
 
 
 def _check_dostalo(ctx, rec):
     """Sum over rank-(n-y) words of q * d(empty, word + 1^y) equals the closed product;
     the sum is taken from the int closed column coefficients that sum uses too."""
     for n in range(ctx.max_rank + 1):
+        rec.count(n + 1)
         for y in range(n + 1):
-            rec.check(sum(ctx.closed_columns[n, y]) == level_product(n, y) * factorial(n - y),
-                      lambda n=n, y=y: f"n={n} y={y}")
+            if sum(ctx.closed_columns[n, y]) != level_product(n, y) * factorial(n - y):
+                rec.fail(f"n={n} y={y}")
 
 
 def _table_witness(w: TailOnesWord, beta: Fraction, n: int) -> str:
@@ -715,20 +779,18 @@ def _check_sum(ctx, rec):
     the table's coefficients are FactoredTable.columns[y] over its den, the
     closed form's are column_closed_form_coeffs(n, y) over (n - y)!, the same
     for every w.  Their difference over den (n - y)! is formed once per
-    (w, n, y); an instance holds iff no coefficient is nonzero.
+    (w, n, y); its len(betas) instances (w, beta, n, y) hold iff no coefficient
+    is nonzero.  Instances run over w, beta, n, y in turn, so a core's first
+    failure is at the first beta, and each failing column fails at every beta.
     """
-    zero = {}
-    for (w, n), table in ctx.tables.items():
-        for y, column in enumerate(table.columns):
-            fac = factorial(n - y)
-            zero[w, n, y] = all(c * fac == b * table.den
-                                for c, b in zip(column, ctx.closed_columns[n, y]))
     for w in ctx.ws:
-        for beta in ctx.betas:
-            for n in range(ctx.max_rank + 1):
-                for y in range(n + 1):
-                    rec.check(zero[w, n, y],
-                              lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
+        for n in range(ctx.max_rank + 1):
+            table = ctx.tables[w, n]
+            rec.count(len(ctx.betas) * len(table.columns))
+            for y, column in enumerate(table.columns):
+                fac = factorial(n - y)
+                if any(c * fac != b * table.den for c, b in zip(column, ctx.closed_columns[n, y])):
+                    rec.fail(f"{_table_witness(w, ctx.betas[0], n)} y={y}", len(ctx.betas))
 
 
 def _check_stolb(ctx, rec):
@@ -738,30 +800,34 @@ def _check_stolb(ctx, rec):
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 sums, den = ctx.column_sums[w, beta, n]
+                rec.count(len(sums))
                 for y, total in enumerate(sums):
                     num, bound_den = ctx.column_bounds[beta, n, y]
-                    rec.check(total * bound_den <= num * den,
-                              lambda w=w, b=beta, n=n, y=y: f"{_table_witness(w, b, n)} y={y}")
+                    if total * bound_den > num * den:
+                        rec.fail(f"{_table_witness(w, beta, n)} y={y}")
 
 
 def _check_lehamed(ctx, rec):
     """Column bounds sum to at most 1 + 1/beta; so does the whole table.  At beta = p/q
     both totals are ints over one denominator D and compared as total * p <= (p + q) * D:
     the bounds over the lcm of their denominators, the table over its den."""
+    rec.count(len(ctx.betas) * (ctx.max_rank + 1))
     for beta in ctx.betas:
         p, q = beta.numerator, beta.denominator
         for n in range(ctx.max_rank + 1):
             bounds = [ctx.column_bounds[beta, n, y] for y in range(n + 1)]
             den = lcm(*(bound_den for _, bound_den in bounds))
             bound_total = sum(num * (den // bound_den) for num, bound_den in bounds)
-            rec.check(bound_total * p <= (p + q) * den, lambda b=beta, n=n: f"beta={b} n={n}")
+            if bound_total * p > (p + q) * den:
+                rec.fail(f"beta={beta} n={n}")
+    rec.count(len(ctx.ws) * len(ctx.betas) * (ctx.max_rank + 1))
     for w in ctx.ws:
         for beta in ctx.betas:
             p, q = beta.numerator, beta.denominator
             for n in range(ctx.max_rank + 1):
                 sums, den = ctx.column_sums[w, beta, n]
-                rec.check(sum(sums) * p <= (p + q) * den,
-                          lambda w=w, b=beta, n=n: _table_witness(w, b, n))
+                if sum(sums) * p > (p + q) * den:
+                    rec.fail(_table_witness(w, beta, n))
 
 
 def _check_zabe(ctx, rec):
@@ -769,21 +835,22 @@ def _check_zabe(ctx, rec):
 
     At beta = p/q, q^(2n) * mu_{w,beta}(v) is d(empty, v) * sum_i T_i p^i q^(2n-i)
     over the denominator of T, with T_i the kernel coefficients of
-    boundary._kernel_terms that kusok uses too.  The row sums come from the
-    factored table over its den * q^(2n), built by the class engine, so the
-    check compares two engines and both sides stay ints until the comparison.
+    boundary._kernel_terms that kusok uses too, and d(empty, v) read from
+    _SuiteContext.d_eps.  The row sums come from the factored table over its
+    den * q^(2n), built by the class engine, so the check compares two engines
+    and both sides stay ints until the comparison.
     """
-    d_eps = {v: d_from_empty(v) for v in _all_words(ctx.max_rank)}
+    d_eps = ctx.d_eps
     for w in ctx.ws:
         for beta in ctx.betas:
             for n in range(ctx.max_rank + 1):
                 table = ctx.tables[w, n]
                 rows, _ = table.row_sums(beta)
+                rec.count(len(rows))
                 for v, row in zip(table.level.words, rows):
                     terms, den = ctx.kernel_terms(v, w)
-                    mass = d_eps[v] * _scaled_value(terms, beta, 2 * n)
-                    rec.check(mass * table.den <= row * den,
-                              lambda w=w, b=beta, n=n, v=v: f"{_table_witness(w, b, n)} v={v.text}")
+                    if d_eps[v] * _scaled_value(terms, beta, 2 * n) * table.den > row * den:
+                        rec.fail(f"{_table_witness(w, beta, n)} v={v.text}")
 
 
 IDENTITY_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -840,6 +907,18 @@ class _SuiteContext(_Frozen):
         """boundary._kernel_terms on self.row, one result per (x, w), held for this
         suite run; kusok and zabe share it."""
         return lru_cache(maxsize=None)(lambda x, w: _kernel_terms(x, w, self.row))
+
+    @cached_property
+    def d_eps(self) -> dict[YFWord, int]:
+        """d(empty, x) for every word of rank <= max_rank, one d_from_empty call each:
+        razbivaem's factors and zabe's masses."""
+        return {x: d_from_empty(x) for x in _all_words(self.max_rank)}
+
+    @cached_property
+    def pi_parts(self) -> dict[YFWord, tuple[int, int]]:
+        """harmonic._g_ratio_parts(x, 1), pi(x) as (num, den), for every word of rank <=
+        max_rank, one call each: meexy's factors."""
+        return {x: _g_ratio_parts(x, 1) for x in _all_words(self.max_rank)}
 
     @cached_property
     def tables(self) -> dict[tuple[TailOnesWord, int], FactoredTable]:

@@ -269,6 +269,13 @@ def test_verify(capsys):
     assert "ALL IDENTITIES PASS" in out
 
 
+def test_verify_refuses_a_rank_past_the_cap(capsys):
+    # the suite's cap is rank 16: rank 17 is a usage error, one line on stderr
+    code, out, err = run(capsys, "verify", "--max-rank", "17")
+    assert (code, out) == (2, "")
+    assert err.startswith("yflab: error: ") and err.count("\n") == 1, err
+
+
 def test_verify_matches_benchmark_golden(capsys):
     # the benchmark's verify workload checks these bytes too; this keeps the gate in the suite
     goldens = Path(__file__).resolve().parents[1] / "perfbench" / "goldens"

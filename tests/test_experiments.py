@@ -8,7 +8,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yflab import boundary, experiments, harmonic
+from yflab import boundary, experiments, harmonic, magic, pathcount
 from yflab.boundary import (
     TailOnesWord,
     level_distribution,
@@ -509,7 +509,7 @@ def test_identity_suite_green_at_rank_6():
 
 
 def test_identity_suite_rank_cap():
-    for max_rank in (13, -1):
+    for max_rank in (17, -1):
         with pytest.raises(ValueError):
             identity_suite(max_rank)
 
@@ -634,6 +634,24 @@ def test_identity_suite_builds_each_kernel_once(monkeypatch):
     # tables read no kernel: they come from the class engine)
     assert len(calls) == 4 * sum(fibonacci(n + 1) for n in range(6))
     assert len(set(calls)) == len(calls)
+
+
+def test_identity_suite_reads_d_and_pi_once_per_word(monkeypatch):
+    calls = Counter()
+
+    def counting(name, function):
+        def count(x, *args):
+            calls[name, tuple(x), args] += 1
+            return function(x, *args)
+        return count
+
+    monkeypatch.setattr(experiments, "d_from_empty", counting("d", experiments.d_from_empty))
+    monkeypatch.setattr(experiments, "_g_ratio_parts", counting("pi", experiments._g_ratio_parts))
+    assert identity_suite(6).all_passed
+    # one d(empty, x) and one pi(x) per word of rank 0..6, shared by every split of
+    # razbivaem and meexy and by zabe's masses
+    words = [tuple(x) for n in range(7) for x in enumerate_level(n)]
+    assert calls == Counter({**{("d", x, ()): 1 for x in words}, **{("pi", x, (1,)): 1 for x in words}})
 
 
 def test_kusok_failures_match_pointwise_reference(monkeypatch):
@@ -811,6 +829,108 @@ def test_planted_differences_vanishing_on_the_grid_are_reported(monkeypatch):
     report = {r.name: r for r in identity_suite(5).results}
     assert (report["kusok"].failures, report["kusok"].first_counterexample) == (4, "x=2111 core=22 beta=1/4")
     assert (report["sum"].failures, report["sum"].first_counterexample) == (4 * 4, "core=eps beta=1/4 n=5 y=0")
+
+
+def _per_instance(instances):
+    """(instances, failures, first witness) of a literal loop over (holds, witness) pairs."""
+    failing = [witness for holds, witness in instances if not holds]
+    return len(instances), len(failing), failing[0] if failing else None
+
+
+def _suite_result(name):
+    """(instances, failures, first witness) of one identity of identity_suite(5)."""
+    result = {r.name: r for r in identity_suite(5).results}[name]
+    return result.instances, result.failures, result.first_counterexample
+
+
+def test_razbivaem_failures_match_per_instance_reference(monkeypatch):
+    # d(empty, 21) raised by 1 through the suite's d(empty, .) seam, its per-word map:
+    # razbivaem must give the failures and the witness of the literal per-split check
+    def d(x):
+        return pathcount.d_from_empty(x) + (tuple(x) == (2, 1))
+
+    expected = _per_instance([
+        (d(x) == d(suffix(x, i)) * d(prefix(x, i) + ones_word(sum(suffix(x, i)))), f"x={x.text} split={i}")
+        for n in range(6) for x in enumerate_level(n) for i in range(len(x) + 1)])
+    assert expected[1] > 0
+    monkeypatch.setattr(experiments, "d_from_empty", d)
+    assert _suite_result("razbivaem") == expected
+
+
+def test_meexy_failures_match_per_instance_reference(monkeypatch):
+    # pi(21) raised by 1 through the suite's pi seam, harmonic._g_ratio_parts read once
+    # per word: meexy must give the failures and the witness of the literal Fraction check
+    def parts(x, k):
+        num, den = harmonic._g_ratio_parts(x, k)
+        return (num + den, den) if tuple(x) == (2, 1) else (num, den)
+
+    def pi_(x):
+        return Fr(*parts(x, 1))
+
+    expected = _per_instance([
+        (pi_(v) == pi_(prefix(v, i) + ones_word(sum(suffix(v, i)))) * pi_(suffix(v, i)),
+         f"v={v.text} y={sum(suffix(v, i))}")
+        for n in range(6) for v in enumerate_level(n) for i in range(len(v) + 1)])
+    assert expected[1] > 0
+    monkeypatch.setattr(experiments, "_g_ratio_parts", parts)
+    assert _suite_result("meexy") == expected
+
+
+def test_evtuh7_failures_match_per_instance_reference(monkeypatch):
+    # f(211, 1, 2) + 1 and f(211, 2, 1) + 1 in the suite's row memo, rows at z > 0 that
+    # only the f identities read: evtuh7 must give the failures and the witness of the
+    # literal Fraction check of the prepend law, instance by instance in (a, x, y, z)
+    # order, y before z
+    planted = {((2, 1, 1), 1, 2), ((2, 1, 1), 2, 1)}
+
+    def rows(x, top):
+        out = harmonic._f_rows(x, top)
+        for word, y, z in planted:
+            if tuple(x) == word:
+                out[z][y] += factorial(sum(x))
+        return out
+
+    def fv(x, y, z):
+        return f(x, y, z) + ((tuple(x), y, z) in planted)
+
+    expected = _per_instance([
+        (fv(x, y, z) == fv(YFWord((a,) + x), y, z) * (n + a - y), f"a={a} x={x.text} y={y} z={z}")
+        for a in (1, 2) for n in range(6 - a) for x in enumerate_level(n)
+        for y in range(n + 1) for z in range(len(x) + 1)])
+    assert expected[1:] == (4, "a=1 x=211 y=1 z=2")
+    monkeypatch.setattr(experiments, "_f_rows", rows)
+    assert _suite_result("evtuh7") == expected
+
+
+def test_stolb_failures_match_per_instance_reference(monkeypatch):
+    # the bound of column 1 of rank 4 at beta = 1/2 planted as 0: stolb must give the
+    # failures and the witness of the literal check of each Fraction column sum
+    def bound_parts(beta, n, y):
+        return (0, 1) if (beta, n, y) == (Fr(1, 2), 4, 1) else magic._column_bound_parts(beta, n, y)
+
+    expected = _per_instance([
+        (sum(magic_entry(w, beta, n, v, y) for v in enumerate_level(n)) <= Fr(*bound_parts(beta, n, y)),
+         f"core={w.core.text or 'eps'} beta={beta} n={n} y={y}")
+        for w in CORES for beta in experiments.DEFAULT_BETA_GRID for n in range(6) for y in range(n + 1)])
+    assert expected[1] > 0
+    monkeypatch.setattr(experiments, "_column_bound_parts", bound_parts)
+    assert _suite_result("stolb") == expected
+
+
+def test_zabe_failures_match_per_instance_reference(monkeypatch):
+    # d(empty, 21) planted at 10 times its value through the suite's d(empty, .) seam:
+    # zabe must give the failures and the witness of the literal check of each
+    # Fraction mass d(empty, v) d'_beta(v, w) against its Fraction row sum
+    def d(x):
+        return pathcount.d_from_empty(x) * (10 if tuple(x) == (2, 1) else 1)
+
+    expected = _per_instance([
+        (d(v) * boundary.d_beta_prime(v, w, beta) <= sum(magic_entry(w, beta, n, v, y) for y in range(n + 1)),
+         f"core={w.core.text or 'eps'} beta={beta} n={n} v={v.text}")
+        for w in CORES for beta in experiments.DEFAULT_BETA_GRID for n in range(6) for v in enumerate_level(n)])
+    assert expected[1] > 0
+    monkeypatch.setattr(experiments, "d_from_empty", d)
+    assert _suite_result("zabe") == expected
 
 
 def test_kusok_and_sum_decide_zero_differences_without_evaluation(monkeypatch):
