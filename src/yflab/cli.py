@@ -10,6 +10,10 @@ failure, 2 on usage errors and on a failed write to stdout (``> /dev/full``).
 A reader that closes stdout early (``yflab level 30 | head``) ends the command
 quietly, with status 0; a failed ``verify`` keeps status 1 whether its own
 write or only the final flush fails.
+
+Every command is one entry of COMMANDS.  main builds only the subparser it
+dispatches to; the full tree, with every subparser, only for help, no
+command or an unknown one.  Both print the same usage line and errors.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, TextIO
+from typing import Iterator, Optional, TextIO
 
 from .boundary import TailOnesWord, d_beta_prime, level_distribution
 from .experiments import concentration_sweep, identity_suite
@@ -29,7 +33,7 @@ from .harmonic import (_csv_rows, check_beta, d_beta, f, format_rational, g_all,
                        pi, q)
 from .magic import build_table, symbolic_csv
 from .pathcount import d_paths_dp, d_paths_formula
-from .words import YFWord, fibonacci, iter_level
+from .words import MAX_LEVEL_RANK, YFWord, fibonacci, iter_level
 
 OUTPUT_DIR_ENV = "YFLAB_OUTPUT_DIR"
 MAGIC_DEFAULT_CAP = 16
@@ -39,7 +43,7 @@ MAGIC_DEFAULT_CAP = 16
 # the highest rank whose words fit in MEASURE_BUDGET at that rate (rank 27).
 MEASURE_BYTES_PER_WORD = 810
 MEASURE_BUDGET = 256 * 2 ** 20
-MEASURE_DEFAULT_CAP = max(n for n in range(92)
+MEASURE_DEFAULT_CAP = max(n for n in range(MAX_LEVEL_RANK + 1)
                           if fibonacci(n + 1) * MEASURE_BYTES_PER_WORD <= MEASURE_BUDGET)
 
 
@@ -152,10 +156,10 @@ def _cmd_dprime(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    if args.n > args.cap:
-        raise ValueError(f"n={args.n} exceeds the measure cap {args.cap}: its "
-                         f"{fibonacci(args.n + 1)} masses are held at about "
-                         f"{MEASURE_BYTES_PER_WORD} bytes each; raise it with --cap if intended")
+    if args.n > args.cap:  # the count is given while a tuple could hold the level
+        count = f"{fibonacci(args.n + 1)} " if args.n <= MAX_LEVEL_RANK else ""
+        raise ValueError(f"n={args.n} exceeds the measure cap {args.cap}: its {count}masses are held "
+                         f"at about {MEASURE_BYTES_PER_WORD} bytes each; raise it with --cap if intended")
     w = TailOnesWord.parse(args.w)
     dist = level_distribution(w, _beta(args.beta), args.n)
     rows = [["word", "mass"]]
@@ -199,86 +203,71 @@ def _cmd_verify(args) -> int:
     return status
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+# name -> (handler, help, arguments besides --format and --output), in usage order
+COMMANDS = {
+    "level": (_cmd_level, "list all words of one rank", [_arg("n", type=int)]),
+    "dcount": (_cmd_dcount, "count descending paths between two words",
+               [_arg("x"), _arg("y"), _arg("--method", choices=("dp", "formula", "both"), default="both")]),
+    "f": (_cmd_f, "evaluate f(x, y, z)", [_arg("x"), _arg("y", type=int), _arg("z", type=int)]),
+    "g": (_cmd_g, "all g-values of a word", [_arg("x")]),
+    "q": (_cmd_q, "the suffix-rank product weight q(x)", [_arg("x")]),
+    "pi": (_cmd_pi, "the product pi(x) over g-values exceeding 1", [_arg("x")]),
+    "dbeta": (_cmd_dbeta, "coefficients of the beta polynomial of x", [_arg("x")]),
+    "dprime": (_cmd_dprime, "the kernel d'_beta(x, w)",
+               [_arg("x"), _arg("--w", required=True, help="core of the tail-ones word (eps allowed)"),
+                _arg("--beta", required=True)]),
+    "measure": (_cmd_measure, "boundary-measure masses over one rank",
+                [_arg("--w", required=True), _arg("--beta", required=True),
+                 _arg("--n", type=int, required=True),
+                 _arg("--cap", type=int, default=MEASURE_DEFAULT_CAP,
+                      help="refuse levels beyond this rank, as they are held in memory")]),
+    "magic": (_cmd_magic, "the dense table for (w, beta, n) as CSV",
+              [_arg("--w", required=True), _arg("--beta", required=True),
+               _arg("--n", type=int, required=True),
+               _arg("--symbolic", action="store_true",
+                    help="cells as (coeff;tail;beta_exp;one_minus_beta2_exp)"),
+               _arg("--cap", type=int, default=MAGIC_DEFAULT_CAP,
+                    help="refuse dense tables beyond this rank")]),
+    "sweep": (_cmd_sweep, "tail masses outside a concentration set",
+              [_arg("--mode", choices=("suffix", "pi"), required=True), _arg("--w", required=True),
+               _arg("--beta", required=True), _arg("--l", type=int), _arg("--eps"),
+               _arg("--n", required=True, help="rank list: N, A..B or A..B..STEP"),
+               _arg("--jobs", type=int, default=1)]),
+    "verify": (_cmd_verify, "run the exhaustive identity suite",
+               [_arg("--max-rank", type=int, required=True)]),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The yflab parser with every command's subparser, or with only the one named by
+    only; the usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="yflab",
         description="Exact computations on the Young-Fibonacci lattice.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if only is None else [only]:
+        func, help_text, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
         p.add_argument("--output", help=f"output file; relative paths resolve "
                                         f"against ${OUTPUT_DIR_ENV} when set")
-        return p
-
-    p = add("level", _cmd_level, "list all words of one rank")
-    p.add_argument("n", type=int)
-
-    p = add("dcount", _cmd_dcount, "count descending paths between two words")
-    p.add_argument("x")
-    p.add_argument("y")
-    p.add_argument("--method", choices=("dp", "formula", "both"), default="both")
-
-    p = add("f", _cmd_f, "evaluate f(x, y, z)")
-    p.add_argument("x")
-    p.add_argument("y", type=int)
-    p.add_argument("z", type=int)
-
-    p = add("g", _cmd_g, "all g-values of a word")
-    p.add_argument("x")
-
-    p = add("q", _cmd_q, "the suffix-rank product weight q(x)")
-    p.add_argument("x")
-
-    p = add("pi", _cmd_pi, "the product pi(x) over g-values exceeding 1")
-    p.add_argument("x")
-
-    p = add("dbeta", _cmd_dbeta, "coefficients of the beta polynomial of x")
-    p.add_argument("x")
-
-    p = add("dprime", _cmd_dprime, "the kernel d'_beta(x, w)")
-    p.add_argument("x")
-    p.add_argument("--w", required=True, help="core of the tail-ones word (eps allowed)")
-    p.add_argument("--beta", required=True)
-
-    p = add("measure", _cmd_measure, "boundary-measure masses over one rank")
-    p.add_argument("--w", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=MEASURE_DEFAULT_CAP,
-                   help="refuse levels beyond this rank, as they are held in memory")
-
-    p = add("magic", _cmd_magic, "the dense table for (w, beta, n) as CSV")
-    p.add_argument("--w", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--symbolic", action="store_true",
-                   help="cells as (coeff;tail;beta_exp;one_minus_beta2_exp)")
-    p.add_argument("--cap", type=int, default=MAGIC_DEFAULT_CAP,
-                   help="refuse dense tables beyond this rank")
-
-    p = add("sweep", _cmd_sweep, "tail masses outside a concentration set")
-    p.add_argument("--mode", choices=("suffix", "pi"), required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--eps")
-    p.add_argument("--n", required=True, help="rank list: N, A..B or A..B..STEP")
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = add("verify", _cmd_verify, "run the exhaustive identity suite")
-    p.add_argument("--max-rank", type=int, required=True)
-
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # exact values may exceed 4300 digits
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the full tree only for help, no command or an unknown one
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -69,14 +69,16 @@ from one class pass at the top rank (magic._class_pass).  stolb, lehamed and
 zabe are decided at each beta on ints: stolb and lehamed read each column
 bound as an int pair (num, den), zabe compares the table's row sums with
 masses from the pointwise kernel of boundary._kernel_terms, so it checks two
-engines against each other.  The splits of kusok, razbivaem and meexy are
-plain digit tuples.  A _SuiteContext holds, for one suite run, the rows; each
-word's d(empty, x) and pi(x) as (num, den), one pathcount.d_from_empty and one
-harmonic._g_ratio_parts call per word of rank <= max_rank, which every split
-of razbivaem and meexy and every zabe mass read; the kernel coefficients per
-(x, w) (the package's only kernel cache); the factored tables, their column
-sums at each beta, the closed column coefficients, the column bounds, and each
-word's quotient and binomial partial sums.
+engines against each other, in one pass per table for every beta.  The splits
+of kusok, razbivaem and meexy are plain digit tuples.  A _SuiteContext holds,
+for one suite run, the rows; each word's d(empty, x) and pi(x) as (num, den),
+one pathcount.d_from_empty and one harmonic._g_ratio_parts call per word of
+rank <= max_rank, which every split of razbivaem and meexy and every zabe mass
+read; the kernel coefficients per (x, w) (the package's only kernel cache);
+the factored tables, their column sums at each beta and the column bounds
+(lists by rank, fetched once per (w, beta) or beta, so no Fraction is hashed
+per column), the closed column coefficients, and each word's quotient and
+binomial partial sums.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms,
                        _mass_coefficients, _prepend, _roots_at, _scaled_value, h_infinite)
 from .harmonic import (_csv_rows, _f_row, _f_rows, _g_products, _g_ratio_parts, _scaled_f,
-                       check_beta, format_rational, pi, q)
+                       check_beta, format_rational, pi)
 from .magic import (FactoredTable, _assemble_table, _class_pass, _column_bound_parts,
                     column_closed_form_coeffs, level_product)
 from .pathcount import d_from_empty
@@ -590,12 +592,13 @@ def _check_evtuh93(ctx, rec):
 
 
 def _check_q_recurrence(ctx, rec):
-    """q(x') = rank(x) * q(x) when x = a + x'."""
+    """q(x') = rank(x) * q(x) when x = a + x', decided on the reciprocals as ints:
+    prod(suffix_ranks(x)) = rank(x) * prod(suffix_ranks(x'))."""
     for n in range(1, ctx.max_rank + 1):  # every nonempty word
         level = enumerate_level(n)
         rec.count(len(level))
         for x in level:
-            if q(YFWord(x[1:])) != n * q(x):
+            if prod(suffix_ranks(x)) != n * prod(suffix_ranks(x[1:])):
                 rec.fail(f"x={x.text}")
 
 
@@ -798,11 +801,11 @@ def _check_stolb(ctx, rec):
     num / bound_den iff total * bound_den <= num * den."""
     for w in ctx.ws:
         for beta in ctx.betas:
+            column_sums, column_bounds = ctx.column_sums[w, beta], ctx.column_bounds[beta]
             for n in range(ctx.max_rank + 1):
-                sums, den = ctx.column_sums[w, beta, n]
+                sums, den = column_sums[n]
                 rec.count(len(sums))
-                for y, total in enumerate(sums):
-                    num, bound_den = ctx.column_bounds[beta, n, y]
+                for y, (total, (num, bound_den)) in enumerate(zip(sums, column_bounds[n])):
                     if total * bound_den > num * den:
                         rec.fail(f"{_table_witness(w, beta, n)} y={y}")
 
@@ -814,8 +817,7 @@ def _check_lehamed(ctx, rec):
     rec.count(len(ctx.betas) * (ctx.max_rank + 1))
     for beta in ctx.betas:
         p, q = beta.numerator, beta.denominator
-        for n in range(ctx.max_rank + 1):
-            bounds = [ctx.column_bounds[beta, n, y] for y in range(n + 1)]
+        for n, bounds in enumerate(ctx.column_bounds[beta]):
             den = lcm(*(bound_den for _, bound_den in bounds))
             bound_total = sum(num * (den // bound_den) for num, bound_den in bounds)
             if bound_total * p > (p + q) * den:
@@ -824,8 +826,7 @@ def _check_lehamed(ctx, rec):
     for w in ctx.ws:
         for beta in ctx.betas:
             p, q = beta.numerator, beta.denominator
-            for n in range(ctx.max_rank + 1):
-                sums, den = ctx.column_sums[w, beta, n]
+            for n, (sums, den) in enumerate(ctx.column_sums[w, beta]):
                 if sum(sums) * p > (p + q) * den:
                     rec.fail(_table_witness(w, beta, n))
 
@@ -838,19 +839,25 @@ def _check_zabe(ctx, rec):
     boundary._kernel_terms that kusok uses too, and d(empty, v) read from
     _SuiteContext.d_eps.  The row sums come from the factored table over its
     den * q^(2n), built by the class engine, so the check compares two engines
-    and both sides stay ints until the comparison.
+    and both sides stay ints until the comparison.  One pass per table reads each
+    word's kernel and d(empty, v) once for every beta; a core's failures are then
+    reported in instance order (beta, n, v).
     """
-    d_eps = ctx.d_eps
+    d_eps, betas = ctx.d_eps, ctx.betas
     for w in ctx.ws:
-        for beta in ctx.betas:
-            for n in range(ctx.max_rank + 1):
-                table = ctx.tables[w, n]
-                rows, _ = table.row_sums(beta)
-                rec.count(len(rows))
-                for v, row in zip(table.level.words, rows):
-                    terms, den = ctx.kernel_terms(v, w)
-                    if d_eps[v] * _scaled_value(terms, beta, 2 * n) * table.den > row * den:
-                        rec.fail(f"{_table_witness(w, beta, n)} v={v.text}")
+        failures = []  # (beta index, n, word index, word) per failing instance
+        for n in range(ctx.max_rank + 1):
+            table = ctx.tables[w, n]
+            rows = [table.row_sums(beta)[0] for beta in betas]
+            rec.count(len(betas) * len(table.level))
+            for i, v in enumerate(table.level.words):
+                terms, den = ctx.kernel_terms(v, w)
+                scale = d_eps[v] * table.den
+                for j, beta in enumerate(betas):
+                    if scale * _scaled_value(terms, beta, 2 * n) > rows[j][i] * den:
+                        failures.append((j, n, i, v))
+        for j, n, _, v in sorted(failures):
+            rec.fail(f"{_table_witness(w, betas[j], n)} v={v.text}")
 
 
 IDENTITY_CHECKS: tuple[tuple[str, Callable], ...] = (
@@ -933,11 +940,11 @@ class _SuiteContext(_Frozen):
         return tables
 
     @cached_property
-    def column_sums(self) -> dict[tuple[TailOnesWord, Fraction, int], tuple[list[int], int]]:
-        """FactoredTable.column_sums(beta) of every table at every beta, held for this
-        suite run; stolb and lehamed share it."""
-        return {(w, beta, n): self.tables[w, n].column_sums(beta)
-                for w in self.ws for beta in self.betas for n in range(self.max_rank + 1)}
+    def column_sums(self) -> dict[tuple[TailOnesWord, Fraction], list[tuple[list[int], int]]]:
+        """FactoredTable.column_sums(beta) of every table at every beta, a list by rank n
+        per (w, beta), held for this suite run; stolb and lehamed share it."""
+        return {(w, beta): [self.tables[w, n].column_sums(beta) for n in range(self.max_rank + 1)]
+                for w in self.ws for beta in self.betas}
 
     @cached_property
     def closed_columns(self) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -947,12 +954,12 @@ class _SuiteContext(_Frozen):
                 for n in range(self.max_rank + 1) for y in range(n + 1)}
 
     @cached_property
-    def column_bounds(self) -> dict[tuple[Fraction, int, int], tuple[int, int]]:
+    def column_bounds(self) -> dict[Fraction, list[list[tuple[int, int]]]]:
         """magic.column_bound(beta, n, y) as its int pair (num, den) for every beta and
-        column up to max_rank, held for this suite run; stolb and lehamed share it
-        for every core."""
-        return {(beta, n, y): _column_bound_parts(beta, n, y)
-                for beta in self.betas for n in range(self.max_rank + 1) for y in range(n + 1)}
+        column up to max_rank, a list indexed [n][y] per beta, held for this suite run;
+        stolb and lehamed share it for every core."""
+        return {beta: [[_column_bound_parts(beta, n, y) for y in range(n + 1)]
+                       for n in range(self.max_rank + 1)] for beta in self.betas}
 
     @cached_property
     def row_quotient(self) -> Callable[[YFWord], Optional[list[int]]]:

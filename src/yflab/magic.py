@@ -202,7 +202,8 @@ class FactoredTable(_Frozen):
     def row_sums(self, beta: Fraction) -> tuple[list[int], int]:
         """The row sums at beta, in level order, as ints over the shared denominator den q^(2n)."""
         heads, tails, S = self._beta_factors(beta)
-        return [sum(C * heads[y] * tails[y][k] for y, k, C in cells) for cells in self.rows], S
+        factors = [[head * t for t in tail] for head, tail in zip(heads, tails)]  # per cell (y, k)
+        return [sum(C * factors[y][k] for y, k, C in cells) for cells in self.rows], S
 
     def evaluate(self, beta: Fraction) -> MagicTable:
         """The dense table at beta: one Fraction per nonzero-split cell."""

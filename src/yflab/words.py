@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import sys
 from functools import lru_cache
+from itertools import count
 from typing import Iterator, Optional
 
 
@@ -274,10 +275,11 @@ def iter_level(n: int) -> Iterator[YFWord]:
 
 
 def check_level_rank(n: int) -> None:
-    """Refuse a negative rank, and ranks n >= 92 (Fib(93) > sys.maxsize words)."""
+    """Refuse a negative rank, and ranks past MAX_LEVEL_RANK (Fib(93) > sys.maxsize words),
+    by comparing ranks: no Fibonacci number of a huge rank is computed."""
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if fibonacci(n + 1) > sys.maxsize:
+    if n > MAX_LEVEL_RANK:
         raise ValueError(f"rank {n} has more than sys.maxsize words; no tuple can hold them")
 
 
@@ -290,3 +292,7 @@ def fibonacci(k: int) -> int:
     for _ in range(k - 1):
         a, b = b, a + b
     return a
+
+
+# the largest rank n with Fib(n + 1) <= sys.maxsize, so that a tuple holds its level: 91 on 64 bits
+MAX_LEVEL_RANK = next(n for n in count() if fibonacci(n + 2) > sys.maxsize)

@@ -386,6 +386,70 @@ def test_usage_errors_exit_2(capsys, tmp_path):
         assert exc.value.code == 2
 
 
+def test_huge_ranks_are_refused_at_once(capsys):
+    # a rank is compared with the largest one whose level a tuple holds (91), not its
+    # Fibonacci number computed first, which took 10 s at rank 10**6 and never ended at
+    # 10**20; each child runs main under a 2 s limit, start-up included
+    assert words.MAX_LEVEL_RANK == 91 and words.fibonacci(92) <= sys.maxsize < words.fibonacci(93)
+    huge = str(10 ** 20)
+    script = "import sys; from yflab.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in (["level", huge], ["measure", "--w", "22", "--beta", "1/2", "--n", huge],
+                 ["measure", "--w", "22", "--beta", "1/2", "--n", huge, "--cap", huge],
+                 ["magic", "--w", "22", "--beta", "1/2", "--n", huge, "--cap", huge]):
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
+                             capture_output=True, text=True, timeout=2)
+        assert (out.returncode, out.stdout) == (2, ""), argv
+        assert out.stderr.startswith("yflab: error: ") and out.stderr.count("\n") == 1, argv
+    # measure's cap message gives the count while a tuple could hold the level
+    for n, count in (("40", "165580141 "), ("91", "7540113804746346429 "), ("92", "")):
+        assert run(capsys, "measure", "--w", "22", "--beta", "1/2", "--n", n) == (
+            2, "", f"yflab: error: n={n} exceeds the measure cap 27: its {count}masses are held at "
+                   f"about 810 bytes each; raise it with --cap if intended\n")
+
+
+# one valid argv per command, and the same with a required argument left out
+VALID_ARGV = {
+    "level": ["level", "3"], "dcount": ["dcount", "1", "21", "--method", "dp"],
+    "f": ["f", "21", "1", "0"], "g": ["g", "212"], "q": ["q", "212"], "pi": ["pi", "212"],
+    "dbeta": ["dbeta", "212"], "dprime": ["dprime", "12", "--w", "22", "--beta", "1/2"],
+    "measure": ["measure", "--w", "22", "--beta", "1/2", "--n", "4"],
+    "magic": ["magic", "--w", "22", "--beta", "1/2", "--n", "4", "--symbolic"],
+    "sweep": ["sweep", "--mode", "suffix", "--w", "22", "--beta", "1/2", "--l", "2", "--n", "4"],
+    "verify": ["verify", "--max-rank", "3"],
+}
+MISSING_ARGV = {
+    "level": ["level"], "dcount": ["dcount", "1"], "f": ["f", "21", "1"], "g": ["g"], "q": ["q"],
+    "pi": ["pi"], "dbeta": ["dbeta"], "dprime": ["dprime", "12", "--w", "22"],
+    "measure": ["measure", "--w", "22", "--beta", "1/2"], "magic": ["magic", "--w", "22", "--n", "4"],
+    "sweep": ["sweep", "--w", "22", "--beta", "1/2", "--l", "2", "--n", "4"], "verify": ["verify"],
+}
+
+
+def test_one_command_parser_matches_the_full_tree(capsys, monkeypatch):
+    # main builds only the subparser that argv[0] names, and the full tree for help,
+    # no command or an unknown one; every help text, usage error and namespace must
+    # be the full tree's on the running interpreter
+    assert list(VALID_ARGV) == list(MISSING_ARGV) == list(cli.COMMANDS) and len(cli.COMMANDS) == 12
+    full, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or full(only))
+
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out = capsys.readouterr()
+        return exc.value.code, out.out, out.err
+
+    cases = [([], None), (["--help"], None), (["no-such-command"], None)]
+    for name, argv in VALID_ARGV.items():
+        cases += [([name, "--help"], name), (argv + ["--bogus"], name), (argv + ["extra"], name),
+                  (MISSING_ARGV[name], name), (argv + ["--format", "xml"], name)]
+        assert full(name).parse_args(argv) == full().parse_args(argv), argv
+    for argv, only in cases:
+        built.clear()
+        assert outcome(main, argv) == outcome(full().parse_args, argv), argv
+        assert built == [only], argv
+
+
 def test_every_beta_check_keeps_its_message(capsys):
     # the eight entry points that take a beta refuse one outside (0, 1] with one
     # message; the CLI echoes the text as typed, not the reduced rational

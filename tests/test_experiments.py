@@ -23,7 +23,7 @@ from yflab.experiments import (
 )
 from yflab.harmonic import d_beta, f, pi, q
 from yflab.magic import FactoredTable, column_sum_closed_form, factored_table, magic_entry
-from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix
+from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix, suffix_ranks
 
 from reference_values import f_by_recursion, mass_weights_by_loop
 
@@ -931,6 +931,50 @@ def test_zabe_failures_match_per_instance_reference(monkeypatch):
     assert expected[1] > 0
     monkeypatch.setattr(experiments, "d_from_empty", d)
     assert _suite_result("zabe") == expected
+
+
+def test_zabe_reports_failures_in_instance_order(monkeypatch):
+    # the kernel values of 21 and 221 for core 22 (no other word of their rank has the
+    # same kernel coefficients for any core) raised at beta 3/4 and degree 6 (rank 3) and
+    # at beta 1/4 and degree 10 (rank 5): zabe decides every beta in one pass per table,
+    # and only the (core, beta, rank, word) order of a per-instance loop gives its first
+    # witness
+    w22, original = CORES[2], experiments._scaled_value
+    targets = {(tuple(boundary._kernel_terms(parse(v), w22)[0]), beta, 2 * sum(parse(v)))
+               for v, beta in (("21", Fr(3, 4)), ("221", Fr(1, 4)))}
+
+    def planted(coeffs, t, degree):
+        return original(coeffs, t, degree) + 10 ** 30 * ((tuple(coeffs), t, degree) in targets)
+
+    def mass(v, w, beta, n):
+        terms, den = boundary._kernel_terms(v, w)
+        return pathcount.d_from_empty(v) * Fr(planted(terms, beta, 2 * n), den * beta.denominator ** (2 * n))
+
+    expected = _per_instance([
+        (mass(v, w, beta, n) <= sum(magic_entry(w, beta, n, v, y) for y in range(n + 1)),
+         f"core={w.core.text or 'eps'} beta={beta} n={n} v={v.text}")
+        for w in CORES for beta in experiments.DEFAULT_BETA_GRID for n in range(6) for v in enumerate_level(n)])
+    assert expected[1:] == (2, "core=22 beta=1/4 n=5 v=221")
+    monkeypatch.setattr(experiments, "_scaled_value", planted)
+    assert _suite_result("zabe") == expected
+
+
+def test_q_recurrence_failures_match_per_instance_reference(monkeypatch):
+    # the suffix ranks of 21 planted at twice their product through the suite's seam,
+    # so q(21) halves: q_recurrence must give the failures and the witness of the
+    # literal Fraction check on harmonic.q
+    def ranks(x):
+        out = suffix_ranks(x)
+        return (2 * out[0],) + out[1:] if tuple(x) == (2, 1) else out
+
+    def q_(x):
+        return q(x) / 2 if tuple(x) == (2, 1) else q(x)
+
+    expected = _per_instance([(q_(YFWord(x[1:])) == n * q_(x), f"x={x.text}")
+                              for n in range(1, 6) for x in enumerate_level(n)])
+    assert expected[1:] == (3, "x=21")  # 21, and 121 and 221 whose x' is 21
+    monkeypatch.setattr(experiments, "suffix_ranks", ranks)
+    assert _suite_result("q_recurrence") == expected
 
 
 def test_kusok_and_sum_decide_zero_differences_without_evaluation(monkeypatch):
