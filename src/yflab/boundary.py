@@ -275,8 +275,9 @@ def _grow(state: _State, digit: int, factors: Sequence[Sequence[int]]) -> _State
 def _prepend(start, stop: int, n: int, grow: Callable) -> Iterable:
     """The states grow makes of x + start over the words x with rank(x + start) the
     first rank >= stop (and <= n) met while prepending digits; stop = n gives
-    every x with rank(x + start) = n.  A state's rank is its first field: the
-    walk prepends its nodes, the split engine its states with _grow."""
+    every x with rank(x + start) = n.  A state's rank is its first field.  The walk
+    of experiments prepends its nodes with it; the split engine grows its halves in
+    its own loop (experiments._halves), which the tests check against this one with _grow."""
     stack = [start]
     while stack:
         state = stack.pop()
@@ -294,18 +295,17 @@ def _next_chain_state(state: _State, s: tuple[int, ...]) -> _State:
     Q_j = (rho+1+j)! / (j! prod_2 (j + r_2)) stepped in j, each quotient asserted exact."""
     rho, vec, d, pi_num = state
     r2 = [r for r, digit in zip(accumulate(s), s) if digit == 2]
-    below = prod(r2)
-    Q, remainder = divmod(factorial(rho + 1), below)
+    span = len(vec) - rho  # prod_2 (j + r_2) for j = 0..len(vec) - rho - 1
+    divisors = list(map(prod, zip(*[range(r, r + span) for r in r2] or [[1] * span])))
+    Q, remainder = divmod(factorial(rho + 1), divisors[0])
     assert remainder == 0, f"chain node 1 + {s}: inexact at j=0"
     out = vec[:rho + 1]
     step = -d if len(r2) % 2 else d  # d (-1)^(j+t) at j = 0
     for j, X in enumerate(vec[rho + 1:]):
         out.append(X + step * Q)
         step = -step
-        above = prod(j + 1 + r for r in r2)
-        Q, remainder = divmod(Q * (j + rho + 2) * below, (j + 1) * above)
+        Q, remainder = divmod(Q * (j + rho + 2) * divisors[j], (j + 1) * divisors[j + 1])
         assert remainder == 0, f"chain node 1 + {s}: inexact at j={j + 1}"
-        below = above
     return rho + 1, out, d, pi_num
 
 

@@ -10,7 +10,7 @@ entry comes from harmonic._scaled_f; the vector is the row harmonic._f_row
 when the common suffix with w grows.  node_mass is then the int n! D mu(v)
 over D = q^n P_0 at beta = p/q, given the weights p^i q^(n-i) P_i.  The
 walk visits all Fib(n + 1) words of rank n; it is the oracle the tests
-check sweeps against, and it shares one stack loop (_prepend) with them.
+check sweeps against, and its stack loop (boundary._prepend) is not theirs.
 
 Sweeps sum whole classes of words instead, from the class engine of
 boundary (its docstring defines the vectors X, the 2-factors Y_u, the class
@@ -25,16 +25,16 @@ one pass of O(n^2) int products per rank for all classes (_class_masses).
 Pi tails need every word, as pi(v) is almost unique per word: the split
 engine (_split_sums) cuts each rank-n word as v = u + b, b its shortest
 suffix of rank >= k = n // 2 that contains its class root (b = v for the
-chain node of rank n).  The right halves b are grown from the roots and held
-in memory, and so are the left halves u of each rank of b, Y_u grown from
-all ones.  Each half's pi = pi_num / d is the int key K = pi n! (_pi_key), as
-its 2s have distinct g-values G <= n and so d divides n!.  A pi bin outside
-(lo, hi), lo = num / den, sorts the Kb and the Ku; as Ku rises, the number m
-of Kb with Kb (den Ku) at most num n!^2 (or below it, for hi) cannot, so one
-pointer walks down the Kb, and the Y_u of a run of equal m sum to the
-difference of one running sum at its ends.  One pass over the Kb multiplies
-each run by the running X sum of the b below it: about Fib(n / 2) vectors
-per side, and one vector add per u.
+chain node of rank n).  One walker (_halves) grows both halves with the int
+key K = pi n! of pi = pi_num / d (_pi_key): the g-values G <= n of a half's
+2s are distinct, so d divides n!, and a prepended 2 turns K into K (G - 1) / G
+if G > 1.  The b go into one dict per rank r, keyed by Kb, and the u of
+rank n - r, Y_u grown from all ones, are sorted by Ku.  Outside (lo, hi),
+lo = num / den, the number m of Kb with Kb (den Ku) at most num n!^2 (below
+it, for hi) cannot rise with Ku: one scalar pass per bound bisects the Ku for
+the runs of equal m, and one vector pass sums the Y_u (_left_groups).  Each run is
+multiplied by the running X sum of the m smallest b: about Fib(n / 2)
+vectors per side, and one vector add per u.
 
 No beta enters either engine: each sums X vectors of n + 1 ints, per class
 or per pi bin, and divides only where the chain is built (boundary), each
@@ -84,6 +84,7 @@ binomial partial sums.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -92,7 +93,7 @@ from math import comb, factorial, lcm, prod
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .boundary import (TailOnesWord, _State, _classes, _g_factors, _grow, _kernel_terms,
+from .boundary import (TailOnesWord, _State, _classes, _g_factors, _kernel_terms,
                        _mass_coefficients, _prepend, _roots_at, _scaled_value, h_infinite)
 from .harmonic import (_csv_rows, _f_row, _f_rows, _g_products, _g_ratio_parts, _scaled_f,
                        check_beta, format_rational, pi)
@@ -227,32 +228,54 @@ def _pi_key(state: _State, fac: int) -> int:
     return state[3] * cofactor
 
 
-def _left_groups(lefts: Sequence[tuple[int, list[int]]], n: int, keys: Sequence[int],
-                 cuts: Sequence[tuple[Fraction, Fraction]]) -> tuple[list[int], list[tuple[dict, dict]]]:
-    """The sum of the vectors of lefts (the (Ku, vector) pairs of the left halves of one
+def _halves(start: tuple[int, list[int], int], stop: int, n: int,
+            factors: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[int], int]]:
+    """The states (rank, X, K) that _prepend with _grow yields from start, in order, with
+    K = pi n! (_pi_key): a prepended 2 of g-value G multiplies X by factors[G] and, if
+    G > 1, K by (G - 1) / G, exactly, as d G divides n!.  Vectors are shared, never changed."""
+    stack = [start]
+    while stack:
+        rank, vec, key = state = stack.pop()
+        if rank >= stop:
+            yield state
+            continue
+        if rank < n - 1:
+            two, remainder = divmod(key * rank, rank + 1) if rank else (key, 0)  # G = rank + 1
+            assert remainder == 0, f"g-value {rank + 1} does not divide {key}"
+            stack.append((rank + 2, list(map(mul, vec, factors[rank + 1])), two))
+        stack.append((rank + 1, vec, key))
+
+
+def _left_groups(lefts: Sequence[tuple[int, list[int], int]], n: int, keys: Sequence[int],
+                 bounds: Sequence[tuple[int, int]]) -> tuple[list[int], list[tuple[dict, dict]]]:
+    """The sum of the vectors of lefts (the (rank, Y_u, Ku) of the left halves of one
     right-half rank, ascending in Ku) and, per cut (lo, hi) of pi(v), two dicts m -> the
-    sum over the u with m keys Kb (ascending) at most lo / pi(u), or below hi / pi(u); a
-    run of equal m is a difference of two running sums.  pi(u) pi(b) <= lo = num / den iff
-    Kb (den Ku) <= num n!^2, and < hi likewise: one exact int product per pointer step."""
-    zero, scale = [0] * (n + 1), factorial(n) ** 2
-    # per bound: its den, the least Kb (den Ku) that drops b (num n!^2, plus 1 at lo), m,
-    # the running sum where m's run starts, and m -> the run's sum
-    sides = [[bound.denominator, bound.numerator * scale + least, len(keys), zero, {}]
-             for lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
-    total = zero
-    for key, vec in lefts:
-        for side in sides:
-            den, limit, m, start, groups = side
-            scaled, count = den * key, m
-            while count and keys[count - 1] * scaled >= limit:
-                count -= 1
-            if count != m:
-                groups[m] = list(map(sub, total, start))
-                side[2:4] = count, total
-        total = list(map(add, total, vec))
-    for *_, m, start, groups in sides:
-        groups[m] = list(map(sub, total, start))
-    return total, [(at_most[4], below[4]) for at_most, below in zip(sides[::2], sides[1::2])]
+    sum over the u with m keys Kb (ascending) at most lo / pi(u), or below hi / pi(u);
+    bounds holds (den, num n!^2 + 1) at lo and (den, num n!^2) at hi, bound = num / den,
+    the least Kb (den Ku) that drops b.  One scalar pass per bound finds the runs of equal
+    m, bisecting the Ku for the first to drop keys[m - 1]; one vector pass keeps the running
+    sum at the runs' ends, by column sums between them, and a run's sum is a difference."""
+    ukeys, runs = [key for _, _, key in lefts], []  # per bound, (m, start, stop) per run
+    for den, least in bounds:
+        m, start, side = len(keys), 0, []
+        while m:  # the first u past start with keys[m - 1] den Ku >= least, by bisection
+            i = bisect_left(ukeys, -(-least // (den * keys[m - 1])), start)
+            if i == len(ukeys):
+                break
+            side.append((m, start, i))
+            scaled, start = den * ukeys[i], i
+            m -= 1
+            while m and keys[m - 1] * scaled >= least:
+                m -= 1
+        side.append((m, start, len(lefts)))
+        runs.append(side)
+    kept, start = {0: [0] * (n + 1)}, 0  # the running sum of the vectors at each run's ends
+    for stop in sorted(({stop for side in runs for _, _, stop in side} | {len(lefts)}) - {0}):
+        columns = zip(*[vec for _, vec, _ in lefts[start:stop]])
+        kept[stop] = list(map(add, kept[start], map(sum, columns)))
+        start = stop
+    groups = [{m: list(map(sub, kept[b], kept[a])) if a else kept[b] for m, a, b in side} for side in runs]
+    return kept[len(lefts)], list(zip(groups[::2], groups[1::2]))
 
 
 # A sweep with pi bins and jobs > 1 sums ranks >= _POOL_RANK in its pool:
@@ -260,12 +283,12 @@ def _left_groups(lefts: Sequence[tuple[int, list[int]]], n: int, keys: Sequence[
 # takes the left halves above the states _TASK_DEPTH above each right half
 # whose index is p mod P.  Pi-only sweeps of cores eps, 22 and 212 over the
 # two pi pairs of criterion 8, medians of 7 alternated fresh processes on a
-# 2-vCPU VM (Python 3.11), serial against 2 workers: 0.23 / 0.29 s at rank
-# 34, 0.40 / 0.35 s at 36, 0.67 / 0.55 s at 38 (peak RSS 46 / 35 MiB),
-# 1.21 / 0.94 s at 40 and 2.11 / 1.55 s at 42; the pool won 7 of 7 pairs at
-# 36 (6 of 7 in a repeat; 4 to 5 of 7 in earlier runs) and every pair from
-# 38 on.  A one-pair CLI sweep of core 22 is slower with 2 workers at 36 and
-# 38 (0.22 / 0.28 s, 0.29 / 0.41 s wall): the two disagree, so 38 stays.
+# 2-vCPU VM (Python 3.11), serial against 2 workers: 0.21 / 0.24 s at rank
+# 34, 0.36 / 0.34 s at 36, 0.66 / 0.61 s at 38 (peak RSS 46 / 35 MiB),
+# 1.27 / 1.13 s at 40 and 2.08 / 1.70 s at 42; the pool won 1 of 7 pairs at
+# 34, 7 of 7 at 36 (4 to 7 of 7 in earlier runs), 5 of 7 at 38 and 7 of 7
+# from 40 on.  A one-pair CLI sweep of core 22 was slower with 2 workers at
+# 36 and 38 in earlier runs: the two disagree, so 38 stays.
 _POOL_RANK = 38
 _TASK_DEPTH = 6
 
@@ -276,40 +299,46 @@ def _split_sums(roots: Sequence[tuple[int, _State]], n: int, factors: Sequence[S
     """Sums of X(v) over the rank-n words v: all words, then per cut (lo, hi) those
     with pi(v) outside the open interval (lo, hi); no beta enters, as in
     _class_masses.  Right halves grow from the class roots to rank split (default
-    n // 2); both halves are keyed by the int pi n! (_pi_key) and sorted as ints,
-    as in the module docstring; share = (p, P) keeps and sorts part p of P of the
-    left halves, and the P parts add up to the whole; factors is _g_factors(top)
-    for some top >= n.  A cut with lo >= hi is refused: its buckets would overlap."""
+    n // 2); both halves come keyed by the int pi n! from _halves and sort as ints,
+    as in the module docstring, and each cut's bounds are read once per call;
+    share = (p, P) keeps and sorts part p of P of the left halves, and the P parts
+    add up to the whole; factors is _g_factors(top) for some top >= n.  A cut with
+    lo >= hi is refused: its buckets would overlap."""
     if any(lo >= hi for lo, hi in cuts):
         raise ValueError(f"every cut needs lo < hi, got {cuts!r}")
     k = n // 2 if split is None else split
-    grow, fac = (lambda state, digit: _grow(state, digit, factors)), factorial(n)
-    right: dict[int, dict] = {}  # r -> X sums by the key pi(b) n! (_pi_key)
+    fac = factorial(n)
+    bounds = [(bound.denominator, bound.numerator * fac * fac + least)
+              for lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
+    right: dict[int, dict] = {}  # r -> X sums by the key pi(b) n!
     for _, root in roots:
-        for state in _prepend(root, k, n, grow):  # a vector is shared by states, never changed in place
-            by_pi, key, vec = right.setdefault(state[0], {}), _pi_key(state, fac), state[1]
+        for r, vec, key in _halves((root[0], root[1], _pi_key(root, fac)), k, n, factors):
+            by_pi = right.setdefault(r, {})
             by_pi[key] = list(map(add, by_pi[key], vec)) if key in by_pi else vec
     part, parts = share
-    sums = [[0] * (n + 1) for _ in range(len(cuts) + 1)]
+    whole, outside = [0] * (n + 1), [[0] * (n + 1) for _ in cuts]
     for r, by_pi in right.items():
         keys = sorted(by_pi)
-        tasks = _prepend((r, [1] * (n + 1), 1, 1), min(r + _TASK_DEPTH, n), n, grow)
-        lefts = sorted(((_pi_key(state, fac), state[1]) for i, task in enumerate(tasks) if i % parts == part
-                        for state in _prepend(task, n, n, grow)), key=itemgetter(0))
-        total, buckets = _left_groups(lefts, n, keys, cuts)
-        # outside (lo, hi): the keys at most lo / pi(u), and all but those below
-        # hi / pi(u); running is the sum over the m smallest keys when bucket m is taken
-        running = [0] * (n + 1)
-        for m in range(len(keys) + 1):
-            if m:
-                running = list(map(add, running, by_pi[keys[m - 1]]))
-            for j, (at_most, below) in enumerate(buckets, 1):
+        tasks = _halves((r, [1] * (n + 1), fac), min(r + _TASK_DEPTH, n), n, factors)
+        lefts = sorted((state for i, task in enumerate(tasks) if i % parts == part
+                        for state in _halves(task, n, n, factors)), key=itemgetter(2))
+        total, buckets = _left_groups(lefts, n, keys, bounds)
+        # outside (lo, hi): every pair, plus the keys at most lo / pi(u), less those below
+        # hi / pi(u); running is the sum over the m smallest keys, zero at m = 0
+        running, j = [0] * (n + 1), 0
+        for m in sorted({m for pair in buckets for groups in pair for m in groups} - {0}):
+            for key in keys[j:m]:
+                running = list(map(add, running, by_pi[key]))
+            j = m
+            for c, (at_most, below) in enumerate(buckets):
                 if m in at_most:
-                    sums[j] = list(map(add, sums[j], map(mul, running, at_most[m])))
+                    outside[c] = list(map(add, outside[c], map(mul, running, at_most[m])))
                 if m in below:
-                    sums[j] = list(map(sub, sums[j], map(mul, running, below[m])))
-        sums = [list(map(add, vector, map(mul, running, total))) for vector in sums]
-    return sums
+                    outside[c] = list(map(sub, outside[c], map(mul, running, below[m])))
+        for key in keys[j:]:
+            running = list(map(add, running, by_pi[key]))
+        whole = list(map(add, whole, map(mul, running, total)))
+    return [whole] + [list(map(add, whole, vector)) for vector in outside]
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +429,16 @@ def sweep_many(w: TailOnesWord, n_list: Sequence[int],
                 total = list(map(add, total, vector))
                 below = {l: list(map(add, acc, vector)) if h < l else acc for l, acc in below.items()}
             totals = {"class": total}
-            bins = {("suffix", beta, l): below[l] for beta, l in suffix_params}
+            bins = [("suffix", beta, l, below[l]) for beta, l in suffix_params]  # no Fraction hashed
             if cuts:
                 parts = (pool.starmap(_split_sums, [(roots, n, factors, cuts, (p, workers))
                                                     for p in range(workers)])
                          if n in pooled else [_split_sums(roots, n, factors, cuts)])
                 totals["split"], *outside = [list(map(sum, zip(*shares))) for shares in zip(*parts)]
-                bins.update({("pi", beta, e): vector for (beta, e), vector in zip(pi_params, outside)})
+                bins += [("pi", beta, e, vector) for (beta, e), vector in zip(pi_params, outside)]
             for engine, total in totals.items():
                 assert list(map(mul, coeffs, total)) == unit, f"level {n} {engine} masses do not sum to 1"
-            for (mode, beta, param), vector in bins.items():
+            for mode, beta, param, vector in bins:
                 value = _scaled_value(list(map(mul, coeffs, vector)), beta, n)
                 results[mode, beta, param, n] = Fraction(value, unit[0] * beta.denominator ** n)
     return results

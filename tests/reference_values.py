@@ -16,6 +16,9 @@ builds a factored table the way the library did before its tables came from
 the class engine: one pointwise kernel per tail and one exact division per
 cell.  mass_weights_by_loop multiplies out the weights p^i q^(n-i) P_i of a
 level at beta = p/q over the g-values of w, for the walk's node_mass.
+left_groups_by_pointers groups the left halves of a pi split the way the split
+engine did before its two passes: one loop over the left halves that moves one
+pointer per bound and takes each run's sum from one running sum at every change.
 """
 
 from fractions import Fraction as Fr
@@ -83,6 +86,28 @@ def level_by_recursion(n: int) -> tuple:
         return ((1,) * n,)
     return (tuple((1,) + w for w in level_by_recursion(n - 1))
             + tuple((2,) + w for w in level_by_recursion(n - 2)))
+
+
+def left_groups_by_pointers(lefts, n: int, keys, bounds) -> tuple:
+    """experiments._left_groups(lefts, n, keys, bounds) in one loop over lefts: per bound
+    (den, least), m walks down keys while keys[m - 1] den Ku >= least, and a change of
+    m closes the run of the old m as the running sum less its value where the run began."""
+    zero = [0] * (n + 1)
+    sides = [[den, least, len(keys), zero, {}] for den, least in bounds]
+    total = zero
+    for _, vec, key in lefts:
+        for side in sides:
+            den, least, m, start, groups = side
+            count = m
+            while count and keys[count - 1] * den * key >= least:
+                count -= 1
+            if count != m:
+                groups[m] = [a - b for a, b in zip(total, start)]
+                side[2:4] = count, total
+        total = [a + b for a, b in zip(total, vec)]
+    for *_, m, start, groups in sides:
+        groups[m] = [a - b for a, b in zip(total, start)]
+    return total, [(at_most[4], below[4]) for at_most, below in zip(sides[::2], sides[1::2])]
 
 
 def classes_by_padded_row(w, top: int) -> list:

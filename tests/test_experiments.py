@@ -1,6 +1,7 @@
 import multiprocessing
 import multiprocessing.pool
 import os
+import random
 from collections import Counter
 from fractions import Fraction as Fr
 from math import comb, factorial
@@ -25,7 +26,7 @@ from yflab.harmonic import d_beta, f, pi, q
 from yflab.magic import FactoredTable, column_sum_closed_form, factored_table, magic_entry
 from yflab.words import YFWord, enumerate_level, fibonacci, ones_word, parse, prefix, suffix, suffix_ranks
 
-from reference_values import f_by_recursion, mass_weights_by_loop
+from reference_values import f_by_recursion, left_groups_by_pointers, mass_weights_by_loop
 
 CORES = [TailOnesWord.parse(c) for c in ("eps", "2", "22", "212")]
 ALL_ONES = TailOnesWord.parse("eps")
@@ -241,18 +242,31 @@ def test_split_sums_keep_exact_ties_and_shares_add_up():
 
 def test_pi_keys_are_exact_ints_over_n_factorial():
     # every right half (grown from the class roots to rank n // 2) and every left
-    # half (grown from all ones above each right-half rank) of a rank-n word: d
-    # divides n!, and its key is pi n! exactly, so the keys sort and tie as pi
+    # half (grown from all ones above each right-half rank, through the task layer)
+    # of a rank-n word: d divides n!, and its key is pi n! exactly, so the keys sort
+    # and tie as pi; the engine's walker yields the states of _prepend with _grow,
+    # in order, with equal vectors and the _pi_key of each
     for core in ("eps", "2", "22", "212", "2122"):
         w = TailOnesWord.parse(core)
         classes, factors = experiments._classes(w, 20), experiments._g_factors(20)
         grow = lambda state, digit: boundary._grow(state, digit, factors)
         for n in range(21):
             fac = factorial(n)
-            rights = [state for _, root in experiments._roots_at(classes, n)
-                      for state in boundary._prepend(root, n // 2, n, grow)]
-            lefts = [state for r in sorted({state[0] for state in rights})
-                     for state in boundary._prepend((r, [1] * (n + 1), 1, 1), n, n, grow)]
+            walked = lambda states: [(state[0], state[1], experiments._pi_key(state, fac)) for state in states]
+            roots = [root for _, root in experiments._roots_at(classes, n)]
+            rights = [state for root in roots for state in boundary._prepend(root, n // 2, n, grow)]
+            assert [half for root in roots for half in experiments._halves(
+                (root[0], root[1], experiments._pi_key(root, fac)), n // 2, n, factors)] == walked(rights)
+            lefts = []
+            for r in sorted({state[0] for state in rights}):
+                depth = min(r + experiments._TASK_DEPTH, n)
+                tasks = list(boundary._prepend((r, [1] * (n + 1), 1, 1), depth, n, grow))
+                halves = list(experiments._halves((r, [1] * (n + 1), fac), depth, n, factors))
+                assert halves == walked(tasks), (core, n, r)
+                grown = [state for task in tasks for state in boundary._prepend(task, n, n, grow)]
+                assert [state for half in halves for state in experiments._halves(half, n, n, factors)] \
+                    == walked(grown), (core, n, r)
+                lefts += grown
             for states in (rights, lefts):
                 pis = [Fr(pi_num, d) for _, _, d, pi_num in states]
                 keys = [experiments._pi_key(state, fac) for state in states]
@@ -263,6 +277,14 @@ def test_pi_keys_are_exact_ints_over_n_factorial():
                 assert len(set(keys)) == len(set(pis)), (core, n)
 
 
+def _bounds(cuts, n):
+    """The (den, least) of the lo and the hi of each cut, as _split_sums hoists them:
+    a right half drops at lo once Kb (den Ku) > num n!^2, at hi once it is >= num n!^2."""
+    scale = factorial(n) ** 2
+    return [(bound.denominator, bound.numerator * scale + least)
+            for lo, hi in cuts for bound, least in ((lo, 1), (hi, 0))]
+
+
 def test_left_groups_put_a_product_equal_to_lo_or_hi_outside():
     # one left half u (key 4 at n = 3, pi(u) = 2/3) and one right half b (key 3,
     # pi(b) = 1/2) planted with pi(u) pi(b) = 1/3: at lo = 1/3 the key counts as
@@ -270,7 +292,7 @@ def test_left_groups_put_a_product_equal_to_lo_or_hi_outside():
     # lies outside both cuts, and inside the control cut (1/4, 1/2)
     n, vec, xb = 3, [1, 2, 3, 5], [7, 11, 13, 17]
     cuts = [(Fr(1, 3), Fr(1)), (Fr(1, 4), Fr(1, 3)), (Fr(1, 4), Fr(1, 2))]
-    total, buckets = experiments._left_groups([(4, vec)], n, [3], cuts)
+    total, buckets = experiments._left_groups([(n, vec, 4)], n, [3], _bounds(cuts, n))
     zero = [0] * (n + 1)
     assert total == vec
     assert buckets == [({1: vec}, {1: vec}), ({1: zero, 0: vec}, {1: zero, 0: vec}),
@@ -281,6 +303,22 @@ def test_left_groups_put_a_product_equal_to_lo_or_hi_outside():
                 + xb[i] * total[i] for i in range(n + 1)] for at_most, below in buckets]
     product = [a * b for a, b in zip(xb, vec)]
     assert outside == [product, product, zero]
+
+
+def test_left_groups_equal_the_one_pointer_loop():
+    # random sorted keys with ties on both sides, 0 to 3 cuts, bounds at or below 0
+    # (a cut with beta <= eps) and empty left lists: the two passes (one bisecting
+    # scalar pass per bound, one vector pass) give the groups of the loop that moves
+    # one pointer per bound over every left half
+    rng = random.Random(20)
+    for case in range(400):
+        n = rng.randrange(4)
+        keys = sorted(rng.choices(range(1, 13), k=rng.randrange(6)))
+        lefts = sorted(((n, [rng.randrange(-9, 10) for _ in range(n + 1)], rng.randrange(1, 13))
+                        for _ in range(rng.randrange(1, 8) if case % 4 else 0)), key=lambda state: state[2])
+        bounds = [(rng.randrange(1, 4), rng.randrange(-20, 300)) for _ in range(2 * rng.randrange(4))]
+        assert experiments._left_groups(lefts, n, keys, bounds) == \
+            left_groups_by_pointers(lefts, n, keys, bounds), (case, lefts, keys, bounds)
 
 
 def _cores_up_to(length):
